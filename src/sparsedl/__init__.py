@@ -23,6 +23,7 @@ _EXPORTS = {
     "sparsity_factor": "learner",
     "LearnConfig": "learner",
     "LearnTrace": "learner",
+    "initial_dictionary": "dictionaries",
     "overcomplete_dct_dictionary": "dictionaries",
     "random_dictionary": "dictionaries",
     "omp_code": "omp",

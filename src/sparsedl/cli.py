@@ -170,25 +170,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _initial_dictionary(kind: str, signal_dim: int, num_atoms: int, seed: int):
-    from .dictionaries import overcomplete_dct_dictionary, random_dictionary
-
-    if kind == "dct":
-        return overcomplete_dct_dictionary(signal_dim, num_atoms)
-    if kind == "random":
-        return random_dictionary(signal_dim, num_atoms, seed)
-    try:
-        return overcomplete_dct_dictionary(signal_dim, num_atoms)
-    except ConfigError:
-        return random_dictionary(signal_dim, num_atoms, seed)
-
-
 def _cmd_learn(args) -> int:
     from . import io
+    from .dictionaries import initial_dictionary
     from .learner import LearnConfig, learn
 
     Y = io.read_matrix_text(args.data)
-    D0 = _initial_dictionary(args.init, Y.shape[0], args.atoms, args.seed)
+    kind = "dct" if args.init == "auto" else args.init
+    try:
+        D0 = initial_dictionary(kind, Y.shape[0], args.atoms, args.seed)
+    except ConfigError:
+        if args.init != "auto":
+            raise
+        D0 = initial_dictionary("random", Y.shape[0], args.atoms, args.seed)
     D, C, trace = learn(
         Y,
         LearnConfig(

@@ -27,7 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dictionaries import overcomplete_dct_dictionary, random_dictionary
+# overcomplete_dct_dictionary stays importable from here: perfbench wraps it by this name.
+from .dictionaries import initial_dictionary, overcomplete_dct_dictionary  # noqa: F401
 from .exceptions import ConfigError
 from .learner import LearnConfig, LearnTrace, learn
 from .omp import omp_code_matrix
@@ -142,12 +143,11 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
     prior = 20.0 / sigma if config.prior_weight is None else float(config.prior_weight)
     if prior < 0.0:
         raise ConfigError(f"prior_weight must be nonnegative, got {prior}")
-    if config.init not in ("dct", "random"):
-        raise ConfigError(f"unknown init {config.init!r}; choose 'dct' or 'random'")
 
     p = int(config.patch_size)
     J = int(config.num_atoms)
     n = p * p
+    D0 = initial_dictionary(config.init, n, J, config.seed)
     Y = extract_patches(noisy, p, config.stride)
     N = Y.shape[1]
     means = Y.mean(axis=0)
@@ -161,11 +161,6 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
         train = Y[:, rng.choice(N, size=m, replace=False)]
     else:
         train = Y
-
-    if config.init == "dct":
-        D0 = overcomplete_dct_dictionary(n, J)
-    else:
-        D0 = random_dictionary(n, J, config.seed)
 
     trace = None
     D = D0

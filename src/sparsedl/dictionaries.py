@@ -8,7 +8,7 @@ import numpy as np
 
 from .exceptions import ConfigError
 
-__all__ = ["overcomplete_dct_dictionary", "random_dictionary"]
+__all__ = ["initial_dictionary", "overcomplete_dct_dictionary", "random_dictionary"]
 
 
 def overcomplete_dct_dictionary(signal_dim: int, num_atoms: int) -> np.ndarray:
@@ -71,3 +71,12 @@ def random_dictionary(signal_dim: int, num_atoms: int, seed=0) -> np.ndarray:
             D[:, j] = rng.standard_normal(signal_dim)
         norms = np.linalg.norm(D, axis=0)
     return D / norms
+
+
+def initial_dictionary(kind: str, signal_dim: int, num_atoms: int, seed=0) -> np.ndarray:
+    """Starting dictionary of the given ``kind``: ``"dct"`` or ``"random"``."""
+    if kind == "dct":
+        return overcomplete_dct_dictionary(signal_dim, num_atoms)
+    if kind == "random":
+        return random_dictionary(signal_dim, num_atoms, seed)
+    raise ConfigError(f"unknown init {kind!r}; choose 'dct' or 'random'")

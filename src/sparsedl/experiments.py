@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .denoise import DenoiseConfig, add_gaussian_noise, denoise_image, psnr, quantize_pixels
-from .dictionaries import overcomplete_dct_dictionary, random_dictionary
+from .dictionaries import initial_dictionary, overcomplete_dct_dictionary
 from .exceptions import ConfigError, FormatError
 from .io import write_trace_csv
 from .learner import LearnConfig, learn
@@ -109,14 +109,6 @@ def sample_patch_columns(image: np.ndarray, patch_size: int, count: int, seed: i
     return allp[:, rng.choice(N, size=count, replace=False)]
 
 
-def _init_dictionary(kind: str, signal_dim: int, num_atoms: int, seed: int) -> np.ndarray:
-    if kind == "dct":
-        return overcomplete_dct_dictionary(signal_dim, num_atoms)
-    if kind == "random":
-        return random_dictionary(signal_dim, num_atoms, seed)
-    raise ConfigError(f"unknown init {kind!r}; choose 'dct' or 'random'")
-
-
 def convergence_trace(
     image: np.ndarray,
     out_csv,
@@ -130,7 +122,7 @@ def convergence_trace(
 ):
     """Learn on randomly sampled patches and write the per-iteration trace."""
     Y = sample_patch_columns(image, 8, num_patches, seed)
-    D0 = _init_dictionary(init, Y.shape[0], num_atoms, seed)
+    D0 = initial_dictionary(init, Y.shape[0], num_atoms, seed)
     _, _, trace = learn(
         Y,
         LearnConfig(num_atoms=num_atoms, iterations=iterations, lam=lam, init_dictionary=D0, seed=seed),
@@ -160,7 +152,7 @@ def lambda_sweep(
     if not lambdas:
         raise ConfigError("lambda grid must be non-empty")
     Y = sample_patch_columns(image, 8, num_patches, seed)
-    D0 = _init_dictionary(init, Y.shape[0], num_atoms, seed)
+    D0 = initial_dictionary(init, Y.shape[0], num_atoms, seed)
     rows = []
     for lam in lambdas:
         start = time.perf_counter()

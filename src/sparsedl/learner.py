@@ -12,8 +12,12 @@ updates every (c_j, d_j) pair in turn; both block updates are exact
 closed forms (truncated hard thresholding for the code, a normalized
 residual/code product for the atom), so the objective never increases.
 
-Zeros in ``C`` are structural: an entry is zero iff it was never
-assigned a nonzero value, and nnz counts are exact with no tolerance.
+:func:`learn` keeps ``C`` in one canonical ``scipy.sparse.csc_array``
+(sorted indices, no stored zeros), runs both updates through the public
+:func:`sparse_code_step` and :func:`atom_update_step`, and splices each
+new code column into the store in O(nnz).  Zeros in ``C`` are
+structural: an entry is zero iff it was never assigned a nonzero value,
+and nnz counts are exact with no tolerance.
 All arithmetic is float64, and for a fixed BLAS thread configuration a
 run is reproducible bit for bit.
 """
@@ -83,10 +87,15 @@ def _is_sparse(C) -> bool:
 
 
 def _code_column(C, j: int) -> np.ndarray:
-    """Column j of a dense or scipy-sparse coefficient matrix, as 1-D dense."""
-    if _is_sparse(C):
-        return np.asarray(C[:, [j]].todense()).ravel()
-    return np.asarray(C)[:, j]
+    """Column j of a dense or scipy-sparse coefficient matrix, as 1-D dense.
+
+    A sparse ``C`` is read straight from its CSC arrays (duplicates sum).
+    """
+    if not _is_sparse(C):
+        return np.asarray(C)[:, j]
+    C = C if C.format == "csc" else C.tocsc()
+    span = slice(C.indptr[j], C.indptr[j + 1])
+    return np.bincount(C.indices[span], weights=C.data[span], minlength=C.shape[0])
 
 
 def _code_nnz(C) -> int:
@@ -96,11 +105,11 @@ def _code_nnz(C) -> int:
     return int(np.count_nonzero(C))
 
 
-def _reconstruction(D: np.ndarray, C) -> np.ndarray:
-    """Dense n x N product ``D C^T``."""
-    if _is_sparse(C):
-        return np.asarray(C @ D.T).T
-    return D @ np.asarray(C).T
+def _fit(Y: np.ndarray, D: np.ndarray, C) -> float:
+    """Fit term ``||Y - D C^T||_F^2``, through one N x n buffer."""
+    resid = np.asarray(C @ D.T, dtype=float)
+    resid -= Y.T
+    return float(np.vdot(resid, resid))
 
 
 def code_rhs(Y: np.ndarray, D: np.ndarray, C, j: int) -> np.ndarray:
@@ -161,14 +170,16 @@ def atom_rhs(Y: np.ndarray, D: np.ndarray, C, j: int, new_code: np.ndarray) -> n
 
         Y c - D (C^T c) + d_j (c_j^T c),        c = new_code
 
+    with ``Y c`` taken over the support of ``c`` only,
     where ``C`` and ``D`` are the matrices from *before* the code commit
     (column j of ``C`` is the pre-update code ``c_j``, column j of ``D``
     the pre-update atom).  As with :func:`code_rhs`, ``E_j`` is never
     formed.
     """
     c = np.asarray(new_code, dtype=float)
+    support = np.flatnonzero(c)
     u = C.T @ c
-    return Y @ c - D @ u + D[:, j] * float(_code_column(C, j) @ c)
+    return Y[:, support] @ c[support] - D @ u + D[:, j] * float(_code_column(C, j) @ c)
 
 
 def atom_update_step(
@@ -239,8 +250,7 @@ def objective(Y: np.ndarray, D: np.ndarray, C, lam: float) -> float:
     The nonzero count is structural/exact; no tolerance is applied when
     deciding whether an entry is zero.
     """
-    resid = np.asarray(Y, dtype=float) - _reconstruction(D, C)
-    return float(np.vdot(resid, resid)) + lam * lam * _code_nnz(C)
+    return _fit(np.asarray(Y, dtype=float), D, C) + lam * lam * _code_nnz(C)
 
 
 def nsre(Y: np.ndarray, D: np.ndarray, C) -> float:
@@ -249,8 +259,7 @@ def nsre(Y: np.ndarray, D: np.ndarray, C) -> float:
     ynorm = np.linalg.norm(Y)
     if ynorm == 0.0:
         raise ConfigError("nsre is undefined for an all-zero training matrix")
-    resid = Y - _reconstruction(D, C)
-    return float(np.linalg.norm(resid) / ynorm)
+    return float(np.sqrt(_fit(Y, D, C)) / ynorm)
 
 
 def sparsity_factor(C, signal_dim: int) -> float:
@@ -273,8 +282,8 @@ class LearnConfig:
     ``init_codes=None`` means all-zero initial codes.  ``seed`` drives
     the random atom order and the ``random_unit`` policy only.
     ``record_inner_objectives`` stores the exact objective after every
-    half-step (2J values per sweep), recomputed from scratch against a
-    dense mirror of ``C``; intended for small diagnostic runs.
+    half-step (2J values per sweep), each recomputed from scratch with
+    :func:`objective`; intended for small diagnostic runs.
     """
 
     num_atoms: int
@@ -310,42 +319,33 @@ class LearnTrace:
         return len(self.objective)
 
 
-def _column_lists(init_codes, N: int, J: int, code_bound: float):
-    """Internal (indices, values) pair per column, validated against the bound."""
-    cols = []
+def _initial_codes(init_codes, N: int, J: int, code_bound: float) -> sparse.csc_array:
+    """Canonical CSC copy of the initial codes, checked against the bound.
+
+    Stored zeros (including -0.0) are dropped, so nnz stays structural.
+    """
     if init_codes is None:
-        empty_i = np.empty(0, dtype=np.int64)
-        empty_v = np.empty(0, dtype=float)
-        return [(empty_i, empty_v) for _ in range(J)]
-    if _is_sparse(init_codes):
-        M = sparse.csc_array(init_codes)
-    else:
-        M = np.asarray(init_codes, dtype=float)
-    if M.shape != (N, J):
-        raise ConfigError(f"init_codes shape {M.shape} does not match (N, J)=({N}, {J})")
-    for j in range(J):
-        col = _code_column(M, j)
-        if not np.all(np.isfinite(col)):
-            raise ConfigError("init_codes must be finite")
-        idx = np.flatnonzero(col)
-        val = col[idx].astype(float, copy=True)
-        if val.size and np.max(np.abs(val)) > code_bound:
-            raise ConfigError(
-                f"init_codes column {j} exceeds the magnitude bound {code_bound}"
-            )
-        cols.append((idx.astype(np.int64), val))
-    return cols
-
-
-def _columns_to_csc(cols, N: int, J: int) -> sparse.csc_array:
-    indptr = np.zeros(J + 1, dtype=np.int64)
-    for k, (idx, _) in enumerate(cols):
-        indptr[k + 1] = indptr[k] + idx.size
-    if indptr[-1] == 0:
         return sparse.csc_array((N, J), dtype=float)
-    indices = np.concatenate([idx for idx, _ in cols])
-    data = np.concatenate([val for _, val in cols])
-    return sparse.csc_array((data, indices, indptr), shape=(N, J))
+    if np.shape(init_codes) != (N, J):
+        raise ConfigError(f"init_codes shape {np.shape(init_codes)} does not match (N, J)=({N}, {J})")
+    C = sparse.csc_array(init_codes, dtype=float, copy=True)
+    C.sum_duplicates()
+    C.eliminate_zeros()
+    if not np.all(np.isfinite(C.data)):
+        raise ConfigError("init_codes must be finite")
+    if C.nnz and np.max(np.abs(C.data)) > code_bound:
+        raise ConfigError(f"init_codes exceed the magnitude bound {code_bound}")
+    return C
+
+
+def _splice_column(C: sparse.csc_array, j: int, idx: np.ndarray, val: np.ndarray) -> sparse.csc_array:
+    """Copy of the CSC array ``C`` with column j replaced by ``(idx, val)``."""
+    lo, hi = C.indptr[j], C.indptr[j + 1]
+    indptr = C.indptr.astype(np.int64)
+    indptr[j + 1 :] += idx.size - (hi - lo)
+    indices = np.concatenate((C.indices[:lo], idx, C.indices[hi:]))
+    data = np.concatenate((C.data[:lo], val, C.data[hi:]))
+    return sparse.csc_array((data, indices, indptr), shape=C.shape)
 
 
 def _validated_dictionary(D, n: int, J: int) -> np.ndarray:
@@ -426,17 +426,10 @@ def learn(Y: np.ndarray, config: LearnConfig):
         raise ConfigError("init_dictionary is required (see the dictionaries module)")
 
     D = _validated_dictionary(config.init_dictionary, n, J)
-    cols = _column_lists(config.init_codes, N, J, bound)
+    C = _initial_codes(config.init_codes, N, J, bound)
     rng = np.random.default_rng(config.seed)
 
-    record = bool(config.record_inner_objectives)
-    inner = np.empty((K, 2 * J)) if record else None
-    mirror = None
-    if record:
-        mirror = np.zeros((N, J))
-        for k, (idx, val) in enumerate(cols):
-            mirror[idx, k] = val
-
+    inner = np.empty((K, 2 * J)) if config.record_inner_objectives else None
     trace = LearnTrace(
         objective=np.empty(K),
         nsre=np.empty(K),
@@ -445,7 +438,6 @@ def learn(Y: np.ndarray, config: LearnConfig):
         delta_codes=np.empty(K),
         inner_objectives=inner,
     )
-    recon = np.empty((n, N))
 
     for t in range(K):
         order = np.arange(J) if config.atom_order == "cyclic" else rng.permutation(J)
@@ -453,79 +445,35 @@ def learn(Y: np.ndarray, config: LearnConfig):
         delta_codes_sq = 0.0
 
         for pos, j in enumerate(order):
-            d_old = D[:, j].copy()
-            idx_old, val_old = cols[j]
+            # Both updates against the pre-commit state, then commit.
+            c_new = sparse_code_step(Y, D, C, j, lam, bound)
+            try:
+                d_new = atom_update_step(Y, D, C, j, c_new, config.empty_code_policy, rng)
+            except InvariantError as exc:
+                raise InvariantError(f"iteration {t + 1}, {exc}") from exc
 
-            # Code update: correlation vector, then truncated thresholding.
-            w = D.T @ d_old
-            b = Y.T @ d_old
-            for k, (idx, val) in enumerate(cols):
-                if idx.size:
-                    b[idx] -= w[k] * val
-            if idx_old.size:
-                b[idx_old] += val_old
-            c_new = truncated_hard_threshold(b, lam, bound)
+            lo, hi = C.indptr[j], C.indptr[j + 1]
+            idx_old, val_old = C.indices[lo:hi], C.data[lo:hi]
             idx_new = np.flatnonzero(c_new)
-            val_new = c_new[idx_new].copy()
-
-            # Atom update from the pre-commit state.
-            if idx_new.size:
-                u = np.empty(J)
-                for k, (idx, val) in enumerate(cols):
-                    u[k] = val @ c_new[idx] if idx.size else 0.0
-                h = Y[:, idx_new] @ val_new
-                h -= D @ u
-                if idx_old.size:
-                    h += d_old * float(val_old @ c_new[idx_old])
-                hnorm = float(np.linalg.norm(h))
-                if hnorm == 0.0:
-                    raise InvariantError(
-                        f"iteration {t + 1}, atom {j}: residual/code product vanished "
-                        "for a nonzero code"
-                    )
-                d_new = h / hnorm
-            elif config.empty_code_policy == "keep_previous":
-                d_new = d_old
-            elif config.empty_code_policy == "random_unit":
-                d_new = _random_unit_vector(rng, n)
-            else:
-                d_new = np.zeros(n)
-                d_new[0] = 1.0
-
-            if record:
-                mirror[:, j] = c_new
-            if idx_old.size:  # c_new now becomes the code delta vector
-                c_new[idx_old] -= val_old
+            C = _splice_column(C, j, idx_new, c_new[idx_new])
+            c_new[idx_old] -= val_old  # c_new now becomes the code delta vector
             delta_codes_sq += float(c_new @ c_new)
 
-            cols[j] = (idx_new, val_new)
-            if record:
-                inner[t, 2 * pos] = _mirror_objective(Y, D, mirror, lam)
+            if inner is not None:
+                inner[t, 2 * pos] = objective(Y, D, C, lam)
             D[:, j] = d_new
-            if record:
-                inner[t, 2 * pos + 1] = _mirror_objective(Y, D, mirror, lam)
+            if inner is not None:
+                inner[t, 2 * pos + 1] = objective(Y, D, C, lam)
 
-        # Per-sweep diagnostics from an exact dense reconstruction.
-        recon[:] = 0.0
-        nnz = 0
-        for k, (idx, val) in enumerate(cols):
-            if idx.size:
-                recon[:, idx] += D[:, k, None] * val[None, :]
-                nnz += idx.size
-        np.subtract(Y, recon, out=recon)
-        fit = float(np.vdot(recon, recon))
-        obj = fit + lam * lam * nnz
+        # Per-sweep diagnostics from an exact reconstruction.
+        fit = _fit(Y, D, C)
+        obj = fit + lam * lam * C.nnz
         if not np.isfinite(obj):
             raise InvariantError(f"objective became non-finite at iteration {t + 1}")
         trace.objective[t] = obj
         trace.nsre[t] = np.sqrt(fit) / ynorm if ynorm > 0.0 else np.nan
-        trace.sparsity_factor[t] = nnz / (n * N)
+        trace.sparsity_factor[t] = C.nnz / (n * N)
         trace.delta_dict[t] = float(np.linalg.norm(D - D_prev))
         trace.delta_codes[t] = np.sqrt(delta_codes_sq)
 
-    return D, _columns_to_csc(cols, N, J), trace
-
-
-def _mirror_objective(Y: np.ndarray, D: np.ndarray, mirror: np.ndarray, lam: float) -> float:
-    resid = Y - D @ mirror.T
-    return float(np.vdot(resid, resid)) + lam * lam * int(np.count_nonzero(mirror))
+    return D, C, trace

@@ -184,27 +184,40 @@ def _unit_columns(rng, n, J):
 
 
 class TestLearn:
-    def test_matches_reference_sweep_of_public_steps(self):
+    @pytest.mark.parametrize("warm", [False, True], ids=["zero-init", "warm"])
+    @pytest.mark.parametrize("policy", ["unit_basis", "keep_previous", "random_unit"])
+    @pytest.mark.parametrize("order", ["cyclic", "random"])
+    def test_matches_reference_sweep_of_public_steps(self, order, policy, warm):
         """The fused implementation must equal a literal sweep of the
         public single-column operations (code step, then atom step, both
-        against the pre-commit state)."""
+        against the pre-commit state).  Every other trial uses a lam high
+        enough that some codes come back empty, so the policy is used."""
         rng = np.random.default_rng(30)
+        empty = 0
         for trial in range(8):
             n, N, J, K = 6, 25, 5, 3
             Y = rng.standard_normal((n, N)) * 2.0
             D0 = _unit_columns(rng, n, J)
-            lam, bound = 0.6, float(np.linalg.norm(Y))
+            lam, bound = (0.6, 4.0)[trial % 2], float(np.linalg.norm(Y))
+            C0 = rng.uniform(-1.0, 1.0, (N, J)) * (rng.random((N, J)) < 0.3) if warm else None
             D_ref = D0.copy()
-            C_ref = np.zeros((N, J))
+            C_ref = np.zeros((N, J)) if C0 is None else C0.copy()
+            ref_rng = np.random.default_rng(trial)
             for _ in range(K):
-                for j in range(J):
+                for j in np.arange(J) if order == "cyclic" else ref_rng.permutation(J):
                     c = sparse_code_step(Y, D_ref, C_ref, j, lam, bound)
-                    d = atom_update_step(Y, D_ref, C_ref, j, c)
+                    d = atom_update_step(Y, D_ref, C_ref, j, c, policy, ref_rng)
+                    empty += not c.any()
                     C_ref[:, j] = c
                     D_ref[:, j] = d
-            D_got, C_got, _ = learn(Y, _default_config(J, K, lam, D0))
+            config = _default_config(
+                J, K, lam, D0, atom_order=order, empty_code_policy=policy, seed=trial,
+                init_codes=None if C0 is None else sparse.csc_array(C0),
+            )
+            D_got, C_got, _ = learn(Y, config)
             assert np.allclose(D_got, D_ref, rtol=1e-10, atol=1e-12)
             assert np.allclose(np.asarray(C_got.todense()), C_ref, rtol=1e-10, atol=1e-12)
+        assert empty > 0
 
     def test_trace_matches_recomputation(self):
         rng = np.random.default_rng(31)
@@ -288,6 +301,33 @@ class TestLearn:
             _default_config(4, 2, 0.4, D1, code_bound=bound, init_codes=np.asarray(C1.todense())),
         )
         assert np.allclose(D3, D2) and np.allclose(C3.todense(), C2.todense())
+
+    def test_init_codes_count_only_true_nonzeros(self):
+        rng = np.random.default_rng(42)
+        Y = rng.standard_normal((5, 12))
+        D0 = _unit_columns(rng, 5, 3)
+        codes = np.zeros((12, 3))
+        codes[[0, 4, 7], [0, 1, 2]] = [0.8, -1.2, 0.5]
+        stored_zero = sparse.csc_array(
+            ([0.8, 0.0, -1.2, 0.5], [0, 3, 4, 7], [0, 2, 3, 4]), shape=(12, 3)
+        )
+        assert stored_zero.nnz == 4
+        negative_zero = codes.copy()
+        negative_zero[2, 1] = -0.0
+        for init in (stored_zero, negative_zero):
+            _, C0, _ = learn(Y, _default_config(3, 0, 0.5, D0, init_codes=init))
+            assert C0.nnz == 3
+            _, C1, t1 = learn(Y, _default_config(3, 1, 0.5, D0, init_codes=init))
+            assert C1.nnz == np.count_nonzero(C1.toarray())
+            assert t1.sparsity_factor[0] == C1.nnz / (5 * 12)
+
+    def test_vanishing_product_names_iteration_and_atom(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        Y = rng.standard_normal((4, 10))
+        D0 = _unit_columns(rng, 4, 3)
+        monkeypatch.setattr("sparsedl.learner.atom_rhs", lambda Y, D, C, j, c: np.zeros(D.shape[0]))
+        with pytest.raises(InvariantError, match=r"iteration 1, atom 0:"):
+            learn(Y, _default_config(3, 2, 0.1, D0))
 
     def test_zero_training_matrix_policies(self):
         Y = np.zeros((3, 5))
