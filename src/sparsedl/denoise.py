@@ -178,7 +178,9 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
 
     error_goal = n * config.error_gain**2 * sigma**2
     codes, statuses = omp_code_matrix(D, Y, error_goal)
-    estimates = np.asarray(codes @ D.T).T + means
+    estimates = codes @ D.T
+    estimates += means[:, None]
+    estimates = estimates.T
 
     total, cover = aggregate_patches(estimates, noisy.shape, p, config.stride)
     if prior == 0.0 and np.any(cover == 0.0):

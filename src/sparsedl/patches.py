@@ -49,8 +49,10 @@ def extract_patches(image: np.ndarray, patch_size: int, stride: int = 1) -> np.n
     H, W, p, s = _check_geometry(img.shape, patch_size, stride)
     gr, gc = (H - p) // s + 1, (W - p) // s + 1
     windows = np.lib.stride_tricks.sliding_window_view(img, (p, p))[::s, ::s]
-    # transpose each window so a C-order reshape yields column-major patches
-    return windows.transpose(0, 1, 3, 2).reshape(gr * gc, p * p).T.copy()
+    out = np.empty((p * p, gr * gc))
+    # out[col * p + row, r * gc + c] = windows[r, c, row, col], written in one copy
+    out.reshape(p, p, gr, gc)[...] = windows.transpose(3, 2, 0, 1)
+    return out
 
 
 def aggregate_patches(patches: np.ndarray, image_shape, patch_size: int, stride: int = 1):

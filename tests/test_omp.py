@@ -1,16 +1,62 @@
 import numpy as np
 import pytest
+from conftest import make_textured_scene
 from scipy import sparse
 
-from sparsedl.dictionaries import random_dictionary
+from sparsedl.denoise import DenoiseConfig, add_gaussian_noise
+from sparsedl.dictionaries import overcomplete_dct_dictionary, random_dictionary
 from sparsedl.exceptions import ConfigError
-from sparsedl.omp import DEGENERATE, REACHED_ATOM_CAP, REACHED_ERROR_GOAL, omp_code, omp_code_matrix
+from sparsedl.omp import (
+    _BAND,
+    DEGENERATE,
+    REACHED_ATOM_CAP,
+    REACHED_ERROR_GOAL,
+    omp_code,
+    omp_code_matrix,
+)
+from sparsedl.patches import extract_patches
 
 
 def _orthonormal(n, seed):
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return Q
+
+
+def _textbook_omp(D, y, goal, cap):
+    """Oracle: plain OMP that re-solves least squares on the whole support
+    at every step and forms the residual explicitly.
+
+    Returns the support in selection order, its coefficients and the
+    status.  A pick counts as degenerate when no atom correlates with the
+    residual or the atom lies within 1e-6 of its norm of the support's span.
+    """
+    support, coef, r = [], np.zeros(0), y
+    while r @ r > goal:
+        if len(support) == cap:
+            return support, coef, REACHED_ATOM_CAP
+        corr = D.T @ r
+        p = int(np.argmax(np.abs(corr)))  # first maximum: lowest index
+        a = D[:, p]
+        off = a - D[:, support] @ np.linalg.lstsq(D[:, support], a, rcond=None)[0] if support else a
+        if corr[p] == 0.0 or np.linalg.norm(off) <= 1e-6 * np.linalg.norm(a):
+            return support, coef, DEGENERATE
+        support.append(p)
+        coef = np.linalg.lstsq(D[:, support], y, rcond=None)[0]
+        r = y - D[:, support] @ coef
+    return support, coef, REACHED_ERROR_GOAL
+
+
+def _assert_matches_textbook(D, Y, goal, max_atoms=None):
+    C, statuses = omp_code_matrix(D, Y, goal, max_atoms)
+    codes = C.toarray()
+    cap = min(D.shape) if max_atoms is None else max_atoms
+    for i in range(Y.shape[1]):
+        support, coef, status = _textbook_omp(D, Y[:, i], goal, cap)
+        assert statuses[i] == status, i
+        assert np.array_equal(np.flatnonzero(codes[i]), np.sort(support)), i
+        assert np.linalg.norm(codes[i, support] - coef) <= 1e-10 * np.linalg.norm(coef), i
+    return statuses, codes
 
 
 class TestOmpCode:
@@ -119,3 +165,134 @@ class TestOmpCodeMatrix:
     def test_rejects_non_matrix(self):
         with pytest.raises(ConfigError):
             omp_code_matrix(random_dictionary(4, 4, 0), np.ones(4), 1.0)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "no-signals-negative-goal",
+            "no-signals-row-mismatch",
+            "no-signals-cap-too-large",
+            "dictionary-not-2d",
+            "nan-signal",
+            "inf-atom",
+        ],
+    )
+    def test_validates_before_coding_any_signal(self, case):
+        D = random_dictionary(4, 6, 0)
+        Y = np.ones((4, 3))
+        goal, cap = 1.0, None
+        if case == "no-signals-negative-goal":
+            Y, goal = np.ones((4, 0)), -1.0
+        elif case == "no-signals-row-mismatch":
+            Y = np.ones((5, 0))
+        elif case == "no-signals-cap-too-large":
+            Y, cap = np.ones((4, 0)), 99
+        elif case == "dictionary-not-2d":
+            D = np.ones(4)
+        elif case == "nan-signal":
+            Y[2, 1] = np.nan
+        elif case == "inf-atom":
+            D[1, 3] = np.inf
+        with pytest.raises(ConfigError):
+            omp_code_matrix(D, Y, goal, cap)
+
+
+class TestAgainstTextbookOmp:
+    def test_random_dictionaries(self):
+        rng = np.random.default_rng(21)
+        seen = set()
+        for _ in range(200):
+            n = int(rng.integers(3, 17))
+            J = int(rng.integers(2, 3 * n + 1))
+            D = random_dictionary(n, J, rng)
+            Y = rng.standard_normal((n, 6))
+            goal = float(rng.uniform(0.02, 0.6)) * n
+            cap = None if rng.random() < 0.5 else int(rng.integers(1, min(n, J) + 1))
+            seen.update(_assert_matches_textbook(D, Y, goal, cap)[0])
+        assert seen == {REACHED_ERROR_GOAL, REACHED_ATOM_CAP}
+
+    def test_rank_deficient_dictionaries_stop_when_the_span_is_used_up(self):
+        """Atoms confined to an r-dimensional subspace: every signal with a
+        part outside it takes r atoms and stops degenerate, never an atom
+        picked from rounding noise.  r >= 2, because in a line all atoms
+        are parallel and their correlations tie only up to rounding."""
+        rng = np.random.default_rng(24)
+        for _ in range(100):
+            n = int(rng.integers(4, 12))
+            r = int(rng.integers(2, n))
+            basis, _ = np.linalg.qr(rng.standard_normal((n, r)))
+            D = basis @ rng.standard_normal((r, int(rng.integers(r + 1, 3 * n))))
+            D /= np.linalg.norm(D, axis=0)
+            Y = rng.standard_normal((n, 5))
+            statuses, codes = _assert_matches_textbook(D, Y, 1e-6)
+            assert statuses == [DEGENERATE] * 5
+            assert np.all(np.count_nonzero(codes, axis=1) == r)
+
+    @pytest.mark.parametrize("goal_divisor", [1, 8])
+    def test_dct_on_noisy_centered_patches(self, goal_divisor):
+        """The denoiser's DCT pass on a stride-8 grid of the textured scene,
+        at its error goal and at one 8 times lower (longer supports)."""
+        config = DenoiseConfig(sigma=20.0)
+        noisy = add_gaussian_noise(make_textured_scene(256).astype(float), config.sigma, seed=3)
+        Y = extract_patches(noisy, config.patch_size, 8)
+        Y -= Y.mean(axis=0)
+        n = config.patch_size**2
+        D = overcomplete_dct_dictionary(n, config.num_atoms)
+        goal = n * config.error_gain**2 * config.sigma**2 / goal_divisor
+        statuses, _ = _assert_matches_textbook(D, Y, goal)
+        assert set(statuses) == {REACHED_ERROR_GOAL}
+
+
+class TestBatchIndependence:
+    def test_rows_do_not_depend_on_the_other_signals(self):
+        """Permuting, subsetting or splitting the columns of Y, across band
+        edges, gives bit-identical rows and statuses."""
+        rng = np.random.default_rng(22)
+        D = random_dictionary(8, 20, rng)
+        N = _BAND + 300
+        Y = rng.standard_normal((8, N)) * rng.uniform(0.3, 3.0, N)
+        C, statuses = omp_code_matrix(D, Y, 2.0)
+        codes = C.toarray()
+        assert len({np.count_nonzero(row) for row in codes}) >= 4
+
+        perm = rng.permutation(N)
+        Cp, sp = omp_code_matrix(D, Y[:, perm], 2.0)
+        assert np.array_equal(Cp.toarray(), codes[perm])
+        assert sp == [statuses[i] for i in perm]
+
+        subset = np.flatnonzero(rng.random(N) < 0.4)
+        Cs, ss = omp_code_matrix(D, Y[:, subset], 2.0)
+        assert np.array_equal(Cs.toarray(), codes[subset])
+        assert ss == [statuses[i] for i in subset]
+
+        for i in range(N):
+            code, status = omp_code(D, Y[:, i], 2.0)
+            assert np.array_equal(code, codes[i]) and status == statuses[i], i
+
+    def test_mixed_stops_in_one_call_match_single_calls(self):
+        """One call where signals stop at the goal, at the cap and on a
+        duplicated atom; every row equals its own single-column call."""
+        rng = np.random.default_rng(23)
+        e = np.eye(5)
+        # atom 1 duplicates atom 0; nothing reaches the last coordinate
+        D = np.column_stack([e[0], e[0], e[1], e[2], e[1] + e[2] + e[3], e[1] - e[2], e[3]])
+        D /= np.linalg.norm(D, axis=0)
+        kinds = rng.integers(0, 3, 300)
+        Y = np.zeros((5, kinds.size))
+        for i, kind in enumerate(kinds):
+            if kind == 0:  # one atom's worth: meets the goal
+                Y[:, i] = D[:, rng.integers(7)] * rng.uniform(1.0, 3.0)
+            elif kind == 1:  # generic in the span: needs four atoms, capped at three
+                Y[:4, i] = rng.uniform(1.0, 2.0, 4) * rng.choice([-1.0, 1.0], 4)
+            else:  # along the duplicated atom plus an unreachable part
+                Y[0, i] = rng.uniform(1.0, 3.0)
+                Y[4, i] = rng.uniform(1.0, 3.0)
+        C, statuses = omp_code_matrix(D, Y, 1e-6, max_atoms=3)
+        want = {0: REACHED_ERROR_GOAL, 1: REACHED_ATOM_CAP, 2: DEGENERATE}
+        assert statuses == [want[k] for k in kinds]
+        _assert_matches_textbook(D, Y, 1e-6, max_atoms=3)
+        codes = C.toarray()
+        for i in range(kinds.size):
+            code, status = omp_code(D, Y[:, i], 1e-6, max_atoms=3)
+            assert np.array_equal(code, codes[i]) and status == statuses[i], i
+        assert np.all(np.count_nonzero(codes[kinds == 2], axis=1) == 1)
