@@ -5,8 +5,25 @@ the library avoids (full residual matrices, from-scratch objectives) so
 tests compare the fast paths against direct definitions.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def cli_env():
+    """Environment for a ``python -m sparsedl.cli`` child process.
+
+    A copy of this process's environment with the checkout's ``src``
+    first on ``PYTHONPATH``, since pytest's ``pythonpath`` setting
+    reaches only the pytest process itself.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def dense_objective(Y, D, C, lam):

@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 
 import numpy as np
-from conftest import dense_objective, dense_residual_excluding
+from conftest import cli_env, dense_objective, dense_residual_excluding
 
 from sparsedl.denoise import (
     DenoiseConfig,
@@ -289,6 +289,7 @@ def test_criterion_10_denoise_command_is_bit_deterministic(natural_image, tmp_pa
             ],
             capture_output=True,
             text=True,
+            env=cli_env(),
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())

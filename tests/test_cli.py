@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import cli_env
 
 import sparsedl.cli as cli
 import sparsedl.learner
@@ -13,7 +14,8 @@ from sparsedl.io import read_matrix_text, read_pgm, read_trace_csv, write_matrix
 
 
 def run_cli(*args, env_extra=None):
-    env = {k: v for k, v in os.environ.items() if k != "SPARSEDL_THREADS"}
+    env = cli_env()
+    env.pop("SPARSEDL_THREADS", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

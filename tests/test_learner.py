@@ -51,6 +51,21 @@ class TestThresholding:
         b = np.array([0.1, -0.2, 0.0])
         assert np.array_equal(truncated_hard_threshold(b, 0.0, 5.0), b)
 
+    @pytest.mark.parametrize("lam", [0.0, 1e-300, 0.7, 2.5])
+    def test_truncated_threshold_equals_clipped_hard_threshold(self, lam):
+        """Clipping only the survivors gives exactly the clip of the
+        whole hard-thresholded vector, at every boundary value."""
+        rng = np.random.default_rng(18)
+        bound = 3.0
+        tiny = np.finfo(float).smallest_subnormal
+        salt = [lam, -lam, bound, -bound, 0.0, -0.0, tiny, -tiny, 1e3 * tiny, np.inf, -np.inf, np.nan]
+        for _ in range(20):
+            b = np.concatenate((rng.standard_normal(200) * 2.0, rng.choice(salt, 100)))
+            rng.shuffle(b)
+            t = hard_threshold(b, lam)
+            want = np.sign(t) * np.minimum(np.abs(t), bound)
+            assert np.array_equal(truncated_hard_threshold(b, lam, bound), want, equal_nan=True)
+
 
 class TestStepOracles:
     def test_code_rhs_matches_dense_residual(self):
@@ -77,6 +92,14 @@ class TestStepOracles:
             assert np.allclose(
                 atom_rhs(Y, D, sparse.csc_array(C), j, c_new), want, rtol=1e-10, atol=1e-12
             )
+
+    def test_atom_rhs_gathers_a_support_wider_than_one_chunk(self):
+        rng = np.random.default_rng(19)
+        Y, D, C = random_instance(rng, 6, 10_000, 4)
+        c_new = rng.standard_normal(10_000)
+        want = dense_residual_excluding(Y, D, C, 2) @ c_new
+        for codes in (C, sparse.csc_array(C)):
+            assert np.allclose(atom_rhs(Y, D, codes, 2, c_new), want, rtol=1e-10, atol=1e-12)
 
     def test_sparse_code_step_is_thresholded_rhs(self):
         rng = np.random.default_rng(13)
@@ -183,19 +206,28 @@ def _unit_columns(rng, n, J):
     return D / np.linalg.norm(D, axis=0)
 
 
+# With the learner's blocks of 8 correlations, J=5 fits in one block, 16
+# fills two exactly, 17 leaves one atom for a third block and 37 ends on a
+# partial fifth one.  The J=5 cases keep their original ids.
+_SWEEP_CASES = [(warm, J) for J in (5, 16, 17, 37) for warm in (False, True)]
+_SWEEP_IDS = [("warm" if warm else "zero-init") + (f"-J{J}" if J != 5 else "") for warm, J in _SWEEP_CASES]
+
+
 class TestLearn:
-    @pytest.mark.parametrize("warm", [False, True], ids=["zero-init", "warm"])
+    @pytest.mark.parametrize("warm, J", _SWEEP_CASES, ids=_SWEEP_IDS)
     @pytest.mark.parametrize("policy", ["unit_basis", "keep_previous", "random_unit"])
     @pytest.mark.parametrize("order", ["cyclic", "random"])
-    def test_matches_reference_sweep_of_public_steps(self, order, policy, warm):
+    def test_matches_reference_sweep_of_public_steps(self, order, policy, warm, J):
         """The fused implementation must equal a literal sweep of the
         public single-column operations (code step, then atom step, both
         against the pre-commit state).  Every other trial uses a lam high
-        enough that some codes come back empty, so the policy is used."""
+        enough that some codes come back empty, so the policy is used.
+        The reference steps form their own correlations, so the cases with
+        J above the learner's block of 8 check the blocked ones."""
         rng = np.random.default_rng(30)
         empty = 0
         for trial in range(8):
-            n, N, J, K = 6, 25, 5, 3
+            n, N, K = 6, 25, 3
             Y = rng.standard_normal((n, N)) * 2.0
             D0 = _unit_columns(rng, n, J)
             lam, bound = (0.6, 4.0)[trial % 2], float(np.linalg.norm(Y))
@@ -250,6 +282,16 @@ class TestLearn:
         fit = np.linalg.norm(Y - D @ np.asarray(C.todense()).T) ** 2
         assert fit < 1e-20 * np.linalg.norm(Y) ** 2
         assert trace.nsre[-1] < 1e-10
+
+    def test_lam_zero_stores_no_zeros(self):
+        # Zero signals give exactly zero correlations, which a threshold at
+        # 0 keeps in the dense code; the store must still drop them.
+        rng = np.random.default_rng(44)
+        Y = rng.standard_normal((5, 30))
+        Y[:, ::3] = 0.0
+        D0 = _unit_columns(rng, 5, 4)
+        _, C, _ = learn(Y, _default_config(4, 2, 0.0, D0, code_bound=1e6))
+        assert C.nnz > 0 and np.all(C.data != 0)
 
     def test_rank_one_with_threshold_counts_support(self):
         rng = np.random.default_rng(34)
