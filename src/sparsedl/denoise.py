@@ -136,13 +136,18 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
     sigma = float(config.sigma)
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise ConfigError(f"sigma must be finite and positive, got {sigma}")
-    if not config.error_gain > 1.0:
-        raise ConfigError(f"error_gain must exceed 1, got {config.error_gain}")
-    if config.lam_multiplier <= 0.0:
-        raise ConfigError(f"lam_multiplier must be positive, got {config.lam_multiplier}")
+    if not 1.0 < config.error_gain < np.inf:
+        raise ConfigError(f"error_gain must be finite and exceed 1, got {config.error_gain}")
+    if not 0.0 < config.lam_multiplier < np.inf:
+        raise ConfigError(f"lam_multiplier must be finite and positive, got {config.lam_multiplier}")
     prior = 20.0 / sigma if config.prior_weight is None else float(config.prior_weight)
-    if prior < 0.0:
-        raise ConfigError(f"prior_weight must be nonnegative, got {prior}")
+    if not 0.0 <= prior < np.inf:
+        raise ConfigError(f"prior_weight must be finite and nonnegative, got {prior}")
+    if config.iterations < 0:
+        raise ConfigError(f"iterations must be nonnegative, got {config.iterations}")
+    m = config.max_train_patches
+    if m is not None and m < 1:
+        raise ConfigError(f"max_train_patches must be positive, got {m}")
 
     p = int(config.patch_size)
     J = int(config.num_atoms)
@@ -154,13 +159,7 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
     Y -= means
 
     rng = np.random.default_rng(config.seed)
-    if config.max_train_patches is not None and config.max_train_patches < N:
-        m = int(config.max_train_patches)
-        if m < 1:
-            raise ConfigError(f"max_train_patches must be positive, got {m}")
-        train = Y[:, rng.choice(N, size=m, replace=False)]
-    else:
-        train = Y
+    train = Y[:, rng.choice(N, size=int(m), replace=False)] if m is not None and m < N else Y
 
     trace = None
     D = D0
@@ -178,6 +177,8 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
 
     error_goal = n * config.error_gain**2 * sigma**2
     codes, statuses = omp_code_matrix(D, Y, error_goal)
+    num_train = train.shape[1]
+    del Y, train  # not read again: free the patches before the estimates
     estimates = codes @ D.T
     estimates += means[:, None]
     estimates = estimates.T
@@ -193,7 +194,7 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
         dictionary=D,
         trace=trace,
         num_patches=N,
-        num_train_patches=train.shape[1],
+        num_train_patches=num_train,
         error_goal=error_goal,
         prior_weight=prior,
         omp_statuses=dict(Counter(statuses)),

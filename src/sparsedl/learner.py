@@ -10,7 +10,8 @@ where ``d_j`` is column j of the dictionary ``D`` (n x J) and ``c_j``
 is column j of the coefficient matrix ``C`` (N x J).  Each sweep
 updates every (c_j, d_j) pair in turn; both block updates are exact
 closed forms (truncated hard thresholding for the code, a normalized
-residual/code product for the atom), so the objective never increases.
+residual/code product for the atom), so the objective never increases;
+:func:`learn` checks this after every sweep and raises if it fails.
 
 :func:`learn` keeps ``C`` in one canonical ``scipy.sparse.csc_array``
 (sorted indices, no stored zeros), runs both updates through the public
@@ -64,6 +65,10 @@ _NORM_TOL = 1e-8
 # by up to 7 % between identical runs, against 4 % with 8.
 _BLOCK = 8
 _GATHER = 4096
+
+# Relative rise of the per-sweep objective that learn accepts as rounding;
+# near a perfect fit, eps * ||Y||_F^2 absolute is the larger allowance.
+_RISE_TOL = 1e-9
 
 
 def hard_threshold(b: np.ndarray, lam: float) -> np.ndarray:
@@ -328,9 +333,6 @@ class LearnConfig:
     ``code_bound=None`` resolves to ``||Y||_F`` at call time.
     ``init_codes=None`` means all-zero initial codes.  ``seed`` drives
     the random atom order and the ``random_unit`` policy only.
-    ``record_inner_objectives`` stores the exact objective after every
-    half-step (2J values per sweep), each recomputed from scratch with
-    :func:`objective`; intended for small diagnostic runs.
     """
 
     num_atoms: int
@@ -342,7 +344,6 @@ class LearnConfig:
     atom_order: str = "cyclic"
     empty_code_policy: str = "unit_basis"
     seed: int = 0
-    record_inner_objectives: bool = False
 
 
 @dataclass
@@ -352,7 +353,8 @@ class LearnTrace:
     All arrays have one entry per outer iteration.  ``delta_dict`` and
     ``delta_codes`` are Frobenius norms of the change from the previous
     iterate (iteration 1 measures the change from the initialization).
-    ``nsre`` is NaN when the training matrix is all zero.
+    ``nsre`` is NaN when the training matrix is all zero.  ``objective``
+    never rises: :func:`learn` raises instead.
     """
 
     objective: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -360,7 +362,6 @@ class LearnTrace:
     sparsity_factor: np.ndarray = field(default_factory=lambda: np.empty(0))
     delta_dict: np.ndarray = field(default_factory=lambda: np.empty(0))
     delta_codes: np.ndarray = field(default_factory=lambda: np.empty(0))
-    inner_objectives: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.objective)
@@ -437,8 +438,9 @@ def learn(Y: np.ndarray, config: LearnConfig):
     ConfigError
         On invalid settings (including ``code_bound <= lam``).
     InvariantError
-        If the objective turns non-finite, or an atom update sees a
-        vanishing residual/code product for a nonzero code.
+        If the objective turns non-finite or rises over a sweep, or an
+        atom update sees a vanishing residual/code product for a nonzero
+        code.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] < 1 or Y.shape[1] < 1:
@@ -476,15 +478,15 @@ def learn(Y: np.ndarray, config: LearnConfig):
     C = _initial_codes(config.init_codes, N, J, bound)
     rng = np.random.default_rng(config.seed)
 
-    inner = np.empty((K, 2 * J)) if config.record_inner_objectives else None
     trace = LearnTrace(
         objective=np.empty(K),
         nsre=np.empty(K),
         sparsity_factor=np.empty(K),
         delta_dict=np.empty(K),
         delta_codes=np.empty(K),
-        inner_objectives=inner,
     )
+    prev = objective(Y, D, C, lam)
+    rounding = np.finfo(float).eps * ynorm * ynorm
 
     # One buffer serves every block, so sweeps allocate no block-sized arrays.
     corr = np.empty((min(_BLOCK, J), N))
@@ -512,19 +514,15 @@ def learn(Y: np.ndarray, config: LearnConfig):
             C = _splice_column(C, j, idx_new, c_new[idx_new])
             c_new[idx_old] -= val_old  # c_new now becomes the code delta vector
             delta_codes_sq += float(c_new @ c_new)
-
-            if inner is not None:
-                inner[t, 2 * pos] = objective(Y, D, C, lam)
             D[:, j] = d_new
-            if inner is not None:
-                inner[t, 2 * pos + 1] = objective(Y, D, C, lam)
 
-        # Per-sweep diagnostics from an exact reconstruction.
+        # Per-sweep diagnostics from an exact reconstruction; exact updates
+        # cannot raise the objective, so a rise (or a NaN) is a fault.
         fit = _fit(Y, D, C)
         obj = fit + lam * lam * C.nnz
-        if not np.isfinite(obj):
-            raise InvariantError(f"objective became non-finite at iteration {t + 1}")
-        trace.objective[t] = obj
+        if not obj - prev <= max(_RISE_TOL * prev, rounding):
+            raise InvariantError(f"objective rose or went non-finite at iteration {t + 1}: {prev!r} -> {obj!r}")
+        trace.objective[t] = prev = obj
         trace.nsre[t] = np.sqrt(fit) / ynorm if ynorm > 0.0 else np.nan
         trace.sparsity_factor[t] = C.nnz / (n * N)
         trace.delta_dict[t] = float(np.linalg.norm(D - D_prev))

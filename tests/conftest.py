@@ -5,11 +5,15 @@ the library avoids (full residual matrices, from-scratch objectives) so
 tests compare the fast paths against direct definitions.
 """
 
+import itertools
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
+
+import sparsedl.learner
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -31,6 +35,77 @@ def dense_objective(Y, D, C, lam):
     C = np.asarray(C)
     resid = np.asarray(Y) - D @ C.T
     return float(np.sum(resid * resid)) + lam * lam * int(np.count_nonzero(C))
+
+
+class HalfStepObjectives:
+    """Dense objectives around every atom visit of :func:`sparsedl.learner.learn`.
+
+    Installs (through ``monkeypatch``) a wrapper around
+    ``sparsedl.learner.atom_update_step``.  ``learn`` calls it once per
+    visit, with the pre-commit ``(D, C)`` and the new code, and takes the
+    new atom from it.  Each call records :func:`dense_objective` three
+    times: on the pre-commit state, after the code half-step and after
+    the atom half-step.  It also asserts that the visit starts from
+    exactly the state the previous visit left, the first one from the
+    initialization (``D0`` renormalized as ``learn`` does, zero codes).
+    """
+
+    def __init__(self, monkeypatch, Y, D0, lam):
+        self.Y = np.asarray(Y, dtype=float)
+        self.lam = lam
+        D0 = np.asarray(D0, dtype=float)
+        self.state = (D0 / np.linalg.norm(D0, axis=0), np.zeros((self.Y.shape[1], D0.shape[1])))
+        self.visits = []
+        step = sparsedl.learner.atom_update_step
+
+        def wrapper(Y, D, C, j, new_code, *args, **kwargs):
+            d_new = step(Y, D, C, j, new_code, *args, **kwargs)
+            self._record(D, C, j, new_code, d_new)
+            return d_new
+
+        monkeypatch.setattr(sparsedl.learner, "atom_update_step", wrapper)
+
+    def _record(self, D, C, j, new_code, d_new):
+        C = C.toarray() if sparse.issparse(C) else np.array(C, dtype=float)
+        D = np.array(D, dtype=float)
+        D_left, C_left = self.state
+        assert np.array_equal(D, D_left) and np.array_equal(C, C_left), (
+            f"visit {len(self.visits)} does not start from the state the previous visit left"
+        )
+        before = dense_objective(self.Y, D, C, self.lam)
+        C[:, j] = new_code
+        after_code = dense_objective(self.Y, D, C, self.lam)
+        D[:, j] = d_new
+        after_atom = dense_objective(self.Y, D, C, self.lam)
+        self.state = (D, C)
+        self.visits.append((before, after_code, after_atom))
+
+    def sequence(self, K, J):
+        """The start objective, then one after every half-step (1 + 2KJ values).
+
+        Asserts that the wrapper ran once per visit of ``K`` sweeps over
+        ``J`` atoms.
+        """
+        assert len(self.visits) == K * J, f"{len(self.visits)} visits, expected {K * J}"
+        values = np.array(self.visits)
+        return np.concatenate((values[:1, 0], values[:, 1:].ravel()))
+
+
+def reverse_atom_steps(monkeypatch, from_visit):
+    """Make ``learn``'s atom half-step inexact from visit ``from_visit`` on.
+
+    From that visit (counted from 0) on, the wrapped
+    ``sparsedl.learner.atom_update_step`` returns the negated optimal atom:
+    still a unit vector, but the worst one for the new code.
+    """
+    step = sparsedl.learner.atom_update_step
+    visits = itertools.count()
+
+    def reversed_step(*args, **kwargs):
+        d = step(*args, **kwargs)
+        return -d if next(visits) >= from_visit else d
+
+    monkeypatch.setattr(sparsedl.learner, "atom_update_step", reversed_step)
 
 
 def dense_residual_excluding(Y, D, C, j):

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import cli_env
+from conftest import cli_env, reverse_atom_steps
 
 import sparsedl.cli as cli
 import sparsedl.learner
@@ -117,6 +117,18 @@ class TestLearnCommand:
         )
         assert code == 3
 
+    def test_objective_rise_exits_3(self, tmp_path, train_file, monkeypatch, capsys):
+        reverse_atom_steps(monkeypatch, from_visit=4)
+        code = cli.main(
+            [
+                "learn", "--data", str(train_file), "--atoms", "4", "--lambda", "0.5",
+                "--iters", "3", "--out-dict", str(tmp_path / "d.txt"),
+                "--out-trace", str(tmp_path / "t.csv"),
+            ]
+        )
+        assert code == 3
+        assert "objective rose or went non-finite at iteration 2: " in capsys.readouterr().err
+
     def test_auto_init_falls_back_for_awkward_shapes(self, tmp_path, train_file):
         # 9 rows is a perfect square but 5 atoms is not: auto must fall
         # back to a random dictionary instead of failing
@@ -153,6 +165,15 @@ class TestDenoiseCommand:
             "--report", tmp_path / "r.csv",
         )
         assert proc.returncode == 1
+
+    def test_non_finite_prior_weight_is_usage_error(self, tmp_path, image_files):
+        _, noisy = image_files
+        out = tmp_path / "den.pgm"
+        code = cli.main(
+            ["denoise", "--in", str(noisy), "--out", str(out), "--sigma", "20", "--prior-weight", "nan"]
+        )
+        assert code == 1
+        assert not out.exists()
 
     def test_missing_input_is_io_error(self, tmp_path):
         proc = run_cli("denoise", "--in", tmp_path / "nope.pgm", "--out", tmp_path / "o.pgm", "--sigma", 20)

@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+import sparsedl.denoise
 from sparsedl.denoise import (
     DenoiseConfig,
     add_gaussian_noise,
@@ -152,21 +155,50 @@ class TestDenoiseImage:
         estimate, _ = denoise_image(img + 0.01, _tiny_config(sigma=0.5, iterations=0))
         assert np.max(np.abs(estimate - 120.0)) < 1.0
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
+        def no_extraction(*args, **kwargs):
+            raise AssertionError("settings must be checked before any patch is extracted")
+
+        monkeypatch.setattr(sparsedl.denoise, "extract_patches", no_extraction)
         img = np.zeros((16, 16))
         with pytest.raises(ConfigError):
             denoise_image(np.zeros(16), _tiny_config())
         with pytest.raises(ConfigError):
-            denoise_image(img, _tiny_config(sigma=0.0))
-        with pytest.raises(ConfigError):
-            denoise_image(img, _tiny_config(error_gain=1.0))
-        with pytest.raises(ConfigError):
-            denoise_image(img, _tiny_config(prior_weight=-1.0))
-        with pytest.raises(ConfigError):
-            denoise_image(img, _tiny_config(init="fourier"))
-        with pytest.raises(ConfigError):
-            denoise_image(img, _tiny_config(lam_multiplier=0.0))
-        with pytest.raises(ConfigError):
-            denoise_image(img, _tiny_config(max_train_patches=0))
-        with pytest.raises(ConfigError):
             denoise_image(np.full((16, 16), np.nan), _tiny_config())
+        for bad in (
+            dict(sigma=0.0),
+            dict(error_gain=1.0),
+            dict(error_gain=np.inf),
+            dict(prior_weight=-1.0),
+            dict(prior_weight=np.nan),
+            dict(prior_weight=np.inf),
+            dict(init="fourier"),
+            dict(lam_multiplier=0.0),
+            dict(lam_multiplier=np.nan),
+            dict(lam_multiplier=np.inf),
+            dict(iterations=-2),
+            dict(max_train_patches=0),
+        ):
+            with pytest.raises(ConfigError):
+                denoise_image(img, _tiny_config(**bad))
+
+    def test_patches_are_freed_before_aggregation(self, small_image, monkeypatch):
+        extract = sparsedl.denoise.extract_patches
+        aggregate = sparsedl.denoise.aggregate_patches
+        extracted = []
+
+        def tracked_extract(*args, **kwargs):
+            patches = extract(*args, **kwargs)
+            extracted.append(weakref.ref(patches))
+            return patches
+
+        def checked_aggregate(*args, **kwargs):
+            assert extracted[-1]() is None, "the patch matrix is still alive at aggregation"
+            return aggregate(*args, **kwargs)
+
+        monkeypatch.setattr(sparsedl.denoise, "extract_patches", tracked_extract)
+        monkeypatch.setattr(sparsedl.denoise, "aggregate_patches", checked_aggregate)
+        noisy = add_gaussian_noise(small_image[:48, :48].astype(float), 20.0, seed=3)
+        for config in (_tiny_config(), _tiny_config(iterations=0), _tiny_config(max_train_patches=100)):
+            denoise_image(noisy, config)
+        assert len(extracted) == 3

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from conftest import dense_objective, dense_residual_excluding, random_instance
+from conftest import (
+    HalfStepObjectives,
+    dense_objective,
+    dense_residual_excluding,
+    random_instance,
+    reverse_atom_steps,
+)
 from scipy import sparse
 
 from sparsedl.exceptions import ConfigError, InvariantError
@@ -307,16 +313,36 @@ class TestLearn:
         # exact fit on the surviving support, so objective = lam^2 * nnz
         assert trace.objective[-1] == pytest.approx(1.0 * 3, rel=1e-10)
 
-    def test_inner_objectives_shape_and_monotone(self):
+    def test_half_step_objectives_never_rise(self, monkeypatch):
         rng = np.random.default_rng(35)
         Y = rng.standard_normal((6, 20))
         D0 = _unit_columns(rng, 6, 5)
-        _, _, trace = learn(Y, _default_config(5, 3, 0.5, D0, record_inner_objectives=True))
-        inner = trace.inner_objectives
-        assert inner.shape == (3, 10)
-        seq = np.concatenate(([dense_objective(Y, D0, np.zeros((20, 5)), 0.5)], inner.ravel()))
+        half_steps = HalfStepObjectives(monkeypatch, Y, D0, 0.5)
+        learn(Y, _default_config(5, 3, 0.5, D0))
+        seq = half_steps.sequence(3, 5)
+        assert seq[0] == dense_objective(Y, D0, np.zeros((20, 5)), 0.5)
         drops = np.diff(seq)
         assert np.all(drops <= 1e-9 * np.abs(seq[:-1]))
+
+    def test_objective_rise_names_the_iteration(self, monkeypatch):
+        # Inexact atom steps from the second sweep on: learn must stop there.
+        rng = np.random.default_rng(38)
+        Y = rng.standard_normal((6, 30))
+        D0 = _unit_columns(rng, 6, 5)
+        reverse_atom_steps(monkeypatch, from_visit=5)
+        with pytest.raises(InvariantError, match=r"objective rose or went non-finite at iteration 2: ") as err:
+            learn(Y, _default_config(5, 3, 0.5, D0))
+        before, after = map(float, str(err.value).rsplit(": ", 1)[1].split(" -> "))
+        assert after > before > 0.0
+
+    def test_exact_fits_are_not_taken_for_rises(self):
+        # A rank-one Y at lam 0 is fit exactly, so each sweep's objective
+        # is rounding noise that may grow relative to itself.
+        rng = np.random.default_rng(39)
+        for _ in range(50):
+            Y = np.outer(_unit_columns(rng, 5, 1), rng.standard_normal(8) * 10 ** rng.uniform(-3, 3))
+            _, _, trace = learn(Y, _default_config(1, 4, 0.0, _unit_columns(rng, 5, 1), code_bound=1e9))
+            assert trace.objective[-1] < 1e-20 * np.linalg.norm(Y) ** 2
 
     def test_zero_iterations_returns_init(self):
         rng = np.random.default_rng(36)
@@ -325,7 +351,7 @@ class TestLearn:
         D, C, trace = learn(Y, _default_config(3, 0, 0.5, D0))
         assert np.allclose(D, D0)
         assert C.nnz == 0
-        assert len(trace) == 0 and trace.inner_objectives is None
+        assert len(trace) == 0
 
     def test_warm_start_from_previous_codes(self):
         rng = np.random.default_rng(37)
