@@ -6,7 +6,10 @@ Pipeline, parameterized by the (known) noise level sigma:
    patch's mean;
 2. learn a dictionary on the centered patches (sparsity weight
    ``lam_multiplier * sigma``, magnitude bound ``||Y_train||_F``, DCT
-   initialization, zero initial codes), then discard the learned codes;
+   initialization, zero initial codes).  The learner works inside the
+   patch buffer and leaves its residual there; ``D C^T`` of the learned
+   codes is added back, 4,096 patches at a time, so one patch matrix
+   serves both learning and coding;
 3. re-code every centered patch against the learned dictionary with
    error-constrained OMP at goal ``n * error_gain^2 * sigma^2``;
 4. rebuild patch estimates, restore their means, and average overlaps
@@ -32,7 +35,7 @@ from .dictionaries import initial_dictionary, overcomplete_dct_dictionary  # noq
 from .exceptions import ConfigError
 from .learner import LearnConfig, LearnTrace, learn
 from .omp import omp_code_matrix
-from .patches import aggregate_patches, extract_patches
+from .patches import aggregate_patches, extract_patches, patch_grid_shape
 
 __all__ = [
     "add_gaussian_noise",
@@ -42,6 +45,9 @@ __all__ = [
     "DenoiseResult",
     "denoise_image",
 ]
+
+# Patches per chunk when the learned D C^T is added back to the residual.
+_ADD_BACK_ROWS = 4096
 
 
 def add_gaussian_noise(image: np.ndarray, sigma: float, seed: int = 0) -> np.ndarray:
@@ -152,19 +158,30 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
     p = int(config.patch_size)
     J = int(config.num_atoms)
     n = p * p
+    if prior == 0.0:
+        # Every pixel lies under some patch iff, on both axes, the last patch
+        # ends on the border and consecutive patches leave no gap.
+        s = int(config.stride)
+        grid = patch_grid_shape(noisy.shape, p, s)
+        if any((g - 1) * s + p != size or (g > 1 and s > p) for g, size in zip(grid, noisy.shape)):
+            raise ConfigError(
+                "prior_weight 0 needs full patch coverage; shrink the stride or keep the prior"
+            )
     D0 = initial_dictionary(config.init, n, J, config.seed)
-    Y = extract_patches(noisy, p, config.stride)
+    Y = extract_patches(noisy, p, config.stride)  # Y.T is the C-ordered patch buffer
     N = Y.shape[1]
     means = Y.mean(axis=0)
     Y -= means
 
     rng = np.random.default_rng(config.seed)
-    train = Y[:, rng.choice(N, size=int(m), replace=False)] if m is not None and m < N else Y
+    # a subset of the rows of Y.T, so the training copy is signal-major too
+    train = Y.T[rng.choice(N, size=int(m), replace=False)].T if m is not None and m < N else Y
 
     trace = None
     D = D0
     if config.iterations > 0:
-        D, _, trace = learn(
+        # learn leaves its residual Y - D C^T in train
+        D, C, trace = learn(
             train,
             LearnConfig(
                 num_atoms=J,
@@ -173,7 +190,12 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
                 init_dictionary=D0,
                 seed=config.seed,
             ),
+            overwrite_y=True,
         )
+        if train is Y:  # put the patches back for coding: Y = R + D C^T
+            by_patch = C.tocsr()
+            for lo in range(0, N, _ADD_BACK_ROWS):
+                Y.T[lo : lo + _ADD_BACK_ROWS] += by_patch[lo : lo + _ADD_BACK_ROWS] @ D.T
 
     error_goal = n * config.error_gain**2 * sigma**2
     codes, statuses = omp_code_matrix(D, Y, error_goal)
@@ -184,10 +206,6 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
     estimates = estimates.T
 
     total, cover = aggregate_patches(estimates, noisy.shape, p, config.stride)
-    if prior == 0.0 and np.any(cover == 0.0):
-        raise ConfigError(
-            "prior_weight 0 needs full patch coverage; shrink the stride or keep the prior"
-        )
     estimate = (prior * noisy + total) / (prior + cover)
 
     result = DenoiseResult(

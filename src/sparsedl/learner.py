@@ -13,17 +13,35 @@ closed forms (truncated hard thresholding for the code, a normalized
 residual/code product for the atom), so the objective never increases;
 :func:`learn` checks this after every sweep and raises if it fails.
 
-:func:`learn` keeps ``C`` in one canonical ``scipy.sparse.csc_array``
-(sorted indices, no stored zeros), runs both updates through the public
-:func:`sparse_code_step` and :func:`atom_update_step`, and splices each
-new code column into the store in O(nnz).  An atom changes only at its
-own visit, so ``learn`` forms the correlations ``Y^T d_j`` of 8 atoms
-(``_BLOCK``) at a time with one GEMM and hands each visit its row.
+:func:`learn` carries the residual ``R = Y - D C^T`` in one signal-major
+N x n float64 buffer (row i is signal i's residual).  With ``E_j = R +
+d_j c_j^T`` the residual without atom j, a visit needs only
+
+    E_j^T d_j = R^T d_j + c_j        (the code update's input)
+    E_j c     = R c + d_j (c_j . c)  (the atom update's input)
+
+and changes R only on the rows in the supports of the old and new code.
+So a visit gathers those rows once (``_GATHER`` at a time), forms the
+new atom from them and scatters back the rank-2 update ``+ c_old d_old^T
+- c_new d_new^T``; it never reads the other codes.  An atom changes only
+at its own visit, so ``learn`` forms the correlations ``R^T d_j`` of 16
+atoms (``_BLOCK``) with one GEMM and corrects the rows of the later
+visits in the block, on the changed entries only.  The codes are kept as
+per-atom ``(rows, values)`` pairs and assembled into one CSC array on
+return; the per-sweep objective is ``||R||_F^2 + lam^2 nnz``.  Besides
+``Y``, a run holds the N x n residual (none with ``overwrite_y``, which
+works in ``Y``'s own memory), the _BLOCK x N correlations, the codes and
+gathers of at most _GATHER x n.  The public single-column steps
+(:func:`code_rhs`, :func:`atom_rhs` and the steps built on them) form
+``R^T d_j`` and ``R c`` from ``Y`` and ``C`` instead, and share the
+``c_j`` terms, the threshold and the atom normalization with ``learn``.
+
 Zeros in ``C`` are structural: an entry is zero iff it was never
 assigned a nonzero value, and nnz counts are exact with no tolerance.
 All arithmetic is float64.  For a fixed BLAS thread count and the fixed
 block and chunk constants (``_BLOCK``, ``_GATHER``), a run is
-reproducible bit for bit.
+reproducible bit for bit, whether or not it overwrites ``Y`` and
+whatever ``Y``'s memory order.
 """
 
 from __future__ import annotations
@@ -57,13 +75,14 @@ EMPTY_CODE_POLICIES = ("unit_basis", "keep_previous", "random_unit")
 # Unit-norm slack accepted on input dictionaries before exact renormalization.
 _NORM_TOL = 1e-8
 
-# Atoms whose correlations with Y one GEMM forms in learn (a _BLOCK x N
-# buffer), and signals (columns of Y) that atom_rhs and _fit take at once
-# (n x _GATHER buffers).  Results depend on both, so changing either
-# changes the bits of a run.  Blocks of 16 ran about 10 % faster on a
-# 256x256 denoise, but the peak RSS of a 30,000-signal learn then varied
-# by up to 7 % between identical runs, against 4 % with 8.
-_BLOCK = 8
+# Atoms whose correlations with R one GEMM forms in learn (a _BLOCK x N
+# buffer), and signals that one gather takes at once (_GATHER x n buffers in
+# learn and _fit, n x _GATHER in atom_rhs).  Results depend on both, so
+# changing either changes the bits of a run.  Each GEMM reads all of R: at
+# N=62,001 (2 BLAS threads) those of one sweep took 177 ms in blocks of 8,
+# 104 ms in blocks of 16 and 74 ms in blocks of 32, but blocks of 32 raised
+# the peak RSS of a 256x256 denoise by up to 2.4 MB.
+_BLOCK = 16
 _GATHER = 4096
 
 # Relative rise of the per-sweep objective that learn accepts as rounding;
@@ -97,8 +116,9 @@ def truncated_hard_threshold(b: np.ndarray, lam: float, code_bound: float) -> np
             f"code_bound must exceed the sparsity weight (got bound={code_bound}, lam={lam})"
         )
     b = np.asarray(b, dtype=float)
+    # ~(-lam < b < lam) is ~(|b| < lam) without a float temporary
+    keep = np.flatnonzero(~((b < lam) & (b > -lam)))
     out = np.zeros(b.shape)
-    keep = np.flatnonzero(~(np.abs(b) < lam))
     out.reshape(-1)[keep] = np.clip(b.reshape(-1)[keep], -code_bound, code_bound)
     return out
 
@@ -124,6 +144,24 @@ def _code_entries(C, j: int):
 def _correlations(Y: np.ndarray, D: np.ndarray, atoms, out: Optional[np.ndarray] = None) -> np.ndarray:
     """``D[:, atoms]^T Y`` as one GEMM: row k is ``Y^T d`` for ``atoms[k]``."""
     return np.matmul(D[:, atoms].T, Y, out=out)
+
+
+def _code_term(rhs: np.ndarray, old) -> np.ndarray:
+    """``E_j^T d_j = R^T d_j + c_j``: add ``c_j`` to ``rhs`` in place.
+
+    ``old`` is c_j as ``(rows, values)``, as :func:`_code_entries` gives it.
+    """
+    np.add.at(rhs, *old)
+    return rhs
+
+
+def _atom_term(d: np.ndarray, vals: np.ndarray, c_at_rows: np.ndarray) -> np.ndarray:
+    """``d_j (c_j . c)``, by which ``E_j c`` exceeds ``R c``.
+
+    ``vals`` is c_j on rows that hold all its stored entries, and
+    ``c_at_rows`` the new code on the same rows.
+    """
+    return d * float(vals @ c_at_rows)
 
 
 def _code_nnz(C) -> int:
@@ -160,10 +198,7 @@ def code_rhs(Y: np.ndarray, D: np.ndarray, C, j: int, corr: Optional[np.ndarray]
     """
     if corr is None:
         corr = _correlations(Y, D, [j])[0]
-    rhs = corr - C @ (D.T @ D[:, j])
-    rows, vals = _code_entries(C, j)
-    np.add.at(rhs, rows, vals)
-    return rhs
+    return _code_term(corr - C @ (D.T @ D[:, j]), _code_entries(C, j))
 
 
 def sparse_code_step(
@@ -226,7 +261,7 @@ def atom_rhs(Y: np.ndarray, D: np.ndarray, C, j: int, new_code: np.ndarray) -> n
     """
     c = np.asarray(new_code, dtype=float)
     rows, vals = _code_entries(C, j)
-    h = D[:, j] * float(vals @ c[rows]) - D @ (C.T @ c)
+    h = _atom_term(D[:, j], vals, c[rows]) - D @ (C.T @ c)
     support = np.flatnonzero(c != 0)
     for lo in range(0, support.size, _GATHER):
         cols = support[lo : lo + _GATHER]
@@ -265,19 +300,27 @@ def atom_update_step(
     """
     if policy not in EMPTY_CODE_POLICIES:
         raise ConfigError(f"unknown empty-code policy {policy!r}; choose from {EMPTY_CODE_POLICIES}")
-    n = D.shape[0]
     c = np.asarray(new_code, dtype=float)
-    if not np.any(c):
+    return _unit_atom(atom_rhs(Y, D, C, j, c) if np.any(c) else None, D[:, j], j, policy, rng)
+
+
+def _unit_atom(h: Optional[np.ndarray], d: np.ndarray, j: int, policy: str, rng) -> np.ndarray:
+    """The new atom j from ``h = E_j c``, or from the policy for an empty code.
+
+    ``h=None`` marks an empty new code: any unit vector is optimal, and
+    ``policy`` picks one, ``d`` (the current atom) for ``keep_previous``.
+    Otherwise the atom is ``h / ||h||``, and a zero ``h`` raises.
+    """
+    if h is None:
         if policy == "keep_previous":
-            return D[:, j].copy()
+            return d.copy()
         if policy == "random_unit":
             if rng is None:
                 raise ConfigError("policy 'random_unit' needs an rng")
-            return _random_unit_vector(rng, n)
-        e1 = np.zeros(n)
+            return _random_unit_vector(rng, d.size)
+        e1 = np.zeros(d.size)
         e1[0] = 1.0
         return e1
-    h = atom_rhs(Y, D, C, j, c)
     norm = np.linalg.norm(h)
     if norm == 0.0:
         raise InvariantError(
@@ -285,6 +328,39 @@ def atom_update_step(
             "the preceding code update cannot have been exact"
         )
     return h / norm
+
+
+def _atom_step(
+    R: np.ndarray, D: np.ndarray, j: int, rows: np.ndarray, w: np.ndarray, policy: str, rng
+) -> np.ndarray:
+    """Atom j's exact update on the signal-major residual ``R = Y^T - C D^T``.
+
+    ``rows`` are sorted, distinct signals that hold every stored entry of
+    c_j before and after its code update, and ``w`` (2 x rows.size) is the
+    old and the new c_j on them.  ``R`` and ``D`` hold the state before the
+    visit.  Those rows of ``R`` are gathered ``_GATHER`` at a time: the new
+    atom is ``E_j c`` from them, normalized by :func:`_unit_atom`, and they
+    get back the rank-2 update ``+ c_old d_old^T - c_new d_new^T``.  So on
+    return ``R`` is the residual of the new code and atom.  Rows that fit
+    one chunk are gathered once; more are read again for the update.
+    Returns the new atom and leaves ``D`` as it was.
+    """
+    spans = [slice(lo, lo + _GATHER) for lo in range(0, rows.size, _GATHER)]
+    kept = R[rows] if len(spans) == 1 else None
+    d = D[:, j]
+    h = None
+    if np.any(w[1]):
+        h = _atom_term(d, w[0], w[1])
+        for s in spans:
+            part = R[rows[s]] if kept is None else kept
+            h += part.T @ w[1, s]
+    d_new = _unit_atom(h, d, j, policy, rng)
+    change = np.stack((d, -d_new))
+    for s in spans:
+        part = R[rows[s]] if kept is None else kept
+        part += w[:, s].T @ change
+        R[rows[s]] = part
+    return d_new
 
 
 def _random_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -386,16 +462,6 @@ def _initial_codes(init_codes, N: int, J: int, code_bound: float) -> sparse.csc_
     return C
 
 
-def _splice_column(C: sparse.csc_array, j: int, idx: np.ndarray, val: np.ndarray) -> sparse.csc_array:
-    """Copy of the CSC array ``C`` with column j replaced by ``(idx, val)``."""
-    lo, hi = C.indptr[j], C.indptr[j + 1]
-    indptr = C.indptr.astype(np.int64)
-    indptr[j + 1 :] += idx.size - (hi - lo)
-    indices = np.concatenate((C.indices[:lo], idx, C.indices[hi:]))
-    data = np.concatenate((C.data[:lo], val, C.data[hi:]))
-    return sparse.csc_array((data, indices, indptr), shape=C.shape)
-
-
 def _validated_dictionary(D, n: int, J: int) -> np.ndarray:
     D = np.array(D, dtype=float, copy=True)
     if D.ndim != 2 or D.shape != (n, J):
@@ -408,7 +474,22 @@ def _validated_dictionary(D, n: int, J: int) -> np.ndarray:
     return D / norms
 
 
-def learn(Y: np.ndarray, config: LearnConfig):
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.union1d`` of two sorted arrays of distinct rows, without its slow hash path."""
+    rows = np.sort(np.concatenate((a, b)))
+    first = np.ones(rows.size, dtype=bool)
+    np.not_equal(rows[1:], rows[:-1], out=first[1:])
+    return rows[first]
+
+
+def _shift(corr: np.ndarray, g: np.ndarray, rows: np.ndarray, w: np.ndarray) -> None:
+    """``corr[:, rows] += g @ w``, ``_GATHER`` columns at a time."""
+    for lo in range(0, rows.size, _GATHER):
+        s = slice(lo, lo + _GATHER)
+        corr[:, rows[s]] += g @ w[:, s]
+
+
+def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
     """Run the block coordinate descent learner.
 
     Each of ``config.iterations`` sweeps visits every atom index j (in
@@ -421,8 +502,17 @@ def learn(Y: np.ndarray, config: LearnConfig):
     Y : ndarray, shape (n, N)
         Training matrix, one signal per column.  Must be finite.  An
         all-zero matrix is allowed (an explicit ``code_bound`` is then
-        required, since the default ``||Y||_F`` would be zero).
+        required, since the default ``||Y||_F`` would be zero).  Not
+        written unless ``overwrite_y``.
     config : LearnConfig
+    overwrite_y : bool
+        Carry the residual in ``Y``'s memory instead of a private N x n
+        copy; ``Y`` must then be a writeable float64 ndarray.  On return
+        ``Y`` holds the final residual ``Y - D C^T``.  An F-ordered ``Y``
+        (signal-major, as :func:`sparsedl.patches.extract_patches` makes)
+        is worked on in place; any other is copied and the residual copied
+        back.  The results are the same bits either way.  If ``learn``
+        raises after validation, ``Y``'s contents are undefined.
 
     Returns
     -------
@@ -442,9 +532,12 @@ def learn(Y: np.ndarray, config: LearnConfig):
         atom update sees a vanishing residual/code product for a nonzero
         code.
     """
+    given = Y
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] < 1 or Y.shape[1] < 1:
         raise ConfigError(f"training matrix must be 2-D and non-empty, got shape {Y.shape}")
+    if overwrite_y and (Y is not given or not Y.flags.writeable):
+        raise ConfigError("overwrite_y needs the training matrix as a writeable float64 ndarray")
     if not np.all(np.isfinite(Y)):
         raise ConfigError("training matrix must be finite")
     n, N = Y.shape
@@ -458,7 +551,11 @@ def learn(Y: np.ndarray, config: LearnConfig):
     lam = float(config.lam)
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ConfigError(f"lam must be finite and nonnegative, got {lam}")
-    ynorm = float(np.linalg.norm(Y))
+    # The residual Y^T - C D^T, signal-major: row i is signal i.  Taken
+    # over R, ||Y||_F sums in one order whatever Y's memory order.
+    in_place = overwrite_y and Y.T.flags.c_contiguous
+    R = Y.T if in_place else np.array(Y.T, order="C")
+    ynorm = float(np.linalg.norm(R))
     bound = ynorm if config.code_bound is None else float(config.code_bound)
     if not (np.isfinite(bound) and bound > lam):
         raise ConfigError(
@@ -467,16 +564,26 @@ def learn(Y: np.ndarray, config: LearnConfig):
         )
     if config.atom_order not in ATOM_ORDERS:
         raise ConfigError(f"unknown atom_order {config.atom_order!r}; choose from {ATOM_ORDERS}")
-    if config.empty_code_policy not in EMPTY_CODE_POLICIES:
-        raise ConfigError(
-            f"unknown empty_code_policy {config.empty_code_policy!r}; choose from {EMPTY_CODE_POLICIES}"
-        )
+    policy = config.empty_code_policy
+    if policy not in EMPTY_CODE_POLICIES:
+        raise ConfigError(f"unknown empty_code_policy {policy!r}; choose from {EMPTY_CODE_POLICIES}")
     if config.init_dictionary is None:
         raise ConfigError("init_dictionary is required (see the dictionaries module)")
 
     D = _validated_dictionary(config.init_dictionary, n, J)
     C = _initial_codes(config.init_codes, N, J, bound)
     rng = np.random.default_rng(config.seed)
+
+    if C.nnz:
+        by_signal = C.tocsr()
+        for lo in range(0, N, _GATHER):
+            R[lo : lo + _GATHER] -= by_signal[lo : lo + _GATHER] @ D.T
+    codes = [
+        (C.indices[C.indptr[j] : C.indptr[j + 1]].astype(np.intp), C.data[C.indptr[j] : C.indptr[j + 1]])
+        for j in range(J)
+    ]
+    nnz = C.nnz
+    del C
 
     trace = LearnTrace(
         objective=np.empty(K),
@@ -485,7 +592,7 @@ def learn(Y: np.ndarray, config: LearnConfig):
         delta_dict=np.empty(K),
         delta_codes=np.empty(K),
     )
-    prev = objective(Y, D, C, lam)
+    prev = float(np.vdot(R, R)) + lam * lam * nnz
     rounding = np.finfo(float).eps * ynorm * ynorm
 
     # One buffer serves every block, so sweeps allocate no block-sized arrays.
@@ -495,37 +602,53 @@ def learn(Y: np.ndarray, config: LearnConfig):
         D_prev = D.copy()
         delta_codes_sq = 0.0
 
-        for pos, j in enumerate(order):
-            if pos % _BLOCK == 0:
-                # An atom changes only at its own visit, so the correlations
-                # of the next _BLOCK atoms can all be formed now.
-                block = order[pos : pos + _BLOCK]
-                _correlations(Y, D, block, out=corr[: block.size])
-            # Both updates against the pre-commit state, then commit.
-            c_new = sparse_code_step(Y, D, C, j, lam, bound, corr[pos % _BLOCK])
-            try:
-                d_new = atom_update_step(Y, D, C, j, c_new, config.empty_code_policy, rng)
-            except InvariantError as exc:
-                raise InvariantError(f"iteration {t + 1}, {exc}") from exc
+        for lo in range(0, J, _BLOCK):
+            # An atom changes only at its own visit, so one GEMM gives every
+            # correlation R^T d_j of the block; each visit then moves those of
+            # the later visits by its own change to R.
+            block = order[lo : lo + _BLOCK]
+            _correlations(R.T, D, block, out=corr[: block.size])
+            for k, j in enumerate(block):
+                old = codes[j]
+                c = truncated_hard_threshold(_code_term(corr[k], old), lam, bound)
+                support = np.flatnonzero(c != 0)
+                codes[j] = (support, c[support])
+                # c_j before and after on every row where either is stored
+                union = _union(old[0], support)
+                w = np.zeros((2, union.size))
+                w[0, np.searchsorted(union, old[0])] = old[1]
+                w[1] = c[union]
+                del c  # before the next threshold allocates its output
+                try:
+                    d_new = _atom_step(R, D, j, union, w, policy, rng)
+                except InvariantError as exc:
+                    raise InvariantError(f"iteration {t + 1}, {exc}") from exc
+                if k + 1 < block.size:
+                    # R moved by c_old d_old^T - c_new d_new^T, and so do the
+                    # later correlations R^T d_i.
+                    g = D[:, block[k + 1 :]].T @ np.column_stack((D[:, j], -d_new))
+                    _shift(corr[k + 1 : block.size], g, union, w)
+                delta_codes_sq += float(np.sum((w[1] - w[0]) ** 2))
+                D[:, j] = d_new
+                nnz += support.size - old[0].size
 
-            lo, hi = C.indptr[j], C.indptr[j + 1]
-            idx_old, val_old = C.indices[lo:hi], C.data[lo:hi]
-            idx_new = np.flatnonzero(c_new != 0)
-            C = _splice_column(C, j, idx_new, c_new[idx_new])
-            c_new[idx_old] -= val_old  # c_new now becomes the code delta vector
-            delta_codes_sq += float(c_new @ c_new)
-            D[:, j] = d_new
-
-        # Per-sweep diagnostics from an exact reconstruction; exact updates
-        # cannot raise the objective, so a rise (or a NaN) is a fault.
-        fit = _fit(Y, D, C)
-        obj = fit + lam * lam * C.nnz
+        # Exact updates cannot raise the objective, so a rise (or a NaN) is a fault.
+        fit = float(np.vdot(R, R))
+        obj = fit + lam * lam * nnz
         if not obj - prev <= max(_RISE_TOL * prev, rounding):
             raise InvariantError(f"objective rose or went non-finite at iteration {t + 1}: {prev!r} -> {obj!r}")
         trace.objective[t] = prev = obj
         trace.nsre[t] = np.sqrt(fit) / ynorm if ynorm > 0.0 else np.nan
-        trace.sparsity_factor[t] = C.nnz / (n * N)
+        trace.sparsity_factor[t] = nnz / (n * N)
         trace.delta_dict[t] = float(np.linalg.norm(D - D_prev))
         trace.delta_codes[t] = np.sqrt(delta_codes_sq)
 
+    if overwrite_y and not in_place:
+        Y[...] = R.T
+    del R, corr  # before the result is allocated, so as not to pin them in the heap
+    indptr = np.concatenate(([0], np.cumsum([rows.size for rows, _ in codes])))
+    C = sparse.csc_array(
+        (np.concatenate([vals for _, vals in codes]), np.concatenate([rows for rows, _ in codes]), indptr),
+        shape=(N, J),
+    )
     return D, C, trace

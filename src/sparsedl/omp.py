@@ -130,6 +130,8 @@ def _code_band(D, G, Yb, goal, cap):
     signal's index into ``_STATUSES``.
     """
     B = Yb.shape[1]
+    # Signal-major: a band of extract_patches' F-ordered matrix is already
+    # C-contiguous here, so only other layouts are copied.
     Yt = np.ascontiguousarray(Yb.T)[:, None, :]
     # Stacked per-signal products: a GEMM would round a column differently with the band width.
     alpha0 = np.matmul(Yt, D)[:, 0, :]

@@ -43,16 +43,19 @@ def extract_patches(image: np.ndarray, patch_size: int, stride: int = 1) -> np.n
 
     Returns an array of shape (patch_size**2, num_patches): column i is
     the column-major vectorization of grid patch i (grid enumerated
-    row-major).
+    row-major).  It is F-ordered, the transpose of a C-ordered
+    (num_patches, patch_size**2) buffer (its ``base``), so each patch is
+    contiguous in memory: the signal-major layout the learner carries
+    its residual in, which ``learn(..., overwrite_y=True)`` uses in place.
     """
     img = np.asarray(image, dtype=float)
     H, W, p, s = _check_geometry(img.shape, patch_size, stride)
     gr, gc = (H - p) // s + 1, (W - p) // s + 1
     windows = np.lib.stride_tricks.sliding_window_view(img, (p, p))[::s, ::s]
-    out = np.empty((p * p, gr * gc))
-    # out[col * p + row, r * gc + c] = windows[r, c, row, col], written in one copy
-    out.reshape(p, p, gr, gc)[...] = windows.transpose(3, 2, 0, 1)
-    return out
+    out = np.empty((gr * gc, p * p))
+    # out[r * gc + c, col * p + row] = windows[r, c, row, col], written in one copy
+    out.reshape(gr, gc, p, p)[...] = windows.transpose(0, 1, 3, 2)
+    return out.T
 
 
 def aggregate_patches(patches: np.ndarray, image_shape, patch_size: int, stride: int = 1):

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 import sparsedl.learner
 
@@ -41,13 +40,17 @@ class HalfStepObjectives:
     """Dense objectives around every atom visit of :func:`sparsedl.learner.learn`.
 
     Installs (through ``monkeypatch``) a wrapper around
-    ``sparsedl.learner.atom_update_step``.  ``learn`` calls it once per
-    visit, with the pre-commit ``(D, C)`` and the new code, and takes the
-    new atom from it.  Each call records :func:`dense_objective` three
-    times: on the pre-commit state, after the code half-step and after
-    the atom half-step.  It also asserts that the visit starts from
-    exactly the state the previous visit left, the first one from the
-    initialization (``D0`` renormalized as ``learn`` does, zero codes).
+    ``sparsedl.learner._atom_step``, which ``learn`` calls once per visit
+    with the residual it carries, the dictionary, the atom index and the
+    old and new code of that atom on the rows where either is stored, and
+    takes the new atom from.  The
+    wrapper replays every visit on a dense ``(D, C)`` that starts from the
+    initialization (``D0`` renormalized as ``learn`` does, zero codes) and
+    records :func:`dense_objective` three times: before the visit, after
+    the code half-step and after the atom half-step.  Before each visit it
+    asserts that ``learn``'s dictionary equals the replay's exactly and
+    that its residual equals ``Y - D C^T`` of the replay to 1e-10
+    relative to ``||Y||_F``.
     """
 
     def __init__(self, monkeypatch, Y, D0, lam):
@@ -56,29 +59,38 @@ class HalfStepObjectives:
         D0 = np.asarray(D0, dtype=float)
         self.state = (D0 / np.linalg.norm(D0, axis=0), np.zeros((self.Y.shape[1], D0.shape[1])))
         self.visits = []
-        step = sparsedl.learner.atom_update_step
+        step = sparsedl.learner._atom_step
 
-        def wrapper(Y, D, C, j, new_code, *args, **kwargs):
-            d_new = step(Y, D, C, j, new_code, *args, **kwargs)
-            self._record(D, C, j, new_code, d_new)
+        def wrapper(R, D, j, rows, w, *args):
+            self._check(R, D)
+            d_new = step(R, D, j, rows, w, *args)
+            self._record(j, rows, w[1], d_new)
             return d_new
 
-        monkeypatch.setattr(sparsedl.learner, "atom_update_step", wrapper)
+        monkeypatch.setattr(sparsedl.learner, "_atom_step", wrapper)
 
-    def _record(self, D, C, j, new_code, d_new):
-        C = C.toarray() if sparse.issparse(C) else np.array(C, dtype=float)
-        D = np.array(D, dtype=float)
+    def _check(self, R, D):
         D_left, C_left = self.state
-        assert np.array_equal(D, D_left) and np.array_equal(C, C_left), (
-            f"visit {len(self.visits)} does not start from the state the previous visit left"
-        )
+        visit = len(self.visits)
+        assert np.array_equal(D, D_left), f"visit {visit} does not start from the dictionary the replay left"
+        drift = np.linalg.norm(R.T - (self.Y - D_left @ C_left.T))
+        assert drift <= 1e-10 * np.linalg.norm(self.Y), f"visit {visit}: residual off the replay by {drift:.3e}"
+
+    def _record(self, j, rows, code, d_new):
+        D, C = (np.array(a) for a in self.state)
         before = dense_objective(self.Y, D, C, self.lam)
-        C[:, j] = new_code
+        C[:, j] = 0.0
+        C[rows, j] = code
         after_code = dense_objective(self.Y, D, C, self.lam)
         D[:, j] = d_new
         after_atom = dense_objective(self.Y, D, C, self.lam)
         self.state = (D, C)
         self.visits.append((before, after_code, after_atom))
+
+    def assert_replays(self, D, C):
+        """Assert that the replay ends on ``learn``'s returned ``(D, C)``, bit for bit."""
+        D_left, C_left = self.state
+        assert np.array_equal(D, D_left) and np.array_equal(C.toarray(), C_left)
 
     def sequence(self, K, J):
         """The start objective, then one after every half-step (1 + 2KJ values).
@@ -95,17 +107,21 @@ def reverse_atom_steps(monkeypatch, from_visit):
     """Make ``learn``'s atom half-step inexact from visit ``from_visit`` on.
 
     From that visit (counted from 0) on, the wrapped
-    ``sparsedl.learner.atom_update_step`` returns the negated optimal atom:
-    still a unit vector, but the worst one for the new code.
+    ``sparsedl.learner._atom_step`` returns the negated optimal atom:
+    still a unit vector, but the worst one for the new code.  It moves
+    the residual to match, so ``learn``'s state stays consistent.
     """
-    step = sparsedl.learner.atom_update_step
+    step = sparsedl.learner._atom_step
     visits = itertools.count()
 
-    def reversed_step(*args, **kwargs):
-        d = step(*args, **kwargs)
-        return -d if next(visits) >= from_visit else d
+    def reversed_step(R, D, j, rows, w, *args):
+        d = step(R, D, j, rows, w, *args)
+        if next(visits) < from_visit:
+            return d
+        R[rows] += 2.0 * np.outer(w[1], d)  # Y^T - C D^T with -d in place of d
+        return -d
 
-    monkeypatch.setattr(sparsedl.learner, "atom_update_step", reversed_step)
+    monkeypatch.setattr(sparsedl.learner, "_atom_step", reversed_step)
 
 
 def dense_residual_excluding(Y, D, C, j):

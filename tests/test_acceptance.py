@@ -115,7 +115,7 @@ def test_criterion_03_objective_never_increases_within_sweeps(monkeypatch):
         lam = float(rng.uniform(0.1, 6.0))
         with monkeypatch.context() as patch:
             half_steps = HalfStepObjectives(patch, Y, D0, lam)
-            learn(
+            D, C, _ = learn(
                 Y,
                 LearnConfig(
                     num_atoms=J,
@@ -125,6 +125,7 @@ def test_criterion_03_objective_never_increases_within_sweeps(monkeypatch):
                     seed=int(rng.integers(2**31)),
                 ),
             )
+        half_steps.assert_replays(D, C)
         seq = half_steps.sequence(K, J)
         assert seq.shape == (1 + 2 * K * J,)
         rises = np.diff(seq) / np.maximum(np.abs(seq[:-1]), 1e-12)

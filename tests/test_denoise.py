@@ -13,7 +13,7 @@ from sparsedl.denoise import (
 )
 from sparsedl.dictionaries import overcomplete_dct_dictionary
 from sparsedl.exceptions import ConfigError
-from sparsedl.patches import aggregate_patches
+from sparsedl.patches import aggregate_patches, extract_patches, patch_grid_shape
 
 
 class TestNoise:
@@ -150,6 +150,32 @@ class TestDenoiseImage:
         estimate, _ = denoise_image(covered, _tiny_config(prior_weight=0.0))
         assert np.all(np.isfinite(estimate))
 
+    def test_coverage_is_checked_before_any_work(self, monkeypatch):
+        """The prior_weight=0 coverage rule is decided from the shape, the
+        patch size and the stride alone, and agrees with the cover that
+        aggregate_patches counts."""
+
+        class Reached(Exception):
+            pass
+
+        def unreachable(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(sparsedl.denoise, "extract_patches", unreachable)
+        monkeypatch.setattr(sparsedl.denoise, "learn", unreachable)
+        with pytest.raises(ConfigError, match="full patch coverage"):
+            denoise_image(np.zeros((131, 131)), DenoiseConfig(sigma=20.0, stride=2, prior_weight=0.0))
+        for H in range(4, 12):
+            for W in (4, 9):
+                for p in (1, 3, 4):
+                    for stride in range(1, 7):
+                        config = _tiny_config(patch_size=p, stride=stride, prior_weight=0.0, init="random")
+                        gr, gc = patch_grid_shape((H, W), p, stride)
+                        _, cover = aggregate_patches(np.zeros((p * p, gr * gc)), (H, W), p, stride)
+                        gap = np.any(cover == 0.0)
+                        with pytest.raises(ConfigError if gap else Reached):
+                            denoise_image(np.zeros((H, W)), config)
+
     def test_near_clean_input_stays_close(self):
         img = np.full((16, 16), 120.0)
         estimate, _ = denoise_image(img + 0.01, _tiny_config(sigma=0.5, iterations=0))
@@ -189,11 +215,12 @@ class TestDenoiseImage:
 
         def tracked_extract(*args, **kwargs):
             patches = extract(*args, **kwargs)
-            extracted.append(weakref.ref(patches))
+            # the returned view and the buffer under it: a view of either keeps the memory
+            extracted.append((weakref.ref(patches), weakref.ref(patches.base)))
             return patches
 
         def checked_aggregate(*args, **kwargs):
-            assert extracted[-1]() is None, "the patch matrix is still alive at aggregation"
+            assert all(ref() is None for ref in extracted[-1]), "the patch matrix is still alive at aggregation"
             return aggregate(*args, **kwargs)
 
         monkeypatch.setattr(sparsedl.denoise, "extract_patches", tracked_extract)
@@ -202,3 +229,36 @@ class TestDenoiseImage:
         for config in (_tiny_config(), _tiny_config(iterations=0), _tiny_config(max_train_patches=100)):
             denoise_image(noisy, config)
         assert len(extracted) == 3
+
+    @pytest.mark.parametrize("subsample", [None, 100])
+    def test_learns_inside_the_patch_buffer(self, small_image, monkeypatch, subsample):
+        """learn works in the patch buffer that extract_patches made (or in
+        the training subset), and OMP still codes the centered patches."""
+        extract = sparsedl.denoise.extract_patches
+        learn = sparsedl.denoise.learn
+        omp = sparsedl.denoise.omp_code_matrix
+        seen = {}
+
+        def tracked_extract(*args, **kwargs):
+            seen["patches"] = extract(*args, **kwargs)
+            return seen["patches"]
+
+        def checked_learn(Y, config, **kwargs):
+            assert kwargs == {"overwrite_y": True}
+            assert np.shares_memory(Y, seen["patches"]) == (subsample is None)
+            return learn(Y, config, **kwargs)
+
+        def checked_omp(D, Y, *args):
+            seen["omp_input"] = Y.copy()
+            return omp(D, Y, *args)
+
+        monkeypatch.setattr(sparsedl.denoise, "extract_patches", tracked_extract)
+        monkeypatch.setattr(sparsedl.denoise, "learn", checked_learn)
+        monkeypatch.setattr(sparsedl.denoise, "omp_code_matrix", checked_omp)
+        noisy = add_gaussian_noise(small_image[:48, :48].astype(float), 20.0, seed=5)
+        denoise_image(noisy, _tiny_config(max_train_patches=subsample))
+
+        want = extract_patches(noisy, 4, 2)
+        want -= want.mean(axis=0)
+        got = seen["omp_input"]
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import (
@@ -9,6 +11,7 @@ from conftest import (
 )
 from scipy import sparse
 
+import sparsedl.learner
 from sparsedl.exceptions import ConfigError, InvariantError
 from sparsedl.learner import (
     LearnConfig,
@@ -212,10 +215,12 @@ def _unit_columns(rng, n, J):
     return D / np.linalg.norm(D, axis=0)
 
 
-# With the learner's blocks of 8 correlations, J=5 fits in one block, 16
-# fills two exactly, 17 leaves one atom for a third block and 37 ends on a
-# partial fifth one.  The J=5 cases keep their original ids.
-_SWEEP_CASES = [(warm, J) for J in (5, 16, 17, 37) for warm in (False, True)]
+# J=5 fits in one of the learner's blocks of correlations; the others put
+# one atom either side of a full block, fill one block exactly, and leave one
+# atom for a third block.  37 ends on a partial block.  The J=5 cases keep
+# their original ids.
+_B = sparsedl.learner._BLOCK
+_SWEEP_CASES = [(warm, J) for J in (5, _B - 1, _B, _B + 1, 2 * _B + 1, 37) for warm in (False, True)]
 _SWEEP_IDS = [("warm" if warm else "zero-init") + (f"-J{J}" if J != 5 else "") for warm, J in _SWEEP_CASES]
 
 
@@ -256,6 +261,63 @@ class TestLearn:
             assert np.allclose(D_got, D_ref, rtol=1e-10, atol=1e-12)
             assert np.allclose(np.asarray(C_got.todense()), C_ref, rtol=1e-10, atol=1e-12)
         assert empty > 0
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["zero-init", "warm"])
+    @pytest.mark.parametrize("order", ["cyclic", "random"])
+    def test_training_matrix_buffer_contract(self, order, warm):
+        """learn(Y) never writes Y; with overwrite_y it leaves the residual
+        there; the memory order of Y and overwriting change no bit."""
+        rng = np.random.default_rng(45)
+        n, N, J = 6, 5000, 9  # N over one _GATHER, so some supports span two chunks
+        Y0 = rng.standard_normal((n, N)) + 3.0 * rng.standard_normal((n, 1))
+        D0 = _unit_columns(rng, n, J)
+        C0 = sparse.csc_array(rng.uniform(-1.0, 1.0, (N, J)) * (rng.random((N, J)) < 0.2)) if warm else None
+        config = _default_config(J, 3, 0.4, D0, atom_order=order, seed=3, init_codes=C0)
+
+        def run(Y, **kw):
+            D, C, trace = learn(Y, config, **kw)
+            return D, C.toarray(), trace.objective, trace.nsre, trace.delta_codes
+
+        want = run(Y0.copy())
+        for Y in (Y0.copy(), np.asfortranarray(Y0)):
+            assert all(np.array_equal(a, b) for a, b in zip(run(Y), want))
+            assert np.array_equal(Y, Y0)
+        assert np.abs(want[1]).max() > 0.0
+        assert any(np.count_nonzero(want[1][:, j]) > sparsedl.learner._GATHER for j in range(J))
+        residual = Y0 - want[0] @ want[1].T
+        for Y in (Y0.copy(), np.asfortranarray(Y0)):  # copied back, and in place
+            got = run(Y, overwrite_y=True)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert np.linalg.norm(Y - residual) <= 1e-10 * np.linalg.norm(residual)
+        frozen = np.asfortranarray(Y0)
+        frozen.flags.writeable = False
+        for bad in (Y0.astype(np.float32), Y0.tolist(), frozen):
+            with pytest.raises(ConfigError, match="overwrite_y"):
+                learn(bad, config, overwrite_y=True)
+
+    @pytest.mark.parametrize("overwrite", [False, True], ids=["private", "overwrite_y"])
+    def test_memory_is_one_residual_at_most(self, overwrite):
+        """At N=20,000, n=64, J=256 the traced peak of learn is one N x n
+        residual (none with overwrite_y) plus the block of correlations,
+        two gather chunks and a few N-vectors.  A constant atom gives a
+        code with full support, whose gather must still be chunked."""
+        rng = np.random.default_rng(46)
+        n, N, J = 64, 20_000, 256
+        Y = np.asfortranarray(50.0 + 10.0 * rng.standard_normal((n, N)))
+        D0 = _unit_columns(rng, n, J)
+        D0[:, 0] = 1.0 / np.sqrt(n)
+        config = _default_config(J, 1, 30.0, D0)
+        residual = N * n * 8
+        working = (sparsedl.learner._BLOCK + 16) * N * 8 + 2 * sparsedl.learner._GATHER * n * 8
+        tracemalloc.start()
+        try:
+            _, C, _ = learn(Y, config, overwrite_y=overwrite)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert C[:, [0]].nnz == N
+        assert peak <= working + (0 if overwrite else residual)
+        assert working < residual
 
     def test_trace_matches_recomputation(self):
         rng = np.random.default_rng(31)
@@ -318,7 +380,8 @@ class TestLearn:
         Y = rng.standard_normal((6, 20))
         D0 = _unit_columns(rng, 6, 5)
         half_steps = HalfStepObjectives(monkeypatch, Y, D0, 0.5)
-        learn(Y, _default_config(5, 3, 0.5, D0))
+        D, C, _ = learn(Y, _default_config(5, 3, 0.5, D0))
+        half_steps.assert_replays(D, C)
         seq = half_steps.sequence(3, 5)
         assert seq[0] == dense_objective(Y, D0, np.zeros((20, 5)), 0.5)
         drops = np.diff(seq)
@@ -393,7 +456,13 @@ class TestLearn:
         rng = np.random.default_rng(43)
         Y = rng.standard_normal((4, 10))
         D0 = _unit_columns(rng, 4, 3)
-        monkeypatch.setattr("sparsedl.learner.atom_rhs", lambda Y, D, C, j, c: np.zeros(D.shape[0]))
+        step = sparsedl.learner._atom_step
+
+        def zero_product(R, D, j, rows, w, *args):
+            # A zero residual and old code make E_j c vanish for any new code.
+            return step(np.zeros_like(R), D, j, rows, w * [[0.0], [1.0]], *args)
+
+        monkeypatch.setattr(sparsedl.learner, "_atom_step", zero_product)
         with pytest.raises(InvariantError, match=r"iteration 1, atom 0:"):
             learn(Y, _default_config(3, 2, 0.1, D0))
 
