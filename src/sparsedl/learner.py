@@ -24,11 +24,24 @@ and changes R only on the rows in the supports of the old and new code.
 So a visit gathers those rows once (``_GATHER`` at a time), forms the
 new atom from them and scatters back the rank-2 update ``+ c_old d_old^T
 - c_new d_new^T``; it never reads the other codes.  An atom changes only
-at its own visit, so ``learn`` forms the correlations ``R^T d_j`` of 16
-atoms (``_BLOCK``) with one GEMM and corrects the rows of the later
-visits in the block, on the changed entries only.  The codes are kept as
-per-atom ``(rows, values)`` pairs and assembled into one CSC array on
-return; the per-sweep objective is ``||R||_F^2 + lam^2 nnz``.  Besides
+at its own visit, so ``learn`` forms the correlations ``R^T d_j`` of the
+next 16 (``_BLOCK``) unparked atoms of the visit order with one GEMM and
+corrects the rows of the later ones, on the changed entries only.
+
+An atom is *parked* while its code is empty and its column is exactly
+``e1``, where the ``unit_basis`` policy puts an atom whose code comes back
+empty.  Its ``E_j^T d_j`` is then exactly ``R[:, 0]``, so its visit takes
+no GEMM row and no correction.  ``learn`` keeps ``hot``, the exact number
+of rows whose ``R[i, 0]`` passes the threshold, recounted on each visit's
+union rows, and a parked visit thresholds only those rows: none while
+``hot`` is 0, which is the common case.  A parked visit still runs the
+threshold and the atom step once, so the policy and its draws see every
+visit.  Parking changes only at an atom's own visit, so each block is
+known exactly when it is formed.
+
+The codes are kept as per-atom ``(rows, values)`` pairs and assembled
+into one CSC array on return; the per-sweep objective is ``||R||_F^2 +
+lam^2 nnz``.  Besides
 ``Y``, a run holds the N x n residual (none with ``overwrite_y``, which
 works in ``Y``'s own memory), the _BLOCK x N correlations, the codes and
 gathers of at most _GATHER x n.  The public single-column steps
@@ -41,7 +54,8 @@ assigned a nonzero value, and nnz counts are exact with no tolerance.
 All arithmetic is float64.  For a fixed BLAS thread count and the fixed
 block and chunk constants (``_BLOCK``, ``_GATHER``), a run is
 reproducible bit for bit, whether or not it overwrites ``Y`` and
-whatever ``Y``'s memory order.
+whatever ``Y``'s memory order: which atoms share a GEMM follows from the
+data and ``_BLOCK`` alone, so the bits still depend only on these.
 """
 
 from __future__ import annotations
@@ -75,9 +89,10 @@ EMPTY_CODE_POLICIES = ("unit_basis", "keep_previous", "random_unit")
 # Unit-norm slack accepted on input dictionaries before exact renormalization.
 _NORM_TOL = 1e-8
 
-# Atoms whose correlations with R one GEMM forms in learn (a _BLOCK x N
-# buffer), and signals that one gather takes at once (_GATHER x n buffers in
-# learn and _fit, n x _GATHER in atom_rhs).  Results depend on both, so
+# Unparked atoms whose correlations with R one GEMM forms in learn (a
+# _BLOCK x N buffer; the parked visits among them take no row), and signals
+# that one gather takes at once (_GATHER x n buffers in learn and _fit,
+# n x _GATHER in atom_rhs).  Results depend on both, so
 # changing either changes the bits of a run.  Each GEMM reads all of R: at
 # N=62,001 (2 BLAS threads) those of one sweep took 177 ms in blocks of 8,
 # 104 ms in blocks of 16 and 74 ms in blocks of 32, but blocks of 32 raised
@@ -116,11 +131,16 @@ def truncated_hard_threshold(b: np.ndarray, lam: float, code_bound: float) -> np
             f"code_bound must exceed the sparsity weight (got bound={code_bound}, lam={lam})"
         )
     b = np.asarray(b, dtype=float)
-    # ~(-lam < b < lam) is ~(|b| < lam) without a float temporary
-    keep = np.flatnonzero(~((b < lam) & (b > -lam)))
+    keep = np.flatnonzero(_survives(b, lam))
     out = np.zeros(b.shape)
     out.reshape(-1)[keep] = np.clip(b.reshape(-1)[keep], -code_bound, code_bound)
     return out
+
+
+def _survives(b: np.ndarray, lam: float) -> np.ndarray:
+    """Where the threshold keeps ``b``: ``~(-lam < b < lam)``, which is
+    ``~(|b| < lam)`` without a float temporary (and keeps NaN)."""
+    return ~((b < lam) & (b > -lam))
 
 
 def _is_sparse(C) -> bool:
@@ -430,7 +450,9 @@ class LearnTrace:
     ``delta_codes`` are Frobenius norms of the change from the previous
     iterate (iteration 1 measures the change from the initialization).
     ``nsre`` is NaN when the training matrix is all zero.  ``objective``
-    never rises: :func:`learn` raises instead.
+    never rises: :func:`learn` raises instead.  ``empty_atoms`` counts the
+    atoms whose code is empty at the end of the sweep; the trace CSV does
+    not hold it, so a trace read back from one has none.
     """
 
     objective: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -438,6 +460,7 @@ class LearnTrace:
     sparsity_factor: np.ndarray = field(default_factory=lambda: np.empty(0))
     delta_dict: np.ndarray = field(default_factory=lambda: np.empty(0))
     delta_codes: np.ndarray = field(default_factory=lambda: np.empty(0))
+    empty_atoms: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
 
     def __len__(self) -> int:
         return len(self.objective)
@@ -591,10 +614,19 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
         sparsity_factor=np.empty(K),
         delta_dict=np.empty(K),
         delta_codes=np.empty(K),
+        empty_atoms=np.empty(K, dtype=np.intp),
     )
     prev = float(np.vdot(R, R)) + lam * lam * nnz
     rounding = np.finfo(float).eps * ynorm * ynorm
 
+    # Atom j is parked while its code is empty and its column is e1: its
+    # E_j^T d_j is then exactly R[:, 0], and only the hot rows, where R[i, 0]
+    # passes the threshold, can survive.  A visit changes R only on its union
+    # rows, so it recounts hot there, around the atom step.
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    parked = np.array([rows.size == 0 and np.array_equal(D[:, j], e1) for j, (rows, _) in enumerate(codes)])
+    hot = int(np.count_nonzero(_survives(R[:, 0], lam)))
     # One buffer serves every block, so sweeps allocate no block-sized arrays.
     corr = np.empty((min(_BLOCK, J), N))
     for t in range(K):
@@ -602,35 +634,53 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
         D_prev = D.copy()
         delta_codes_sq = 0.0
 
-        for lo in range(0, J, _BLOCK):
-            # An atom changes only at its own visit, so one GEMM gives every
-            # correlation R^T d_j of the block; each visit then moves those of
-            # the later visits by its own change to R.
-            block = order[lo : lo + _BLOCK]
-            _correlations(R.T, D, block, out=corr[: block.size])
-            for k, j in enumerate(block):
+        lo = 0
+        while lo < J:
+            # An atom changes (and parks or unparks) only at its own visit, so
+            # one GEMM gives every correlation R^T d_j of the next _BLOCK
+            # unparked atoms; each visit then moves those of the later ones by
+            # its own change to R.  The parked visits among them read R[:, 0].
+            free = np.flatnonzero(~parked[order[lo:]])
+            hi = lo + free[_BLOCK] if free.size > _BLOCK else J
+            visits = order[lo:hi]
+            block = visits[~parked[visits]]
+            if block.size:
+                _correlations(R.T, D, block, out=corr[: block.size])
+            k = 0  # rows of corr used so far
+            for j in visits:
                 old = codes[j]
-                c = truncated_hard_threshold(_code_term(corr[k], old), lam, bound)
-                support = np.flatnonzero(c != 0)
-                codes[j] = (support, c[support])
+                if parked[j]:  # E_j^T d_j = R[:, 0], and old is empty
+                    rows = np.flatnonzero(_survives(R[:, 0], lam)) if hot else old[0]
+                    c = truncated_hard_threshold(R[rows, 0], lam, bound)
+                else:
+                    rows = None
+                    c = truncated_hard_threshold(_code_term(corr[k], old), lam, bound)
+                    k += 1
+                kept = np.flatnonzero(c != 0)
+                support = kept if rows is None else rows[kept]
+                codes[j] = (support, c[kept])
+                del c  # before the next threshold allocates its output
                 # c_j before and after on every row where either is stored
                 union = _union(old[0], support)
                 w = np.zeros((2, union.size))
                 w[0, np.searchsorted(union, old[0])] = old[1]
-                w[1] = c[union]
-                del c  # before the next threshold allocates its output
+                w[1, np.searchsorted(union, support)] = codes[j][1]
+                hot -= int(np.count_nonzero(_survives(R[union, 0], lam)))
                 try:
                     d_new = _atom_step(R, D, j, union, w, policy, rng)
                 except InvariantError as exc:
                     raise InvariantError(f"iteration {t + 1}, {exc}") from exc
-                if k + 1 < block.size:
+                hot += int(np.count_nonzero(_survives(R[union, 0], lam)))
+                if k < block.size and union.size:
                     # R moved by c_old d_old^T - c_new d_new^T, and so do the
                     # later correlations R^T d_i.
-                    g = D[:, block[k + 1 :]].T @ np.column_stack((D[:, j], -d_new))
-                    _shift(corr[k + 1 : block.size], g, union, w)
+                    g = D[:, block[k:]].T @ np.column_stack((D[:, j], -d_new))
+                    _shift(corr[k : block.size], g, union, w)
                 delta_codes_sq += float(np.sum((w[1] - w[0]) ** 2))
                 D[:, j] = d_new
                 nnz += support.size - old[0].size
+                parked[j] = support.size == 0 and np.array_equal(d_new, e1)
+            lo = hi
 
         # Exact updates cannot raise the objective, so a rise (or a NaN) is a fault.
         fit = float(np.vdot(R, R))
@@ -642,6 +692,7 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
         trace.sparsity_factor[t] = nnz / (n * N)
         trace.delta_dict[t] = float(np.linalg.norm(D - D_prev))
         trace.delta_codes[t] = np.sqrt(delta_codes_sq)
+        trace.empty_atoms[t] = sum(rows.size == 0 for rows, _ in codes)
 
     if overwrite_y and not in_place:
         Y[...] = R.T

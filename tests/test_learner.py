@@ -6,12 +6,15 @@ from conftest import (
     HalfStepObjectives,
     dense_objective,
     dense_residual_excluding,
+    make_textured_scene,
     random_instance,
     reverse_atom_steps,
 )
 from scipy import sparse
 
 import sparsedl.learner
+from sparsedl.denoise import add_gaussian_noise
+from sparsedl.dictionaries import overcomplete_dct_dictionary
 from sparsedl.exceptions import ConfigError, InvariantError
 from sparsedl.learner import (
     LearnConfig,
@@ -26,6 +29,7 @@ from sparsedl.learner import (
     sparsity_factor,
     truncated_hard_threshold,
 )
+from sparsedl.patches import extract_patches
 
 
 class TestThresholding:
@@ -224,6 +228,68 @@ _SWEEP_CASES = [(warm, J) for J in (5, _B - 1, _B, _B + 1, 2 * _B + 1, 37) for w
 _SWEEP_IDS = [("warm" if warm else "zero-init") + (f"-J{J}" if J != 5 else "") for warm, J in _SWEEP_CASES]
 
 
+def _reference_sweeps(Y, D0, C0, K, lam, bound, order, policy, seed):
+    """A literal sweep of the public single-column operations, K times.
+
+    Code step, then atom step, both against the pre-commit state, with one
+    generator seeded like ``learn``'s for the random order and the
+    ``random_unit`` draws.  Returns ``(D, C, visits with an empty code)``.
+    """
+    J = D0.shape[1]
+    D_ref = np.array(D0, dtype=float)
+    C_ref = np.zeros((Y.shape[1], J)) if C0 is None else np.array(C0, dtype=float)
+    ref_rng = np.random.default_rng(seed)
+    empty = 0
+    for _ in range(K):
+        for j in np.arange(J) if order == "cyclic" else ref_rng.permutation(J):
+            c = sparse_code_step(Y, D_ref, C_ref, j, lam, bound)
+            d = atom_update_step(Y, D_ref, C_ref, j, c, policy, ref_rng)
+            empty += not c.any()
+            C_ref[:, j] = c
+            D_ref[:, j] = d
+    return D_ref, C_ref, empty
+
+
+def _assert_matches_reference(Y, D0, C0, K, lam, order="cyclic", policy="unit_basis", seed=0):
+    """Assert that ``learn`` ends on the reference sweeps at 1e-10.
+
+    Returns ``learn``'s D, its C as a dense array and the reference's count
+    of visits with an empty code.
+    """
+    bound = float(np.linalg.norm(Y))
+    D_ref, C_ref, empty = _reference_sweeps(Y, D0, C0, K, lam, bound, order, policy, seed)
+    config = _default_config(
+        D0.shape[1], K, lam, D0, atom_order=order, empty_code_policy=policy, seed=seed,
+        init_codes=None if C0 is None else sparse.csc_array(C0),
+    )
+    D, C, _ = learn(Y, config)
+    C = C.toarray()
+    assert np.allclose(D, D_ref, rtol=1e-10, atol=1e-12)
+    assert np.allclose(C, C_ref, rtol=1e-10, atol=1e-12)
+    return D, C, empty
+
+
+def _record_gemm_atoms(monkeypatch):
+    """Wrap ``learn``'s block GEMM; returns the list of atom lists it receives."""
+    gemms = []
+    correlations = sparsedl.learner._correlations
+
+    def spy(Y, D, atoms, out=None):
+        gemms.append([int(a) for a in atoms])
+        return correlations(Y, D, atoms, out)
+
+    monkeypatch.setattr(sparsedl.learner, "_correlations", spy)
+    return gemms
+
+
+def _small_scene_patches(size=48):
+    """Centered 8x8 patches (stride 1) of a small noisy scene at sigma 20."""
+    noisy = add_gaussian_noise(make_textured_scene(size=size, seed=3), 20.0, seed=1)
+    Y = extract_patches(noisy, 8, 1)
+    Y -= Y.mean(axis=0)
+    return Y
+
+
 class TestLearn:
     @pytest.mark.parametrize("warm, J", _SWEEP_CASES, ids=_SWEEP_IDS)
     @pytest.mark.parametrize("policy", ["unit_basis", "keep_previous", "random_unit"])
@@ -232,34 +298,19 @@ class TestLearn:
         """The fused implementation must equal a literal sweep of the
         public single-column operations (code step, then atom step, both
         against the pre-commit state).  Every other trial uses a lam high
-        enough that some codes come back empty, so the policy is used.
-        The reference steps form their own correlations, so the cases with
-        J above the learner's block of 8 check the blocked ones."""
+        enough that some codes come back empty, so the policy is used (and,
+        under unit_basis, atoms park on e1).  The reference steps form their
+        own correlations, so the cases with J above the learner's block of
+        _BLOCK unparked atoms check the blocked ones."""
         rng = np.random.default_rng(30)
         empty = 0
         for trial in range(8):
             n, N, K = 6, 25, 3
             Y = rng.standard_normal((n, N)) * 2.0
             D0 = _unit_columns(rng, n, J)
-            lam, bound = (0.6, 4.0)[trial % 2], float(np.linalg.norm(Y))
+            lam = (0.6, 4.0)[trial % 2]
             C0 = rng.uniform(-1.0, 1.0, (N, J)) * (rng.random((N, J)) < 0.3) if warm else None
-            D_ref = D0.copy()
-            C_ref = np.zeros((N, J)) if C0 is None else C0.copy()
-            ref_rng = np.random.default_rng(trial)
-            for _ in range(K):
-                for j in np.arange(J) if order == "cyclic" else ref_rng.permutation(J):
-                    c = sparse_code_step(Y, D_ref, C_ref, j, lam, bound)
-                    d = atom_update_step(Y, D_ref, C_ref, j, c, policy, ref_rng)
-                    empty += not c.any()
-                    C_ref[:, j] = c
-                    D_ref[:, j] = d
-            config = _default_config(
-                J, K, lam, D0, atom_order=order, empty_code_policy=policy, seed=trial,
-                init_codes=None if C0 is None else sparse.csc_array(C0),
-            )
-            D_got, C_got, _ = learn(Y, config)
-            assert np.allclose(D_got, D_ref, rtol=1e-10, atol=1e-12)
-            assert np.allclose(np.asarray(C_got.todense()), C_ref, rtol=1e-10, atol=1e-12)
+            empty += _assert_matches_reference(Y, D0, C0, K, lam, order, policy, seed=trial)[2]
         assert empty > 0
 
     @pytest.mark.parametrize("warm", [False, True], ids=["zero-init", "warm"])
@@ -330,6 +381,18 @@ class TestLearn:
         assert np.isclose(trace.nsre[-1], nsre(Y, D, C), rtol=1e-10)
         assert np.isclose(trace.sparsity_factor[-1], sparsity_factor(C, 8), rtol=1e-12)
         assert np.all(np.diff(trace.objective) <= 1e-9 * np.abs(trace.objective[:-1]))
+
+    def test_empty_atoms_counts_the_empty_codes_of_each_sweep(self):
+        """On the patches of a small noisy scene at the denoiser's lam, many
+        codes come back empty; trace.empty_atoms[t] counts them after sweep
+        t + 1, as the codes of a (t + 1)-sweep run show."""
+        Y = _small_scene_patches()
+        D0 = overcomplete_dct_dictionary(64, 64)
+        K = 4
+        _, _, trace = learn(Y, _default_config(64, K, 100.0, D0))
+        want = [np.sum(np.diff(learn(Y, _default_config(64, t, 100.0, D0))[1].indptr) == 0) for t in range(1, K + 1)]
+        assert trace.empty_atoms.tolist() == want and min(want) > 0
+        assert learn(Y, _default_config(64, 0, 100.0, D0))[2].empty_atoms.size == 0
 
     def test_delta_columns_measure_iterate_change(self):
         rng = np.random.default_rng(32)
@@ -548,3 +611,138 @@ class TestLearn:
         assert D.shape == (1, 2)
         assert np.allclose(np.abs(D), 1.0)
         assert np.all(np.diff(trace.objective) <= 1e-12 + 1e-9 * np.abs(trace.objective[:-1]))
+
+
+class TestParkedAtoms:
+    """An atom whose code is empty and whose column is e1 is parked: ``learn``
+    reads its correlations from ``R[:, 0]``, over the rows that can pass the
+    threshold, instead of a row of a block GEMM.  These cases are built so
+    that the row count changes inside a block."""
+
+    # Signals are columns; atom 1 is e1 with an empty code, so it starts parked.
+    D0 = np.column_stack(([1.0, 1.0, 0.0, 0.0], np.eye(4)[0], [0.6, 0.0, 0.8, 0.0])) / [np.sqrt(2.0), 1.0, 1.0]
+
+    def test_parked_visit_takes_a_row_an_earlier_visit_lifted(self, monkeypatch):
+        """Atom 0's warm code holds signal 0 with R[0, 0] = 0; its visit drops
+        it, so R[0, 0] = 1 >= lam.  Atom 1, parked and in the same block as
+        atoms 0 and 2, must take signal 0 and come out unparked."""
+        Y = np.array([[1.0, 2.0, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 3.0], [0.0, 0.0, 1.0]])
+        C0 = np.zeros((3, 3))
+        C0[:, 0] = [np.sqrt(2.0), 2.0 * np.sqrt(2.0), 0.0]
+        lam = 0.5
+        R0 = Y - self.D0 @ C0.T
+        assert np.all(np.abs(R0[0]) < lam)  # no row can pass for atom 1 at the start
+        D, C, _ = _assert_matches_reference(Y, self.D0, C0, 1, lam)
+        assert C[0, 1] != 0.0 and not np.array_equal(D[:, 1], np.eye(4)[0])
+        _assert_matches_reference(Y, self.D0, C0, 3, lam)
+        gemms = _record_gemm_atoms(monkeypatch)
+        learn(Y, _default_config(3, 1, lam, self.D0, init_codes=C0))
+        assert gemms == [[0, 2]]
+
+    def test_parked_visit_after_the_last_hot_row_stays_empty(self, monkeypatch):
+        """Signal 0 is the one row with |R[i, 0]| >= lam; atom 0's visit takes
+        it into its code.  Atom 1's parked visit must then threshold no rows
+        and stay parked, sweep after sweep."""
+        Y = np.array([[2.0, 1.8, 0.1], [2.0, 0.0, 0.0], [0.0, 2.4, 0.0], [0.0, 1.0, 2.0]])
+        C0 = np.zeros((3, 3))
+        C0[1, 2] = 3.0
+        lam = 0.5
+        R0 = Y - self.D0 @ C0.T
+        assert np.count_nonzero(np.abs(R0[0]) >= lam) == 1
+        D, C, _ = _assert_matches_reference(Y, self.D0, C0, 3, lam)
+        assert not C[:, 1].any() and np.array_equal(D[:, 1], np.eye(4)[0])
+        gemms = _record_gemm_atoms(monkeypatch)
+        sizes = []
+        threshold = sparsedl.learner.truncated_hard_threshold
+
+        def spy(b, *args):
+            sizes.append(np.size(b))
+            return threshold(b, *args)
+
+        monkeypatch.setattr(sparsedl.learner, "truncated_hard_threshold", spy)
+        learn(Y, _default_config(3, 3, lam, self.D0, init_codes=C0))
+        assert gemms == [[0, 2]] * 3
+        assert sizes[1::3] == [0, 0, 0]  # atom 1's visits threshold no rows
+
+    @pytest.mark.parametrize("order", ["cyclic", "random"])
+    def test_parked_atoms_draw_under_random_unit(self, order):
+        """Under random_unit a parked atom whose code stays empty still draws a
+        new atom, so every later draw lines up with the reference's."""
+        rng = np.random.default_rng(47)
+        n, N, J = 6, 40, sparsedl.learner._BLOCK + 3
+        Y = rng.standard_normal((n, N))
+        D0 = _unit_columns(rng, n, J)
+        D0[:, ::3] = np.eye(n)[0][:, None]
+        lam = 1.1 * np.abs(Y[0]).max()  # no row can pass for an atom on e1
+        C0 = rng.uniform(-1.0, 1.0, (N, J)) * (rng.random((N, J)) < 0.2)
+        C0[:, ::3] = 0.0
+        D, C, _ = _assert_matches_reference(Y, D0, C0, 1, lam, order, "random_unit", seed=5)
+        drew = [j for j in range(0, J, 3) if not C[:, j].any()]
+        assert drew and all(not np.array_equal(D[:, j], np.eye(n)[0]) for j in drew)
+        _assert_matches_reference(Y, D0, C0, 3, lam, order, "random_unit", seed=5)
+
+    @pytest.mark.parametrize(
+        "policy, order",
+        [("unit_basis", "cyclic"), ("unit_basis", "random"), ("keep_previous", "cyclic"), ("keep_previous", "random")],
+    )
+    def test_gemms_take_each_unparked_atom_once(self, monkeypatch, policy, order):
+        """Per sweep, the block GEMMs receive exactly the atoms that are not
+        parked at their visit, each once, and every GEMM but a sweep's last
+        takes _BLOCK of them; the threshold and the atom step run once per
+        visit.  On the DCT dictionary, which has no e1, keep_previous never
+        parks, so its GEMMs take all J atoms in full blocks, as without
+        parking; at the denoiser's lam, unit_basis parks atoms every sweep."""
+        Y = _small_scene_patches()
+        n, J, K = 64, 64, 4
+        D0 = overcomplete_dct_dictionary(n, J)
+        assert not any(np.array_equal(D0[:, j], np.eye(n)[0]) for j in range(J))
+        empty = np.ones(J, dtype=bool)
+        events = []  # ("gemm", atoms), ("threshold",), ("step", j, parked at the visit)
+
+        def parked(D, j):
+            return bool(empty[j]) and np.array_equal(D[:, j], np.eye(n)[0])
+
+        correlations = sparsedl.learner._correlations
+        threshold = sparsedl.learner.truncated_hard_threshold
+        step = sparsedl.learner._atom_step
+
+        def gemm_spy(R, D, atoms, out=None):
+            assert not any(parked(D, j) for j in atoms)
+            events.append(("gemm", [int(j) for j in atoms]))
+            return correlations(R, D, atoms, out)
+
+        def threshold_spy(*args):
+            events.append(("threshold",))
+            return threshold(*args)
+
+        def step_spy(R, D, j, rows, w, *args):
+            events.append(("step", int(j), parked(D, j)))
+            empty[j] = not w[1].any()
+            return step(R, D, j, rows, w, *args)
+
+        monkeypatch.setattr(sparsedl.learner, "_correlations", gemm_spy)
+        monkeypatch.setattr(sparsedl.learner, "truncated_hard_threshold", threshold_spy)
+        monkeypatch.setattr(sparsedl.learner, "_atom_step", step_spy)
+        learn(Y, _default_config(J, K, 100.0, D0, atom_order=order, empty_code_policy=policy, seed=2))
+
+        assert [e[0] for e in events if e[0] != "gemm"] == ["threshold", "step"] * (K * J)
+        B = sparsedl.learner._BLOCK
+        gemms, unparked, parked_visits = [[] for _ in range(K)], [[] for _ in range(K)], np.zeros(K, int)
+        visits = 0
+        for e in events:
+            if e[0] == "gemm":
+                gemms[visits // J].append(e[1])
+            elif e[0] == "step":
+                if e[2]:
+                    parked_visits[visits // J] += 1
+                else:
+                    unparked[visits // J].append(e[1])
+                visits += 1
+        for t in range(K):
+            assert sorted(j for atoms in gemms[t] for j in atoms) == sorted(unparked[t])
+            u = len(unparked[t])
+            assert [len(atoms) for atoms in gemms[t]] == [B] * (u // B) + ([u % B] if u % B else [])
+        if policy == "keep_previous":
+            assert not parked_visits.any()
+        else:
+            assert np.all(parked_visits[1:] > 0) and all(len(g) > 1 for g in gemms)
