@@ -163,7 +163,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--sizes", default="30000,60000", help="comma-separated signal counts")
     p.add_argument("--atoms", type=int, default=256)
     p.add_argument("--lambda", dest="lam", type=float, default=69.0)
-    p.add_argument("--iters", type=int, default=3)
+    p.add_argument(
+        "--iters", type=int, default=3, help="one-sweep learn calls timed per size; the fastest counts"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_scaling_bench)
 

@@ -258,7 +258,9 @@ def scaling_bench(
 ):
     """Per-iteration learning wall time as the signal count grows.
 
-    One untimed warm-up iteration runs per size before the timed run.
+    Per size, one untimed warm-up sweep runs, then ``iterations``
+    one-sweep ``learn`` calls from the same start are timed apart and the
+    fastest is reported, so load from other processes inflates it less.
     Writes rows (num_signals, seconds_per_iteration).
     """
     sizes = [int(s) for s in sizes]
@@ -271,11 +273,14 @@ def scaling_bench(
         Y = sample_patch_columns(image, 8, size, seed)
         D0 = overcomplete_dct_dictionary(Y.shape[0], num_atoms)
         common = dict(num_atoms=num_atoms, lam=lam, init_dictionary=D0, seed=seed)
-        learn(Y, LearnConfig(iterations=1, **common))  # warm-up, untimed
-        start = time.perf_counter()
-        learn(Y, LearnConfig(iterations=iterations, **common))
-        per_iter = (time.perf_counter() - start) / iterations
-        rows.append((size, per_iter))
+        config = LearnConfig(iterations=1, **common)
+        learn(Y, config)  # warm-up, untimed
+        times = []
+        for _ in range(iterations):
+            start = time.perf_counter()
+            learn(Y, config)
+            times.append(time.perf_counter() - start)
+        rows.append((size, min(times)))
     write_csv_table(
         out_csv,
         ("num_signals", "seconds_per_iteration"),

@@ -16,6 +16,11 @@ from .exceptions import ConfigError
 
 __all__ = ["patch_grid_shape", "extract_patches", "aggregate_patches"]
 
+# Grid rows aggregated at a time.  Each offset inside the patch reads one row of the
+# patch matrix; for F-ordered patches that row is strided, so a block of a few grid rows
+# (1 MB at 8x8 patches on a 249-column grid) is read once from memory and 64 times from cache.
+_GRID_ROWS = 8
+
 
 def _check_geometry(image_shape, patch_size: int, stride: int):
     if len(image_shape) != 2:
@@ -75,10 +80,14 @@ def aggregate_patches(patches: np.ndarray, image_shape, patch_size: int, stride:
             f"({p * p}, {gr * gc}) for this geometry"
         )
     total = np.zeros((H, W))
-    for col in range(p):
-        for row in range(p):
-            k = row + col * p  # column-major offset inside the patch
-            total[row : row + gr * s : s, col : col + gc * s : s] += P[k].reshape(gr, gc)
+    for r0 in range(0, gr, _GRID_ROWS):
+        r1 = min(gr, r0 + _GRID_ROWS)
+        block = P[:, r0 * gc : r1 * gc]
+        for col in range(p):
+            for row in range(p):
+                k = row + col * p  # column-major offset inside the patch
+                rows = slice(r0 * s + row, r1 * s + row, s)
+                total[rows, col : col + gc * s : s] += block[k].reshape(r1 - r0, gc)
     row_cover = np.zeros(H)
     col_cover = np.zeros(W)
     for r in range(gr):

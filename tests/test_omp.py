@@ -296,3 +296,56 @@ class TestBatchIndependence:
             code, status = omp_code(D, Y[:, i], 1e-6, max_atoms=3)
             assert np.array_equal(code, codes[i]) and status == statuses[i], i
         assert np.all(np.count_nonzero(codes[kinds == 2], axis=1) == 1)
+
+
+class TestBandKernel:
+    @pytest.mark.parametrize("max_atoms", [None, 3])
+    def test_rows_match_single_calls_when_the_last_band_holds_one_signal(self, max_atoms):
+        """One GEMM forms a band's correlations, and a one-signal band doubles
+        its row; 107 atoms of length 64 leave a tail past the last multiple
+        of 8, which BLAS rounds by the row count unless padded."""
+        rng = np.random.default_rng(25)
+        D = random_dictionary(64, 107, rng)
+        N = _BAND + 1
+        Y = rng.standard_normal((64, N)) * rng.uniform(0.5, 1.0, N)
+        C, statuses = omp_code_matrix(D, Y, 24.0, max_atoms)
+        codes = C.toarray()
+        assert len({np.count_nonzero(row) for row in codes}) >= 3
+        for i in range(N):
+            code, status = omp_code(D, Y[:, i], 24.0, max_atoms)
+            assert np.array_equal(code, codes[i]) and status == statuses[i], i
+
+    def test_duplicated_atoms_code_like_their_first_occurrence(self):
+        """Copies of atoms, placed anywhere after their first occurrence,
+        change no code or status; picks land on the first occurrence."""
+        rng = np.random.default_rng(26)
+        D = random_dictionary(10, 21, rng)
+        D[:, 0] = 0.0
+        D[0, 0] = 1.0  # e1, where the learner parks atoms with empty codes
+        order = list(range(21))
+        for j in rng.integers(0, 21, 30):
+            order.insert(int(rng.integers(order.index(j) + 1, len(order) + 1)), int(j))
+        order += [0] * 12
+        Y = rng.standard_normal((10, 400)) * rng.uniform(0.3, 3.0, 400)
+        for goal, cap in [(0.8, None), (0.05, 4)]:
+            C, statuses = omp_code_matrix(D, Y, goal, cap)
+            Cd, sd = omp_code_matrix(D[:, order], Y, goal, cap)
+            first = np.array([order.index(j) for j in range(21)])
+            want = np.zeros((400, len(order)))
+            want[:, first] = C.toarray()
+            assert sd == statuses
+            assert np.array_equal(Cd.toarray(), want)
+
+    def test_long_supports_across_bands(self):
+        """Most signals take 8 or more atoms, so the active set shrinks over
+        many steps of every band."""
+        rng = np.random.default_rng(27)
+        D = random_dictionary(16, 40, rng)
+        N = _BAND + 400
+        Y = rng.standard_normal((16, N))
+        statuses, codes = _assert_matches_textbook(D, Y, 0.5)
+        support = np.count_nonzero(codes, axis=1)
+        assert np.mean(support >= 8) > 0.5 and len(set(support)) >= 6
+        for i in range(N):
+            code, status = omp_code(D, Y[:, i], 0.5)
+            assert np.array_equal(code, codes[i]) and status == statuses[i], i

@@ -79,7 +79,9 @@ class TestExtract:
 class TestAggregate:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(8)
-        for p, s, shape in [(3, 1, (9, 11)), (4, 2, (12, 10)), (3, 4, (11, 11))]:
+        # the last two span several blocks of grid rows, the last one partial
+        cases = [(3, 1, (9, 11)), (4, 2, (12, 10)), (3, 4, (11, 11)), (3, 1, (30, 11)), (4, 3, (41, 20))]
+        for p, s, shape in cases:
             n = p * p
             gr, gc = patch_grid_shape(shape, p, s)
             P = rng.standard_normal((n, gr * gc))
@@ -87,6 +89,16 @@ class TestAggregate:
             want_total, want_cover = _aggregate_by_loops(P, shape, p, s)
             assert np.allclose(got_total, want_total, atol=1e-12)
             assert np.array_equal(got_cover, want_cover)
+
+    def test_memory_order_does_not_change_the_sums(self):
+        """denoise_image passes F-ordered patches; C-ordered ones give the same bits."""
+        rng = np.random.default_rng(10)
+        for p, s, shape in [(3, 1, (40, 23)), (4, 2, (37, 30)), (8, 1, (90, 33))]:
+            gr, gc = patch_grid_shape(shape, p, s)
+            P = rng.standard_normal((gr * gc, p * p)).T
+            got_f = aggregate_patches(P, shape, p, s)
+            got_c = aggregate_patches(np.ascontiguousarray(P), shape, p, s)
+            assert np.array_equal(got_f[0], got_c[0]) and np.array_equal(got_f[1], got_c[1])
 
     def test_round_trip_recovers_image(self):
         rng = np.random.default_rng(9)
