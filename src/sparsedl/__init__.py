@@ -30,6 +30,7 @@ _EXPORTS = {
     "omp_code_matrix": "omp",
     "extract_patches": "patches",
     "patch_grid_shape": "patches",
+    "patch_cover": "patches",
     "aggregate_patches": "patches",
     "add_gaussian_noise": "denoise",
     "psnr": "denoise",

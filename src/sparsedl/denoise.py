@@ -35,7 +35,7 @@ from .dictionaries import initial_dictionary, overcomplete_dct_dictionary  # noq
 from .exceptions import ConfigError
 from .learner import LearnConfig, LearnTrace, learn
 from .omp import omp_code_matrix
-from .patches import aggregate_patches, extract_patches, patch_grid_shape
+from .patches import aggregate_patches, extract_patches, patch_cover
 
 __all__ = [
     "add_gaussian_noise",
@@ -159,11 +159,8 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
     J = int(config.num_atoms)
     n = p * p
     if prior == 0.0:
-        # Every pixel lies under some patch iff, on both axes, the last patch
-        # ends on the border and consecutive patches leave no gap.
-        s = int(config.stride)
-        grid = patch_grid_shape(noisy.shape, p, s)
-        if any((g - 1) * s + p != size or (g > 1 and s > p) for g, size in zip(grid, noisy.shape)):
+        # a pixel lies under some patch iff both of its axis counts are positive
+        if not all(cover.all() for cover in patch_cover(noisy.shape, p, config.stride)):
             raise ConfigError(
                 "prior_weight 0 needs full patch coverage; shrink the stride or keep the prior"
             )

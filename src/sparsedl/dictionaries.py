@@ -8,7 +8,10 @@ import numpy as np
 
 from .exceptions import ConfigError
 
-__all__ = ["initial_dictionary", "overcomplete_dct_dictionary", "random_dictionary"]
+__all__ = ["INIT_KINDS", "initial_dictionary", "overcomplete_dct_dictionary", "random_dictionary"]
+
+# the kinds of starting dictionary that initial_dictionary builds
+INIT_KINDS = ("dct", "random")
 
 
 def overcomplete_dct_dictionary(signal_dim: int, num_atoms: int) -> np.ndarray:
@@ -74,9 +77,9 @@ def random_dictionary(signal_dim: int, num_atoms: int, seed=0) -> np.ndarray:
 
 
 def initial_dictionary(kind: str, signal_dim: int, num_atoms: int, seed=0) -> np.ndarray:
-    """Starting dictionary of the given ``kind``: ``"dct"`` or ``"random"``."""
+    """Starting dictionary of the given ``kind``, one of :data:`INIT_KINDS`."""
+    if kind not in INIT_KINDS:
+        raise ConfigError(f"unknown init {kind!r}; choose from {INIT_KINDS}")
     if kind == "dct":
         return overcomplete_dct_dictionary(signal_dim, num_atoms)
-    if kind == "random":
-        return random_dictionary(signal_dim, num_atoms, seed)
-    raise ConfigError(f"unknown init {kind!r}; choose 'dct' or 'random'")
+    return random_dictionary(signal_dim, num_atoms, seed)

@@ -1,13 +1,13 @@
 """Experiment harnesses behind the command line: each runs a protocol
 and writes a CSV with a header row.
 
-Every CSV written here round-trips through :func:`read_csv_table`.
-Timings use ``time.perf_counter`` and are wall-clock.
+Every CSV written here round-trips through :func:`read_csv_table`, which
+this module re-exports from :mod:`sparsedl.io`.  Timings use
+``time.perf_counter`` and are wall-clock.
 """
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -16,16 +16,19 @@ import numpy as np
 
 from .denoise import DenoiseConfig, add_gaussian_noise, denoise_image, psnr, quantize_pixels
 from .dictionaries import initial_dictionary, overcomplete_dct_dictionary
-from .exceptions import ConfigError, FormatError
-from .io import write_trace_csv
+from .exceptions import ConfigError
+from .io import read_csv_table, read_pgm, write_csv_table, write_trace_csv
 from .learner import LearnConfig, learn
 from .patches import extract_patches
 
 __all__ = [
     "REFERENCE_PSNR",
+    "DENOISE_COLUMNS",
     "read_csv_table",
     "write_csv_table",
     "sample_patch_columns",
+    "compare_with_dct",
+    "denoise_csv_row",
     "convergence_trace",
     "lambda_sweep",
     "denoise_table",
@@ -70,33 +73,12 @@ REFERENCE_PSNR = {
 }
 
 
-def write_csv_table(path, header, rows) -> None:
-    """Write a CSV with one header row; all cells stringified."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow(list(row))
+# Columns of a denoising comparison: the image, sigma and three PSNRs (dB).
+DENOISE_COLUMNS = ("image", "sigma", "noisy_psnr", "odct_psnr", "learned_psnr")
 
-
-def read_csv_table(path):
-    """Read a CSV written by this module: returns (header, rows) of strings."""
-    with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty CSV") from None
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise FormatError(
-                    f"{path}: row {reader.line_num} has {len(row)} fields, header has {len(header)}"
-                )
-            rows.append(row)
-    return header, rows
+# The DenoiseConfig fields that denoise_table lets a caller set; the protocol
+# keeps every other field at its default.
+_TABLE_SETTINGS = ("stride", "num_atoms", "iterations", "max_train_patches", "error_gain")
 
 
 def sample_patch_columns(image: np.ndarray, patch_size: int, count: int, seed: int = 0) -> np.ndarray:
@@ -170,31 +152,44 @@ def lambda_sweep(
     return rows
 
 
+def compare_with_dct(clean: np.ndarray, noisy: np.ndarray, config: DenoiseConfig):
+    """Denoise ``noisy`` as ``config`` says and with the fixed-DCT baseline.
+
+    The baseline is the same run with ``iterations=0``.  Returns
+    ``(pixels, result, psnrs)``: the learned estimate quantized to uint8,
+    its :class:`DenoiseResult`, and the PSNRs against ``clean`` of the
+    quantized noisy image, the baseline and the learned estimate, in the
+    order of :data:`DENOISE_COLUMNS`.
+    """
+    estimate, result = denoise_image(noisy, config)
+    pixels = quantize_pixels(estimate)
+    dct_estimate, _ = denoise_image(noisy, replace(config, iterations=0))
+    psnrs = tuple(psnr(clean, quantize_pixels(image)) for image in (noisy, dct_estimate, pixels))
+    return pixels, result, psnrs
+
+
+def denoise_csv_row(name: str, sigma: float, psnrs):
+    """One :data:`DENOISE_COLUMNS` row, with the PSNRs to 4 decimals."""
+    return (name, format(sigma, "g"), *(format(v, ".4f") for v in psnrs))
+
+
 def denoise_table(
-    clean_images,
-    sigmas,
-    out_csv,
-    *,
-    stride: int = 1,
-    num_atoms: int = 256,
-    iterations: int = 10,
-    max_train_patches=None,
-    error_gain: float = 1.15,
-    seed: int = 0,
-    read_image=None,
-    log=print,
+    clean_images, sigmas, out_csv, *, seed: int = 0, read_image=None, log=print, **settings
 ):
     """Noise/denoise grid over clean images and sigma values.
 
     ``clean_images`` holds PGM paths; each image is noised per sigma
     with a seed derived as ``seed*10000 + image_index*100 + sigma_index``
-    and denoised twice (learned dictionary, then fixed-DCT baseline).
-    Writes rows (image, sigma, noisy_psnr, odct_psnr, learned_psnr) and
-    prints a delta line whenever (image stem, sigma) appears in
-    REFERENCE_PSNR.
+    and compared by :func:`compare_with_dct` under a
+    :class:`DenoiseConfig` of that sigma and that seed.  ``settings`` may
+    set its ``stride``, ``num_atoms``, ``iterations``,
+    ``max_train_patches`` and ``error_gain``; every other field keeps its
+    default.  Writes :data:`DENOISE_COLUMNS` rows and prints a delta line
+    whenever (image stem, sigma) appears in REFERENCE_PSNR.
     """
-    from .io import read_pgm
-
+    unknown = sorted(set(settings) - set(_TABLE_SETTINGS))
+    if unknown:
+        raise ConfigError(f"denoise_table cannot set {', '.join(unknown)}; it sets {_TABLE_SETTINGS}")
     reader = read_pgm if read_image is None else read_image
     sigmas = [float(s) for s in sigmas]
     paths = list(clean_images)
@@ -207,20 +202,8 @@ def denoise_table(
         for k, sigma in enumerate(sigmas):
             noise_seed = seed * 10000 + i * 100 + k
             noisy = add_gaussian_noise(clean, sigma, noise_seed)
-            base = DenoiseConfig(
-                sigma=sigma,
-                num_atoms=num_atoms,
-                iterations=iterations,
-                stride=stride,
-                max_train_patches=max_train_patches,
-                error_gain=error_gain,
-                seed=noise_seed,
-            )
-            learned_img, _ = denoise_image(noisy, base)
-            dct_img, _ = denoise_image(noisy, replace(base, iterations=0))
-            noisy_psnr = psnr(clean, quantize_pixels(noisy))
-            learned_psnr = psnr(clean, quantize_pixels(learned_img))
-            odct_psnr = psnr(clean, quantize_pixels(dct_img))
+            config = DenoiseConfig(sigma=sigma, seed=noise_seed, **settings)
+            _, _, (noisy_psnr, odct_psnr, learned_psnr) = compare_with_dct(clean, noisy, config)
             rows.append((name, sigma, noisy_psnr, odct_psnr, learned_psnr))
             key = (name.lower(), int(sigma)) if sigma == int(sigma) else None
             ref = REFERENCE_PSNR.get(key) if key else None
@@ -236,12 +219,7 @@ def denoise_table(
                     f"dct {odct_psnr:.2f} dB, learned {learned_psnr:.2f} dB"
                 )
     write_csv_table(
-        out_csv,
-        ("image", "sigma", "noisy_psnr", "odct_psnr", "learned_psnr"),
-        [
-            (name, format(s, "g"), format(a, ".4f"), format(b, ".4f"), format(c, ".4f"))
-            for name, s, a, b, c in rows
-        ],
+        out_csv, DENOISE_COLUMNS, [denoise_csv_row(name, s, psnrs) for name, s, *psnrs in rows]
     )
     return rows
 

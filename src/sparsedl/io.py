@@ -1,4 +1,5 @@
-"""File formats: whitespace-delimited matrix text, trace CSV, PGM images.
+"""File formats: whitespace-delimited matrix text, CSV tables (the
+learning trace among them), PGM images.
 
 Readers raise FormatError on malformed input; writers raise ConfigError
 on data that the format cannot represent.  Writers are deterministic:
@@ -18,6 +19,8 @@ __all__ = [
     "TRACE_COLUMNS",
     "read_matrix_text",
     "write_matrix_text",
+    "read_csv_table",
+    "write_csv_table",
     "read_trace_csv",
     "write_trace_csv",
     "read_pgm",
@@ -78,52 +81,63 @@ def write_matrix_text(path, matrix) -> None:
             fh.write("\n")
 
 
-def write_trace_csv(path, trace: LearnTrace) -> None:
-    """Write per-iteration learning diagnostics as CSV (1-based iter column)."""
-    series = (trace.objective, trace.nsre, trace.sparsity_factor, trace.delta_dict, trace.delta_codes)
-    K = len(trace.objective)
-    if any(len(s) != K for s in series):
-        raise ConfigError("trace columns have mismatched lengths")
+def write_csv_table(path, header, rows) -> None:
+    """Write a CSV with one header row; all cells stringified."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        for t in range(K):
-            writer.writerow([t + 1] + [format(float(s[t]), _FLOAT_FMT) for s in series])
+        writer.writerow(list(header))
+        for row in rows:
+            writer.writerow(list(row))
 
 
-def read_trace_csv(path) -> LearnTrace:
-    """Read a trace CSV written by write_trace_csv back into a LearnTrace."""
+def read_csv_table(path):
+    """Read a CSV with one header row: returns (header, rows) of strings.
+
+    Blank lines are skipped; a row whose field count differs from the
+    header's is a FormatError.
+    """
     with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise FormatError(f"{path}: empty trace file") from None
-        if tuple(header) != TRACE_COLUMNS:
-            raise FormatError(f"{path}: bad header {header!r}, expected {','.join(TRACE_COLUMNS)}")
-        columns = [[] for _ in TRACE_COLUMNS]
+            raise FormatError(f"{path}: empty CSV") from None
+        rows = []
         for row in reader:
             if not row:
                 continue
-            if len(row) != len(TRACE_COLUMNS):
-                raise FormatError(f"{path}: row {reader.line_num} has {len(row)} fields")
-            try:
-                it = int(row[0])
-                vals = [float(v) for v in row[1:]]
-            except ValueError:
-                raise FormatError(f"{path}: row {reader.line_num} holds a non-numeric field") from None
-            if it != len(columns[0]) + 1:
-                raise FormatError(f"{path}: iter column must count 1,2,... (row {reader.line_num})")
-            columns[0].append(it)
-            for c, v in enumerate(vals, start=1):
-                columns[c].append(v)
-    return LearnTrace(
-        objective=np.array(columns[1]),
-        nsre=np.array(columns[2]),
-        sparsity_factor=np.array(columns[3]),
-        delta_dict=np.array(columns[4]),
-        delta_codes=np.array(columns[5]),
-    )
+            if len(row) != len(header):
+                raise FormatError(
+                    f"{path}: row {reader.line_num} has {len(row)} fields, header has {len(header)}"
+                )
+            rows.append(row)
+    return header, rows
+
+
+def write_trace_csv(path, trace: LearnTrace) -> None:
+    """Write per-iteration learning diagnostics as CSV (1-based iter column)."""
+    series = [getattr(trace, name) for name in TRACE_COLUMNS[1:]]
+    K = len(trace.objective)
+    if any(len(s) != K for s in series):
+        raise ConfigError("trace columns have mismatched lengths")
+    rows = ([t + 1] + [format(float(s[t]), _FLOAT_FMT) for s in series] for t in range(K))
+    write_csv_table(path, TRACE_COLUMNS, rows)
+
+
+def read_trace_csv(path) -> LearnTrace:
+    """Read a trace CSV written by write_trace_csv back into a LearnTrace."""
+    header, rows = read_csv_table(path)
+    if tuple(header) != TRACE_COLUMNS:
+        raise FormatError(f"{path}: bad header {header!r}, expected {','.join(TRACE_COLUMNS)}")
+    try:
+        iters = [int(row[0]) for row in rows]
+        values = [[float(v) for v in row[1:]] for row in rows]
+    except ValueError:
+        raise FormatError(f"{path}: a data row holds a non-numeric field") from None
+    if iters != list(range(1, len(rows) + 1)):
+        raise FormatError(f"{path}: iter column must count 1,2,...")
+    columns = np.array(values).reshape(len(rows), len(TRACE_COLUMNS) - 1).T
+    return LearnTrace(**dict(zip(TRACE_COLUMNS[1:], columns)))
 
 
 def read_pgm(path) -> np.ndarray:

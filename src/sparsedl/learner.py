@@ -202,7 +202,7 @@ def _fit(Y: np.ndarray, D: np.ndarray, C) -> float:
     return fit
 
 
-def code_rhs(Y: np.ndarray, D: np.ndarray, C, j: int, corr: Optional[np.ndarray] = None) -> np.ndarray:
+def code_rhs(Y: np.ndarray, D: np.ndarray, C, j: int) -> np.ndarray:
     """Correlation vector driving the code update for atom ``j``.
 
     Returns ``E_j^T d_j`` where ``E_j = Y - sum_{k != j} d_k c_k^T`` is
@@ -213,11 +213,9 @@ def code_rhs(Y: np.ndarray, D: np.ndarray, C, j: int, corr: Optional[np.ndarray]
     so the n x N matrix ``E_j`` is never materialized; ``c_j`` is added
     over its stored entries only.  ``C`` may be a dense array or any
     scipy sparse matrix; column j must hold the current (pre-update)
-    code.  ``corr`` is ``Y^T d_j`` when the caller already has it (as a
-    row of a block of correlations); it is computed here otherwise.
+    code.
     """
-    if corr is None:
-        corr = _correlations(Y, D, [j])[0]
+    corr = _correlations(Y, D, [j])[0]
     return _code_term(corr - C @ (D.T @ D[:, j]), _code_entries(C, j))
 
 
@@ -228,7 +226,6 @@ def sparse_code_step(
     j: int,
     lam: float,
     code_bound: float,
-    corr: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Exact single-column code update.
 
@@ -251,8 +248,6 @@ def sparse_code_step(
         Sparsity weight (threshold level).
     code_bound : float
         Magnitude cap; must exceed ``lam``.
-    corr : ndarray, shape (N,), optional
-        ``Y^T d_j``, passed on to :func:`code_rhs`.
 
     Returns
     -------
@@ -262,7 +257,7 @@ def sparse_code_step(
     """
     if not 0 <= j < D.shape[1]:
         raise ConfigError(f"atom index {j} out of range for {D.shape[1]} atoms")
-    return truncated_hard_threshold(code_rhs(Y, D, C, j, corr), lam, code_bound)
+    return truncated_hard_threshold(code_rhs(Y, D, C, j), lam, code_bound)
 
 
 def atom_rhs(Y: np.ndarray, D: np.ndarray, C, j: int, new_code: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .exceptions import ConfigError
 
-__all__ = ["patch_grid_shape", "extract_patches", "aggregate_patches"]
+__all__ = ["patch_grid_shape", "patch_cover", "extract_patches", "aggregate_patches"]
 
 # Grid rows aggregated at a time.  Each offset inside the patch reads one row of the
 # patch matrix; for F-ordered patches that row is strided, so a block of a few grid rows
@@ -41,6 +41,22 @@ def patch_grid_shape(image_shape, patch_size: int, stride: int):
     """Grid dimensions (rows, cols) of full-patch positions."""
     H, W, p, s = _check_geometry(image_shape, patch_size, stride)
     return (H - p) // s + 1, (W - p) // s + 1
+
+
+def patch_cover(image_shape, patch_size: int, stride: int):
+    """Per-axis overlap counts ``(row_cover, col_cover)`` of the patch grid.
+
+    ``row_cover[y]`` counts the grid rows whose patches span image row y
+    (``col_cover`` likewise for columns); the count at pixel (y, x) is
+    their product, so a pixel is covered iff both of its counts are positive.
+    """
+    H, W, p, s = _check_geometry(image_shape, patch_size, stride)
+    return _axis_cover(H, p, s), _axis_cover(W, p, s)
+
+
+def _axis_cover(size: int, p: int, s: int) -> np.ndarray:
+    starts = np.arange((size - p) // s + 1) * s
+    return np.bincount((starts[:, None] + np.arange(p)).ravel(), minlength=size).astype(float)
 
 
 def extract_patches(image: np.ndarray, patch_size: int, stride: int = 1) -> np.ndarray:
@@ -88,10 +104,4 @@ def aggregate_patches(patches: np.ndarray, image_shape, patch_size: int, stride:
                 k = row + col * p  # column-major offset inside the patch
                 rows = slice(r0 * s + row, r1 * s + row, s)
                 total[rows, col : col + gc * s : s] += block[k].reshape(r1 - r0, gc)
-    row_cover = np.zeros(H)
-    col_cover = np.zeros(W)
-    for r in range(gr):
-        row_cover[r * s : r * s + p] += 1.0
-    for c in range(gc):
-        col_cover[c * s : c * s + p] += 1.0
-    return total, np.outer(row_cover, col_cover)
+    return total, np.outer(*patch_cover(image_shape, p, s))

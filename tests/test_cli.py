@@ -1,16 +1,31 @@
+import inspect
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from conftest import cli_env, reverse_atom_steps
+from scipy import sparse
 
 import sparsedl.cli as cli
+import sparsedl.denoise
+import sparsedl.experiments
 import sparsedl.learner
-from sparsedl.denoise import add_gaussian_noise, quantize_pixels
+from sparsedl.denoise import DenoiseConfig, DenoiseResult, add_gaussian_noise, quantize_pixels
+from sparsedl.dictionaries import random_dictionary
 from sparsedl.exceptions import InvariantError
-from sparsedl.io import read_matrix_text, read_pgm, read_trace_csv, write_matrix_text, write_pgm
+from sparsedl.experiments import DENOISE_COLUMNS
+from sparsedl.io import (
+    read_csv_table,
+    read_matrix_text,
+    read_pgm,
+    read_trace_csv,
+    write_matrix_text,
+    write_pgm,
+)
+from sparsedl.learner import LearnConfig, LearnTrace
 
 
 def run_cli(*args, env_extra=None):
@@ -211,6 +226,53 @@ class TestDenoiseCommand:
         proc = run_cli("denoise", "--in", noisy, "--out", tmp_path / "o.pgm", "--config", cfg)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("reference, exit_code", [("missing", 2), ("wrong_shape", 1)])
+    def test_clean_reference_is_checked_before_any_work(
+        self, tmp_path, image_files, monkeypatch, reference, exit_code
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("denoise_image ran before the reference was checked")
+
+        monkeypatch.setattr(sparsedl.denoise, "denoise_image", unreachable)
+        monkeypatch.setattr(sparsedl.experiments, "denoise_image", unreachable)
+        _, noisy = image_files
+        clean = tmp_path / "reference.pgm"
+        if reference == "wrong_shape":
+            write_pgm(clean, np.zeros((40, 48), dtype=np.uint8))
+        out = tmp_path / "den.pgm"
+        code = cli.main(
+            ["denoise", "--in", str(noisy), "--out", str(out), "--sigma", "20", "--clean", str(clean)]
+        )
+        assert code == exit_code
+        assert not out.exists()
+
+    def test_report_row_is_the_shared_comparison(self, tmp_path, image_files, monkeypatch, capsys):
+        compare = sparsedl.experiments.compare_with_dct
+        seen = []
+
+        def spy(*args):
+            pixels, result, psnrs = compare(*args)
+            seen.append(psnrs)
+            return pixels, result, psnrs
+
+        monkeypatch.setattr(sparsedl.experiments, "compare_with_dct", spy)
+        clean, noisy = image_files
+        report = tmp_path / "report.csv"
+        code = cli.main(
+            [
+                "denoise", "--in", str(noisy), "--out", str(tmp_path / "den.pgm"), "--sigma", "20",
+                "--clean", str(clean), "--report", str(report), "--patch", "4", "--atoms", "16",
+                "--iters", "1", "--stride", "3",
+            ]
+        )
+        assert code == 0
+        (psnrs,) = seen
+        header, rows = read_csv_table(report)
+        assert header == list(DENOISE_COLUMNS)
+        assert rows == [["noisy.pgm", "20", *(format(v, ".4f") for v in psnrs)]]
+        line = "noisy {:.2f} dB, dct baseline {:.2f} dB, denoised {:.2f} dB".format(*psnrs)
+        assert line in capsys.readouterr().out.splitlines()
+
 
 class TestExperimentCommands:
     def test_all_kinds_run_on_tiny_inputs(self, tmp_path, image_files):
@@ -274,6 +336,108 @@ class TestThreadPinning:
         assert proc.returncode == 0, proc.stderr
 
 
-def test_help_exits_zero():
-    assert run_cli("--help").returncode == 0
-    assert run_cli("denoise", "--help").returncode == 0
+HELP_COMMANDS = [
+    (),
+    ("learn",),
+    ("denoise",),
+    ("experiment",),
+    ("experiment", "convergence-trace"),
+    ("experiment", "lambda-sweep"),
+    ("experiment", "denoise-table"),
+    ("experiment", "scaling-bench"),
+]
+
+
+@pytest.mark.parametrize("command", HELP_COMMANDS, ids=lambda c: " ".join(c) or "top")
+def test_help_exits_zero(command):
+    proc = run_cli(*command, "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: sparsedl")
+
+
+class TestShellParity:
+    """Run with only its required flags, every command hands the library
+    nothing but what it was given, so the library's own defaults apply."""
+
+    def test_learn(self, tmp_path, train_file, monkeypatch):
+        seen = []
+
+        def fake_learn(Y, config):
+            seen.append(config)
+            return config.init_dictionary, sparse.csc_array((Y.shape[1], config.num_atoms)), LearnTrace()
+
+        monkeypatch.setattr(sparsedl.learner, "learn", fake_learn)
+        code = cli.main(
+            [
+                "learn", "--data", str(train_file), "--atoms", "4", "--lambda", "1", "--iters", "1",
+                "--out-dict", str(tmp_path / "d.txt"), "--out-trace", str(tmp_path / "t.csv"),
+            ]
+        )
+        assert code == 0
+        (config,) = seen
+        assert (config.num_atoms, config.iterations, config.lam) == (4, 1, 1.0)
+        for f in fields(LearnConfig):
+            if f.name not in ("num_atoms", "iterations", "lam", "init_dictionary"):
+                assert getattr(config, f.name) == f.default, f.name
+        # 4 atoms cannot hold the 9-dimensional DCT: auto falls back to random at the default seed
+        assert np.array_equal(config.init_dictionary, random_dictionary(9, 4, LearnConfig.seed))
+
+    def test_denoise(self, tmp_path, image_files, monkeypatch):
+        seen = []
+
+        def fake_denoise(noisy, config):
+            seen.append(config)
+            return noisy, DenoiseResult(None, None, 1, 1, 1.0, 1.0, {})
+
+        monkeypatch.setattr(sparsedl.denoise, "denoise_image", fake_denoise)
+        _, noisy = image_files
+        code = cli.main(["denoise", "--in", str(noisy), "--out", str(tmp_path / "o.pgm"), "--sigma", "20"])
+        assert code == 0
+        assert seen == [DenoiseConfig(sigma=20.0)]
+
+    @pytest.mark.parametrize(
+        "kind, flags, entry, returns",
+        [
+            ("convergence-trace", (), "convergence_trace", LearnTrace(objective=np.ones(1))),
+            ("lambda-sweep", (), "lambda_sweep", []),
+            ("denoise-table", ("--sigmas", "20"), "denoise_table", []),
+            ("scaling-bench", (), "scaling_bench", []),
+        ],
+    )
+    def test_experiment(self, tmp_path, image_files, monkeypatch, kind, flags, entry, returns):
+        signature = inspect.signature(getattr(sparsedl.experiments, entry))
+        seen = []
+
+        def record(*args, **kwargs):
+            seen.append(signature.bind(*args, **kwargs))
+            return returns
+
+        monkeypatch.setattr(sparsedl.experiments, entry, record)
+        clean, _ = image_files
+        image_flag = "--images" if kind == "denoise-table" else "--image"
+        argv = ["experiment", kind, image_flag, str(clean), "--out", str(tmp_path / "o.csv"), *flags]
+        assert cli.main(argv) == 0
+        (bound,) = seen
+        given = set(bound.arguments)
+        bound.apply_defaults()
+        for name, param in signature.parameters.items():
+            if param.default is not param.empty:
+                assert name not in given and bound.arguments[name] == param.default, name
+            elif param.kind is param.VAR_KEYWORD:
+                assert bound.arguments[name] == {}, name
+
+    def test_denoise_table_config(self, tmp_path, image_files, monkeypatch):
+        seen = []
+
+        def fake_compare(clean, noisy, config):
+            seen.append(config)
+            return None, None, (1.0, 2.0, 3.0)
+
+        monkeypatch.setattr(sparsedl.experiments, "compare_with_dct", fake_compare)
+        clean, _ = image_files
+        argv = [
+            "experiment", "denoise-table", "--images", str(clean), "--sigmas", "20",
+            "--out", str(tmp_path / "t.csv"),
+        ]
+        assert cli.main(argv) == 0
+        assert seen == [DenoiseConfig(sigma=20.0)]

@@ -157,6 +157,12 @@ class TestDenoiseTable:
         with pytest.raises(ConfigError):
             denoise_table(["x.pgm"], [], tmp_path / "t.csv")
 
+    @pytest.mark.parametrize("field", ["patch_size", "lam_multiplier", "prior_weight", "init", "sigma"])
+    def test_protocol_fields_are_fixed(self, tmp_path, field):
+        # rejected before "x.pgm" (which does not exist) is read
+        with pytest.raises(ConfigError, match=field):
+            denoise_table(["x.pgm"], [20.0], tmp_path / "t.csv", **{field: 4})
+
 
 class TestScalingBench:
     def test_rows_and_csv(self, texture, tmp_path):
