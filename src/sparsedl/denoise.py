@@ -7,14 +7,15 @@ Pipeline, parameterized by the (known) noise level sigma:
 2. learn a dictionary on the centered patches (sparsity weight
    ``lam_multiplier * sigma``, magnitude bound ``||Y_train||_F``, DCT
    initialization, zero initial codes).  The learner works inside the
-   patch buffer and leaves its residual there; ``D C^T`` of the learned
-   codes is added back, 4,096 patches at a time, so one patch matrix
-   serves both learning and coding;
+   patch buffer and leaves its residual there; ``C D^T`` of the learned
+   codes is added back, so one patch matrix serves both learning and
+   coding;
 3. re-code every centered patch against the learned dictionary with
    error-constrained OMP at goal ``n * error_gain^2 * sigma^2``;
-4. rebuild patch estimates, restore their means, and average overlaps
-   together with a noisy-image prior weighted by ``prior_weight``
-   (default ``20 / sigma``):
+4. overwrite the patch buffer with the patch estimates (each patch's
+   mean plus ``D c`` of its code), and average their overlaps together
+   with a noisy-image prior weighted by ``prior_weight`` (default
+   ``20 / sigma``):
 
        x = (prior_weight * noisy + patch_sum) / (prior_weight + cover)
 
@@ -33,7 +34,7 @@ import numpy as np
 # overcomplete_dct_dictionary stays importable from here: perfbench wraps it by this name.
 from .dictionaries import initial_dictionary, overcomplete_dct_dictionary  # noqa: F401
 from .exceptions import ConfigError
-from .learner import LearnConfig, LearnTrace, learn
+from .learner import LearnConfig, LearnTrace, _add_products, learn
 from .omp import omp_code_matrix
 from .patches import aggregate_patches, extract_patches, patch_cover
 
@@ -45,9 +46,6 @@ __all__ = [
     "DenoiseResult",
     "denoise_image",
 ]
-
-# Patches per chunk when the learned D C^T is added back to the residual.
-_ADD_BACK_ROWS = 4096
 
 
 def add_gaussian_noise(image: np.ndarray, sigma: float, seed: int = 0) -> np.ndarray:
@@ -190,19 +188,17 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
             overwrite_y=True,
         )
         if train is Y:  # put the patches back for coding: Y = R + D C^T
-            by_patch = C.tocsr()
-            for lo in range(0, N, _ADD_BACK_ROWS):
-                Y.T[lo : lo + _ADD_BACK_ROWS] += by_patch[lo : lo + _ADD_BACK_ROWS] @ D.T
+            _add_products(Y.T, C, D)
+    num_train = train.shape[1]
+    del train  # a subsample is not read again
 
     error_goal = n * config.error_gain**2 * sigma**2
     codes, statuses = omp_code_matrix(D, Y, error_goal)
-    num_train = train.shape[1]
-    del Y, train  # not read again: free the patches before the estimates
-    estimates = codes @ D.T
-    estimates += means[:, None]
-    estimates = estimates.T
+    # the estimates overwrite the patches: each patch's mean plus D c
+    Y.T[...] = means[:, None]
+    _add_products(Y.T, codes, D)
 
-    total, cover = aggregate_patches(estimates, noisy.shape, p, config.stride)
+    total, cover = aggregate_patches(Y, noisy.shape, p, config.stride)
     estimate = (prior * noisy + total) / (prior + cover)
 
     result = DenoiseResult(

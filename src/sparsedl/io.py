@@ -83,7 +83,7 @@ def write_matrix_text(path, matrix) -> None:
 
 def write_csv_table(path, header, rows) -> None:
     """Write a CSV with one header row; all cells stringified."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(header))
         for row in rows:

@@ -143,10 +143,6 @@ def _survives(b: np.ndarray, lam: float) -> np.ndarray:
     return ~((b < lam) & (b > -lam))
 
 
-def _is_sparse(C) -> bool:
-    return sparse.issparse(C)
-
-
 def _code_entries(C, j: int):
     """Stored entries of column j of a dense or scipy-sparse ``C``.
 
@@ -154,7 +150,7 @@ def _code_entries(C, j: int):
     read straight from the CSC arrays (rows may repeat, and then sum),
     and a dense ``C`` gives ``slice(None)`` and the whole column.
     """
-    if not _is_sparse(C):
+    if not sparse.issparse(C):
         return slice(None), np.asarray(C)[:, j]
     C = C if C.format == "csc" else C.tocsc()
     span = slice(C.indptr[j], C.indptr[j + 1])
@@ -186,20 +182,27 @@ def _atom_term(d: np.ndarray, vals: np.ndarray, c_at_rows: np.ndarray) -> np.nda
 
 def _code_nnz(C) -> int:
     """Exact structural nonzero count of a coefficient matrix."""
-    if _is_sparse(C):
+    if sparse.issparse(C):
         return int(np.count_nonzero(C.data))
     return int(np.count_nonzero(C))
 
 
 def _fit(Y: np.ndarray, D: np.ndarray, C) -> float:
     """Fit term ``||Y - D C^T||_F^2``, over ``_GATHER`` signals at a time."""
-    C = C.tocsr() if _is_sparse(C) else np.asarray(C)
+    C = C.tocsr() if sparse.issparse(C) else np.asarray(C)
     fit = 0.0
     for lo in range(0, Y.shape[1], _GATHER):
         resid = np.asarray(C[lo : lo + _GATHER] @ D.T, dtype=float)
         resid -= Y[:, lo : lo + _GATHER].T
         fit += float(np.vdot(resid, resid))
     return fit
+
+
+def _add_products(rows: np.ndarray, C, D: np.ndarray) -> None:
+    """``rows += C D^T`` for a sparse ``C`` on a signal-major N x n buffer, ``_GATHER`` rows at a time."""
+    by_signal = C.tocsr()
+    for lo in range(0, rows.shape[0], _GATHER):
+        rows[lo : lo + _GATHER] += by_signal[lo : lo + _GATHER] @ D.T
 
 
 def code_rhs(Y: np.ndarray, D: np.ndarray, C, j: int) -> np.ndarray:
@@ -593,9 +596,7 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
     rng = np.random.default_rng(config.seed)
 
     if C.nnz:
-        by_signal = C.tocsr()
-        for lo in range(0, N, _GATHER):
-            R[lo : lo + _GATHER] -= by_signal[lo : lo + _GATHER] @ D.T
+        _add_products(R, C, -D)
     codes = [
         (C.indices[C.indptr[j] : C.indptr[j + 1]].astype(np.intp), C.data[C.indptr[j] : C.indptr[j + 1]])
         for j in range(J)

@@ -23,6 +23,7 @@ _GRID_ROWS = 8
 
 
 def _check_geometry(image_shape, patch_size: int, stride: int):
+    """Validated ``((H, W), p, s, (grid_rows, grid_cols))`` of a patch geometry."""
     if len(image_shape) != 2:
         raise ConfigError(f"expected a 2-D image shape, got {tuple(image_shape)}")
     H, W = int(image_shape[0]), int(image_shape[1])
@@ -34,13 +35,12 @@ def _check_geometry(image_shape, patch_size: int, stride: int):
         raise ConfigError(f"stride must be positive, got {stride}")
     if H < p or W < p:
         raise ConfigError(f"patch size {p} does not fit in image of shape {H} x {W}")
-    return H, W, p, s
+    return (H, W), p, s, tuple((size - p) // s + 1 for size in (H, W))
 
 
 def patch_grid_shape(image_shape, patch_size: int, stride: int):
     """Grid dimensions (rows, cols) of full-patch positions."""
-    H, W, p, s = _check_geometry(image_shape, patch_size, stride)
-    return (H - p) // s + 1, (W - p) // s + 1
+    return _check_geometry(image_shape, patch_size, stride)[3]
 
 
 def patch_cover(image_shape, patch_size: int, stride: int):
@@ -50,12 +50,12 @@ def patch_cover(image_shape, patch_size: int, stride: int):
     (``col_cover`` likewise for columns); the count at pixel (y, x) is
     their product, so a pixel is covered iff both of its counts are positive.
     """
-    H, W, p, s = _check_geometry(image_shape, patch_size, stride)
-    return _axis_cover(H, p, s), _axis_cover(W, p, s)
+    shape, p, s, grid = _check_geometry(image_shape, patch_size, stride)
+    return tuple(_axis_cover(size, count, p, s) for size, count in zip(shape, grid))
 
 
-def _axis_cover(size: int, p: int, s: int) -> np.ndarray:
-    starts = np.arange((size - p) // s + 1) * s
+def _axis_cover(size: int, count: int, p: int, s: int) -> np.ndarray:
+    starts = np.arange(count) * s
     return np.bincount((starts[:, None] + np.arange(p)).ravel(), minlength=size).astype(float)
 
 
@@ -70,8 +70,7 @@ def extract_patches(image: np.ndarray, patch_size: int, stride: int = 1) -> np.n
     its residual in, which ``learn(..., overwrite_y=True)`` uses in place.
     """
     img = np.asarray(image, dtype=float)
-    H, W, p, s = _check_geometry(img.shape, patch_size, stride)
-    gr, gc = (H - p) // s + 1, (W - p) // s + 1
+    _, p, s, (gr, gc) = _check_geometry(img.shape, patch_size, stride)
     windows = np.lib.stride_tricks.sliding_window_view(img, (p, p))[::s, ::s]
     out = np.empty((gr * gc, p * p))
     # out[r * gc + c, col * p + row] = windows[r, c, row, col], written in one copy
@@ -88,8 +87,7 @@ def aggregate_patches(patches: np.ndarray, image_shape, patch_size: int, stride:
     image border).
     """
     P = np.asarray(patches, dtype=float)
-    H, W, p, s = _check_geometry(image_shape, patch_size, stride)
-    gr, gc = (H - p) // s + 1, (W - p) // s + 1
+    (H, W), p, s, (gr, gc) = _check_geometry(image_shape, patch_size, stride)
     if P.ndim != 2 or P.shape != (p * p, gr * gc):
         raise ConfigError(
             f"patch matrix shape {getattr(P, 'shape', None)} does not match "

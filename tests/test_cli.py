@@ -173,6 +173,18 @@ class TestDenoiseCommand:
         noisy_db, odct_db, learned_db = map(float, fields[2:])
         assert learned_db > noisy_db
 
+    def test_report_names_a_non_ascii_image(self, tmp_path, image_files):
+        clean, noisy = image_files
+        named = noisy.rename(tmp_path / "café.pgm")
+        report = tmp_path / "report.csv"
+        proc = run_cli(
+            "denoise", "--in", named, "--out", tmp_path / "den.pgm", "--sigma", 20, "--clean", clean,
+            "--report", report, "--patch", 4, "--atoms", 16, "--iters", 1, "--stride", 3,
+        )
+        assert proc.returncode == 0, proc.stderr
+        _, rows = read_csv_table(report)
+        assert [row[0] for row in rows] == ["café.pgm"]
+
     def test_report_without_clean_is_usage_error(self, tmp_path, image_files):
         _, noisy = image_files
         proc = run_cli(
@@ -298,6 +310,18 @@ class TestExperimentCommands:
             assert proc.returncode == 0, (args[1], proc.stderr)
         for path in outs.values():
             assert path.exists() and path.read_text().count("\n") >= 2
+
+    def test_denoise_table_names_a_non_ascii_image(self, tmp_path, image_files):
+        clean, _ = image_files
+        named = clean.rename(tmp_path / "café.pgm")
+        out = tmp_path / "table.csv"
+        proc = run_cli(
+            "experiment", "denoise-table", "--images", named, "--sigmas", "20", "--out", out,
+            "--stride", 4, "--atoms", 64, "--iters", 1, "--subsample", 200,
+        )
+        assert proc.returncode == 0, proc.stderr
+        _, rows = read_csv_table(out)
+        assert [row[0] for row in rows] == ["café"]
 
     def test_missing_kind_is_usage_error(self):
         assert run_cli("experiment").returncode == 1

@@ -1,5 +1,3 @@
-import weakref
-
 import numpy as np
 import pytest
 
@@ -208,27 +206,28 @@ class TestDenoiseImage:
             with pytest.raises(ConfigError):
                 denoise_image(img, _tiny_config(**bad))
 
-    def test_patches_are_freed_before_aggregation(self, small_image, monkeypatch):
+    def test_estimates_overwrite_the_patch_buffer(self, small_image, monkeypatch):
+        """aggregate_patches reads the estimates from the buffer that
+        extract_patches made, so no second N x n patch matrix exists."""
         extract = sparsedl.denoise.extract_patches
         aggregate = sparsedl.denoise.aggregate_patches
         extracted = []
+        shared = []
 
         def tracked_extract(*args, **kwargs):
-            patches = extract(*args, **kwargs)
-            # the returned view and the buffer under it: a view of either keeps the memory
-            extracted.append((weakref.ref(patches), weakref.ref(patches.base)))
-            return patches
+            extracted.append(extract(*args, **kwargs))
+            return extracted[-1]
 
-        def checked_aggregate(*args, **kwargs):
-            assert all(ref() is None for ref in extracted[-1]), "the patch matrix is still alive at aggregation"
-            return aggregate(*args, **kwargs)
+        def checked_aggregate(patches, *args, **kwargs):
+            shared.append(np.shares_memory(patches, extracted[-1]))
+            return aggregate(patches, *args, **kwargs)
 
         monkeypatch.setattr(sparsedl.denoise, "extract_patches", tracked_extract)
         monkeypatch.setattr(sparsedl.denoise, "aggregate_patches", checked_aggregate)
         noisy = add_gaussian_noise(small_image[:48, :48].astype(float), 20.0, seed=3)
         for config in (_tiny_config(), _tiny_config(iterations=0), _tiny_config(max_train_patches=100)):
             denoise_image(noisy, config)
-        assert len(extracted) == 3
+        assert shared == [True, True, True]
 
     @pytest.mark.parametrize("subsample", [None, 100])
     def test_learns_inside_the_patch_buffer(self, small_image, monkeypatch, subsample):
