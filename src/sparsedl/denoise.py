@@ -75,8 +75,8 @@ def psnr(reference: np.ndarray, estimate: np.ndarray, peak: float = 255.0) -> fl
     b = np.asarray(estimate, dtype=float)
     if a.shape != b.shape:
         raise ConfigError(f"shape mismatch {a.shape} vs {b.shape}")
-    if peak <= 0.0:
-        raise ConfigError(f"peak must be positive, got {peak}")
+    if not (np.isfinite(peak) and peak > 0.0):
+        raise ConfigError(f"peak must be finite and positive, got {peak}")
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return float("inf")

@@ -19,7 +19,7 @@ from .dictionaries import initial_dictionary, overcomplete_dct_dictionary
 from .exceptions import ConfigError
 from .io import read_csv_table, read_pgm, write_csv_table, write_trace_csv
 from .learner import LearnConfig, learn
-from .patches import extract_patches
+from .patches import _patch_rows, patch_grid_shape
 
 __all__ = [
     "REFERENCE_PSNR",
@@ -82,13 +82,17 @@ _TABLE_SETTINGS = ("stride", "num_atoms", "iterations", "max_train_patches", "er
 
 
 def sample_patch_columns(image: np.ndarray, patch_size: int, count: int, seed: int = 0) -> np.ndarray:
-    """Raw (not mean-removed) patches from ``count`` random grid locations."""
-    allp = extract_patches(image, patch_size, stride=1)
-    N = allp.shape[1]
+    """Raw (not mean-removed) patches from ``count`` random grid locations:
+    columns ``default_rng(seed).choice(N, count, replace=False)`` of
+    ``extract_patches(image, patch_size)``, and only those are extracted."""
+    img = np.asarray(image, dtype=float)
+    gr, gc = patch_grid_shape(img.shape, patch_size, 1)
+    N = gr * gc
     if not 1 <= count <= N:
         raise ConfigError(f"patch count must lie in [1, {N}], got {count}")
     rng = np.random.default_rng(seed)
-    return allp[:, rng.choice(N, size=count, replace=False)]
+    pick = rng.choice(N, size=count, replace=False)
+    return _patch_rows(img, int(patch_size), np.divmod(pick, gc)).T
 
 
 def convergence_trace(
@@ -173,9 +177,7 @@ def denoise_csv_row(name: str, sigma: float, psnrs):
     return (name, format(sigma, "g"), *(format(v, ".4f") for v in psnrs))
 
 
-def denoise_table(
-    clean_images, sigmas, out_csv, *, seed: int = 0, read_image=None, log=print, **settings
-):
+def denoise_table(clean_images, sigmas, out_csv, *, seed: int = 0, log=print, **settings):
     """Noise/denoise grid over clean images and sigma values.
 
     ``clean_images`` holds PGM paths; each image is noised per sigma
@@ -190,14 +192,13 @@ def denoise_table(
     unknown = sorted(set(settings) - set(_TABLE_SETTINGS))
     if unknown:
         raise ConfigError(f"denoise_table cannot set {', '.join(unknown)}; it sets {_TABLE_SETTINGS}")
-    reader = read_pgm if read_image is None else read_image
     sigmas = [float(s) for s in sigmas]
     paths = list(clean_images)
     if not paths or not sigmas:
         raise ConfigError("denoise_table needs at least one image and one sigma")
     rows = []
     for i, path in enumerate(paths):
-        clean = np.asarray(reader(path), dtype=float)
+        clean = np.asarray(read_pgm(path), dtype=float)
         name = Path(path).stem
         for k, sigma in enumerate(sigmas):
             noise_seed = seed * 10000 + i * 100 + k

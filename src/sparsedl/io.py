@@ -1,14 +1,20 @@
 """File formats: whitespace-delimited matrix text, CSV tables (the
 learning trace among them), PGM images.
 
-Readers raise FormatError on malformed input; writers raise ConfigError
-on data that the format cannot represent.  Writers are deterministic:
-identical inputs produce identical bytes.
+Readers raise FormatError on malformed input, including a file that
+holds less or more than its header promises; no array is sized by a
+header alone.  A PGM comment runs from ``#`` to the end of its line and may sit
+anywhere in a P2 file or a P5 header; P5 takes exactly one whitespace
+byte between maxval and its raster.  Writers raise ConfigError on data
+that the format cannot represent.  Writers are deterministic: identical
+inputs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import csv
+import re
+from array import array
 
 import numpy as np
 
@@ -32,6 +38,12 @@ TRACE_COLUMNS = ("iter", "objective", "nsre", "sparsity_factor", "delta_dict", "
 # .17g round-trips any float64 exactly.
 _FLOAT_FMT = ".17g"
 
+# A PGM comment runs from "#" to the end of its line, wherever it sits.
+_PGM_COMMENT = re.compile(rb"#[^\n]*+")
+# Up to four header tokens (magic, width, height, maxval), each after any run of
+# whitespace and comments; a missing token leaves its group and the later ones None.
+_PGM_HEADER = re.compile(rb"(?:(?:\s|#[^\n]*+)*+([^\s#]++))?" * 4)
+
 
 def read_matrix_text(path) -> np.ndarray:
     """Read a float matrix: a "rows cols" header line, then one row per line."""
@@ -48,7 +60,8 @@ def read_matrix_text(path) -> np.ndarray:
             raise FormatError(f"{path}: header dimensions must be integers") from None
         if rows < 1 or cols < 1:
             raise FormatError(f"{path}: dimensions must be positive, got {rows} x {cols}")
-        out = np.empty((rows, cols))
+        # Grown row by row: a header promising more than the file holds allocates nothing.
+        values = array("d")
         for i in range(rows):
             line = fh.readline()
             if not line:
@@ -57,11 +70,12 @@ def read_matrix_text(path) -> np.ndarray:
             if len(vals) != cols:
                 raise FormatError(f"{path}: row {i + 1} has {len(vals)} entries, expected {cols}")
             try:
-                out[i] = [float(v) for v in vals]
+                values.extend(map(float, vals))
             except ValueError:
                 raise FormatError(f"{path}: row {i + 1} holds a non-numeric entry") from None
         if fh.read().strip():
             raise FormatError(f"{path}: trailing data after {rows} rows")
+    out = np.frombuffer(values).reshape(rows, cols)
     if not np.all(np.isfinite(out)):
         raise FormatError(f"{path}: matrix entries must be finite")
     return out
@@ -76,9 +90,7 @@ def write_matrix_text(path, matrix) -> None:
         raise ConfigError("matrix text cannot represent non-finite entries")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-        for row in M:
-            fh.write(" ".join(format(v, _FLOAT_FMT) for v in row))
-            fh.write("\n")
+        np.savetxt(fh, M, fmt="%" + _FLOAT_FMT)
 
 
 def write_csv_table(path, header, rows) -> None:
@@ -144,69 +156,45 @@ def read_pgm(path) -> np.ndarray:
     """Read a P2 or P5 PGM with maxval 255 into a uint8 array (height, width)."""
     with open(path, "rb") as fh:
         data = fh.read()
-    pos = 0
-
-    def skip_space() -> int:
-        nonlocal pos
-        while pos < len(data):
-            ch = data[pos : pos + 1]
-            if ch == b"#":
-                nl = data.find(b"\n", pos)
-                pos = len(data) if nl < 0 else nl + 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        return pos
-
-    def token() -> bytes:
-        nonlocal pos
-        skip_space()
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace() and data[pos : pos + 1] != b"#":
-            pos += 1
-        if start == pos:
+    header = _PGM_HEADER.match(data)
+    magic, *fields = header.groups()
+    if magic not in (b"P2", b"P5", None):
+        raise FormatError(f"{path}: unsupported magic {magic!r}, expected P2 or P5")
+    dims = []
+    for what, tok in zip(("width", "height", "maxval"), fields):
+        if tok is None:
             raise FormatError(f"{path}: truncated header")
-        return data[start:pos]
-
-    def int_token(what: str) -> int:
-        tok = token()
         try:
-            return int(tok)
+            dims.append(int(tok))
         except ValueError:
             raise FormatError(f"{path}: {what} must be an integer, got {tok!r}") from None
-
-    magic = token()
-    if magic not in (b"P2", b"P5"):
-        raise FormatError(f"{path}: unsupported magic {magic!r}, expected P2 or P5")
-    width = int_token("width")
-    height = int_token("height")
-    maxval = int_token("maxval")
+    width, height, maxval = dims
     if width < 1 or height < 1:
         raise FormatError(f"{path}: image dimensions must be positive, got {width} x {height}")
     if maxval != 255:
         raise FormatError(f"{path}: maxval must be 255, got {maxval}")
+    pos = header.end()
 
     if magic == b"P5":
-        if pos >= len(data) or not data[pos : pos + 1].isspace():
+        if not data[pos : pos + 1].isspace():
             raise FormatError(f"{path}: expected single whitespace before binary raster")
-        pos += 1
-        raster = data[pos:]
+        raster = data[pos + 1 :]
         if len(raster) != width * height:
-            raise FormatError(
-                f"{path}: raster holds {len(raster)} bytes, expected {width * height}"
-            )
+            raise FormatError(f"{path}: raster holds {len(raster)} bytes, expected {width * height}")
         return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
 
-    flat = np.empty(width * height, dtype=np.int64)
-    for i in range(width * height):
-        flat[i] = int_token("pixel")
-    skip_space()
-    if pos != len(data):
-        raise FormatError(f"{path}: trailing data after raster")
-    if flat.min() < 0 or flat.max() > 255:
+    values = _PGM_COMMENT.sub(b"", data[pos:]).split()
+    if len(values) != width * height:
+        raise FormatError(f"{path}: raster holds {len(values)} values, expected {width * height}")
+    try:
+        pixels = np.fromiter(map(int, values), dtype=np.int64, count=len(values))
+    except ValueError as exc:
+        raise FormatError(f"{path}: pixel must be an integer ({exc})") from None
+    except OverflowError:
+        pixels = None
+    if pixels is None or pixels.min() < 0 or pixels.max() > 255:
         raise FormatError(f"{path}: pixel values must lie in [0, 255]")
-    return flat.astype(np.uint8).reshape(height, width)
+    return pixels.astype(np.uint8).reshape(height, width)
 
 
 def write_pgm(path, image, binary: bool = True) -> None:
@@ -222,11 +210,8 @@ def write_pgm(path, image, binary: bool = True) -> None:
         img = img.astype(np.uint8)
     height, width = img.shape
     with open(path, "wb") as fh:
+        fh.write(f"{'P5' if binary else 'P2'}\n{width} {height}\n255\n".encode("ascii"))
         if binary:
-            fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-            fh.write(np.ascontiguousarray(img).tobytes())
+            fh.write(img.tobytes())
         else:
-            fh.write(f"P2\n{width} {height}\n255\n".encode("ascii"))
-            for row in img:
-                fh.write(" ".join(str(int(v)) for v in row).encode("ascii"))
-                fh.write(b"\n")
+            np.savetxt(fh, img, fmt="%d")

@@ -572,6 +572,15 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
     lam = float(config.lam)
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ConfigError(f"lam must be finite and nonnegative, got {lam}")
+    if config.atom_order not in ATOM_ORDERS:
+        raise ConfigError(f"unknown atom_order {config.atom_order!r}; choose from {ATOM_ORDERS}")
+    policy = config.empty_code_policy
+    if policy not in EMPTY_CODE_POLICIES:
+        raise ConfigError(f"unknown empty_code_policy {policy!r}; choose from {EMPTY_CODE_POLICIES}")
+    if config.init_dictionary is None:
+        raise ConfigError("init_dictionary is required (see the dictionaries module)")
+    D = _validated_dictionary(config.init_dictionary, n, J)
+
     # The residual Y^T - C D^T, signal-major: row i is signal i.  Taken
     # over R, ||Y||_F sums in one order whatever Y's memory order.
     in_place = overwrite_y and Y.T.flags.c_contiguous
@@ -583,15 +592,6 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
             f"code_bound must be finite and exceed lam (got bound={bound}, lam={lam}); "
             "pass an explicit code_bound for zero training data"
         )
-    if config.atom_order not in ATOM_ORDERS:
-        raise ConfigError(f"unknown atom_order {config.atom_order!r}; choose from {ATOM_ORDERS}")
-    policy = config.empty_code_policy
-    if policy not in EMPTY_CODE_POLICIES:
-        raise ConfigError(f"unknown empty_code_policy {policy!r}; choose from {EMPTY_CODE_POLICIES}")
-    if config.init_dictionary is None:
-        raise ConfigError("init_dictionary is required (see the dictionaries module)")
-
-    D = _validated_dictionary(config.init_dictionary, n, J)
     C = _initial_codes(config.init_codes, N, J, bound)
     rng = np.random.default_rng(config.seed)
 

@@ -65,17 +65,22 @@ def extract_patches(image: np.ndarray, patch_size: int, stride: int = 1) -> np.n
     Returns an array of shape (patch_size**2, num_patches): column i is
     the column-major vectorization of grid patch i (grid enumerated
     row-major).  It is F-ordered, the transpose of a C-ordered
-    (num_patches, patch_size**2) buffer (its ``base``), so each patch is
-    contiguous in memory: the signal-major layout the learner carries
-    its residual in, which ``learn(..., overwrite_y=True)`` uses in place.
+    (num_patches, patch_size**2) buffer, so each patch is contiguous in
+    memory: the signal-major layout the learner carries its residual
+    in, which ``learn(..., overwrite_y=True)`` uses in place.
     """
     img = np.asarray(image, dtype=float)
-    _, p, s, (gr, gc) = _check_geometry(img.shape, patch_size, stride)
-    windows = np.lib.stride_tricks.sliding_window_view(img, (p, p))[::s, ::s]
-    out = np.empty((gr * gc, p * p))
-    # out[r * gc + c, col * p + row] = windows[r, c, row, col], written in one copy
-    out.reshape(gr, gc, p, p)[...] = windows.transpose(0, 1, 3, 2)
-    return out.T
+    _, p, s, _ = _check_geometry(img.shape, patch_size, stride)
+    return _patch_rows(img, p, np.s_[::s, ::s]).T
+
+
+def _patch_rows(img: np.ndarray, p: int, grid) -> np.ndarray:
+    """The p x p patches of ``img`` at ``grid`` (slices or index arrays on the
+    stride-1 window grid), one column-major vectorized patch per C-ordered
+    row.  Slices are copied once; index arrays gather first, then copy."""
+    # windows[r, c, col, row] = img[r + row, c + col]
+    windows = np.lib.stride_tricks.sliding_window_view(img, (p, p)).swapaxes(2, 3)
+    return windows[grid].reshape(-1, p * p)
 
 
 def aggregate_patches(patches: np.ndarray, image_shape, patch_size: int, stride: int = 1):

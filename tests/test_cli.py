@@ -111,6 +111,16 @@ class TestLearnCommand:
         )
         assert proc.returncode == 2
 
+    def test_header_larger_than_memory_is_format_error(self, tmp_path):
+        bad = tmp_path / "huge.txt"
+        bad.write_text("1000000000000 1000000000000\n")
+        proc = run_cli(
+            "learn", "--data", bad, "--atoms", 4, "--lambda", 1, "--iters", 1,
+            "--out-dict", tmp_path / "d.txt", "--out-trace", tmp_path / "t.csv",
+        )
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_bad_bound_is_config_error(self, tmp_path, train_file):
         proc = run_cli(
             "learn", "--data", train_file, "--atoms", 4, "--lambda", 2.0, "--iters", 1,
@@ -205,6 +215,13 @@ class TestDenoiseCommand:
     def test_missing_input_is_io_error(self, tmp_path):
         proc = run_cli("denoise", "--in", tmp_path / "nope.pgm", "--out", tmp_path / "o.pgm", "--sigma", 20)
         assert proc.returncode == 2
+
+    def test_header_larger_than_memory_is_format_error(self, tmp_path):
+        bad = tmp_path / "huge.pgm"
+        bad.write_bytes(b"P2\n100000000000 100000000000\n255\n")
+        proc = run_cli("denoise", "--in", bad, "--out", tmp_path / "o.pgm", "--sigma", 20)
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_sigma_required(self, tmp_path, image_files):
         _, noisy = image_files

@@ -66,8 +66,9 @@ class TestPsnr:
     def test_validation(self):
         with pytest.raises(ConfigError):
             psnr(np.zeros((2, 2)), np.zeros((2, 3)))
-        with pytest.raises(ConfigError):
-            psnr(np.zeros((2, 2)), np.zeros((2, 2)), peak=0.0)
+        for peak in (0.0, np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                psnr(np.zeros((2, 2)), np.ones((2, 2)), peak=peak)
 
 
 class TestQuantize:

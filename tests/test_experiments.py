@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,24 @@ class TestPatchSampling:
         c = sample_patch_columns(texture, 8, 40, seed=2)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_picks_the_seeded_grid_columns(self, texture):
+        allp = extract_patches(texture, 8, 1)
+        pick = np.random.default_rng(4).choice(allp.shape[1], size=300, replace=False)
+        P = sample_patch_columns(texture, 8, 300, seed=4)
+        assert np.array_equal(P, allp[:, pick])
+        assert P.flags.f_contiguous
+
+    def test_extracts_only_the_sampled_patches(self):
+        """The traced peak is a few times the result, not the full stride-1 grid."""
+        image = np.random.default_rng(5).integers(0, 256, (256, 256)).astype(float)
+        tracemalloc.start()
+        try:
+            P = sample_patch_columns(image, 8, 10_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * P.nbytes
 
     def test_count_bounds(self, texture):
         with pytest.raises(ConfigError):

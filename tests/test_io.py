@@ -41,6 +41,7 @@ class TestMatrixText:
             "1 2\n1 2\nextra\n",
             "1 2\n1 nan\n",
             "1 2\ninf 0\n",
+            "1000000000000 1000000000000\n",  # header larger than memory
         ],
     )
     def test_malformed_rejected(self, tmp_path, text):
@@ -48,6 +49,11 @@ class TestMatrixText:
         path.write_text(text)
         with pytest.raises(FormatError):
             read_matrix_text(path)
+
+    def test_written_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "m.txt"
+        write_matrix_text(path, [[1 / 3, -0.0, 5e-324]])
+        assert path.read_bytes() == b"1 3\n0.33333333333333331 -0 4.9406564584124654e-324\n"
 
     def test_write_rejects_bad_data(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -135,6 +141,23 @@ class TestPgm:
         path.write_bytes(b"P2\n# a comment\n2 2 # trailing\n255\n1 2\n3 4\n")
         assert read_pgm(path).tolist() == [[1, 2], [3, 4]]
 
+    def test_raster_comments_are_skipped(self, tmp_path):
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P2\n2 2\n255\n1 2 # first row\n3#4\n# last\n4")
+        assert read_pgm(path).tolist() == [[1, 2], [3, 4]]
+
+    def test_ascii_written_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "a.pgm"
+        write_pgm(path, np.array([[0, 1, 2], [253, 254, 255]], dtype=np.uint8), binary=False)
+        assert path.read_bytes() == b"P2\n3 2\n255\n0 1 2\n253 254 255\n"
+
+    @pytest.mark.parametrize("raster, count", [(b"1 2 3\n", 3), (b"1 2 3 4 5\n", 5)], ids=["short", "long"])
+    def test_ascii_raster_count_is_named(self, tmp_path, raster, count):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P2\n2 2\n255\n" + raster)
+        with pytest.raises(FormatError, match=f"raster holds {count} values, expected 4"):
+            read_pgm(path)
+
     def test_accepts_int_array_in_range(self, tmp_path):
         path = tmp_path / "i.pgm"
         write_pgm(path, np.array([[0, 255]], dtype=np.int64))
@@ -153,6 +176,9 @@ class TestPgm:
             b"P2\n2 2\n255\n1 2 3 4 5\n",  # extra pixel
             b"P2\n2 2\n255\n1 2 3 400\n",  # out of range
             b"P2\n2 x\n255\n1 2 3 4\n",
+            b"P2\n100000000000 100000000000\n255\n",  # header larger than memory
+            b"P2\n1 1\n255\n99999999999999999999\n",  # pixel beyond int64
+            b"P2\n2 2\n255\n1 2 3 x\n",  # non-integer pixel
         ],
     )
     def test_malformed_rejected(self, tmp_path, blob):

@@ -370,6 +370,30 @@ class TestLearn:
         assert peak <= working + (0 if overwrite else residual)
         assert working < residual
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"init_dictionary": None},
+            {"atom_order": "backwards"},
+            {"empty_code_policy": "drop"},
+            {"init_dictionary": np.ones((64, 8))},
+        ],
+        ids=["no_dictionary", "atom_order", "empty_code_policy", "dictionary_shape"],
+    )
+    def test_bad_config_is_rejected_before_copying_y(self, settings):
+        """A config error is raised before the N x n residual copy of Y is made."""
+        Y = np.ones((64, 20_000))
+        D0 = _unit_columns(np.random.default_rng(7), 64, 16)
+        config = LearnConfig(**{**dict(num_atoms=16, iterations=1, lam=1.0, init_dictionary=D0), **settings})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError):
+                learn(Y, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < Y.nbytes / 4
+
     def test_trace_matches_recomputation(self):
         rng = np.random.default_rng(31)
         Y = rng.standard_normal((8, 30))
