@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import re
 from array import array
+from io import BytesIO
 
 import numpy as np
 
@@ -38,11 +39,11 @@ TRACE_COLUMNS = ("iter", "objective", "nsre", "sparsity_factor", "delta_dict", "
 # .17g round-trips any float64 exactly.
 _FLOAT_FMT = ".17g"
 
-# A PGM comment runs from "#" to the end of its line, wherever it sits.
-_PGM_COMMENT = re.compile(rb"#[^\n]*+")
 # Up to four header tokens (magic, width, height, maxval), each after any run of
 # whitespace and comments; a missing token leaves its group and the later ones None.
-_PGM_HEADER = re.compile(rb"(?:(?:\s|#[^\n]*+)*+([^\s#]++))?" * 4)
+# A comment runs from "#" to the end of its line: the lookahead keeps it from ending
+# early, so no token is read from inside one.
+_PGM_HEADER = re.compile(rb"(?:(?:\s|#[^\n]*(?![^\n]))*([^\s#]+))?" * 4)
 
 
 def read_matrix_text(path) -> np.ndarray:
@@ -183,16 +184,20 @@ def read_pgm(path) -> np.ndarray:
             raise FormatError(f"{path}: raster holds {len(raster)} bytes, expected {width * height}")
         return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
 
-    values = _PGM_COMMENT.sub(b"", data[pos:]).split()
-    if len(values) != width * height:
-        raise FormatError(f"{path}: raster holds {len(values)} values, expected {width * height}")
+    # One line of tokens at a time, each line cut at its comment; the array grows
+    # with the pixels read.
+    lines = BytesIO(data)
+    lines.seek(pos)
+    tokens = (tok for line in lines for tok in line.partition(b"#")[0].split())
     try:
-        pixels = np.fromiter(map(int, values), dtype=np.int64, count=len(values))
+        pixels = np.fromiter(map(int, tokens), dtype=np.int64)
     except ValueError as exc:
         raise FormatError(f"{path}: pixel must be an integer ({exc})") from None
     except OverflowError:
-        pixels = None
-    if pixels is None or pixels.min() < 0 or pixels.max() > 255:
+        raise FormatError(f"{path}: pixel values must lie in [0, 255]") from None
+    if pixels.size != width * height:
+        raise FormatError(f"{path}: raster holds {pixels.size} values, expected {width * height}")
+    if pixels.min() < 0 or pixels.max() > 255:
         raise FormatError(f"{path}: pixel values must lie in [0, 255]")
     return pixels.astype(np.uint8).reshape(height, width)
 

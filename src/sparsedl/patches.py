@@ -77,10 +77,11 @@ def extract_patches(image: np.ndarray, patch_size: int, stride: int = 1) -> np.n
 def _patch_rows(img: np.ndarray, p: int, grid) -> np.ndarray:
     """The p x p patches of ``img`` at ``grid`` (slices or index arrays on the
     stride-1 window grid), one column-major vectorized patch per C-ordered
-    row.  Slices are copied once; index arrays gather first, then copy."""
+    row, in a fresh writable buffer.  Slices are copied once; index arrays
+    gather first, then copy."""
     # windows[r, c, col, row] = img[r + row, c + col]
     windows = np.lib.stride_tricks.sliding_window_view(img, (p, p)).swapaxes(2, 3)
-    return windows[grid].reshape(-1, p * p)
+    return np.array(windows[grid], order="C").reshape(-1, p * p)
 
 
 def aggregate_patches(patches: np.ndarray, image_shape, patch_size: int, stride: int = 1):

@@ -68,7 +68,7 @@ class TestPsnr:
             psnr(np.zeros((2, 2)), np.zeros((2, 3)))
         for peak in (0.0, np.nan, np.inf):
             with pytest.raises(ConfigError):
-                psnr(np.zeros((2, 2)), np.ones((2, 2)), peak=peak)
+                psnr(np.zeros((2, 2)), np.zeros((2, 2)), peak=peak)
 
 
 class TestQuantize:

@@ -141,6 +141,12 @@ class TestPgm:
         path.write_bytes(b"P2\n# a comment\n2 2 # trailing\n255\n1 2\n3 4\n")
         assert read_pgm(path).tolist() == [[1, 2], [3, 4]]
 
+    def test_comment_in_place_of_a_field_is_a_truncated_header(self, tmp_path):
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P2 # c")
+        with pytest.raises(FormatError, match="truncated header"):
+            read_pgm(path)
+
     def test_raster_comments_are_skipped(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P2\n2 2\n255\n1 2 # first row\n3#4\n# last\n4")
