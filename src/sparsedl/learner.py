@@ -20,34 +20,44 @@ d_j c_j^T`` the residual without atom j, a visit needs only
     E_j^T d_j = R^T d_j + c_j        (the code update's input)
     E_j c     = R c + d_j (c_j . c)  (the atom update's input)
 
-and changes R only on the rows in the supports of the old and new code.
-So a visit gathers those rows once (``_GATHER`` at a time), forms the
-new atom from them and scatters back the rank-2 update ``+ c_old d_old^T
-- c_new d_new^T``; it never reads the other codes.  An atom changes only
-at its own visit, so ``learn`` forms the correlations ``R^T d_j`` of the
-next 16 (``_BLOCK``) unparked atoms of the visit order with one GEMM and
-corrects the rows of the later ones, on the changed entries only.
+and changes R only on the rows in the supports of the old and new code
+(their *union*).  An atom changes only at its own visit, so ``learn``
+forms the correlations ``R^T d_j`` of the next 16 (``_BLOCK``) unparked
+atoms of the visit order with one GEMM.  A visit then costs one screen
+of its correlation row plus work in proportion to its union:
+
+- it adds ``c_j`` to the row on the old code's rows and screens the row
+  once, into two reusable N-byte masks, for the rows that pass the
+  threshold; only the new code can live there, so
+  :func:`truncated_hard_threshold` sees only those values;
+- it gathers the union rows of R once (``_GATHER`` at a time), forms the
+  new atom from them and scatters back the rank-2 update ``+ c_old
+  d_old^T - c_new d_new^T``; it never reads the other codes;
+- it moves the correlations of the block's later atoms by that update,
+  on the union columns only.
 
 An atom is *parked* while its code is empty and its column is exactly
 ``e1``, where the ``unit_basis`` policy puts an atom whose code comes back
 empty.  Its ``E_j^T d_j`` is then exactly ``R[:, 0]``, so its visit takes
 no GEMM row and no correction.  ``learn`` keeps ``hot``, the exact number
 of rows whose ``R[i, 0]`` passes the threshold, recounted on each visit's
-union rows, and a parked visit thresholds only those rows: none while
-``hot`` is 0, which is the common case.  A parked visit still runs the
-threshold and the atom step once, so the policy and its draws see every
-visit.  Parking changes only at an atom's own visit, so each block is
-known exactly when it is formed.
+union rows, and a parked visit screens ``R[:, 0]`` while ``hot`` is
+positive.  While it is 0, the common case, the code stays empty and the
+policy puts back ``e1`` (``random_unit`` aside, which draws a new atom),
+so the visit changes nothing: it calls the threshold on no values and the
+atom step on no rows, so that the policy and the counters see every
+visit, and builds no union.  Parking changes only at an atom's own visit,
+so each block is known exactly when it is formed.
 
 The codes are kept as per-atom ``(rows, values)`` pairs and assembled
 into one CSC array on return; the per-sweep objective is ``||R||_F^2 +
-lam^2 nnz``.  Besides
-``Y``, a run holds the N x n residual (none with ``overwrite_y``, which
-works in ``Y``'s own memory), the _BLOCK x N correlations, the codes and
-gathers of at most _GATHER x n.  The public single-column steps
-(:func:`code_rhs`, :func:`atom_rhs` and the steps built on them) form
-``R^T d_j`` and ``R c`` from ``Y`` and ``C`` instead, and share the
-``c_j`` terms, the threshold and the atom normalization with ``learn``.
+lam^2 nnz``.  Besides ``Y``, a run holds the N x n residual (none with
+``overwrite_y``, which works in ``Y``'s own memory), the _BLOCK x N
+correlations, two N-byte masks, the codes and gathers of at most
+_GATHER x n.  The public single-column steps (:func:`code_rhs`,
+:func:`atom_rhs` and the steps built on them) form ``R^T d_j`` and ``R c``
+from ``Y`` and ``C`` instead, and share the ``d_j (c_j . c)`` term, the
+threshold and the atom normalization with ``learn``.
 
 Zeros in ``C`` are structural: an entry is zero iff it was never
 assigned a nonzero value, and nnz counts are exact with no tolerance.
@@ -113,7 +123,7 @@ def hard_threshold(b: np.ndarray, lam: float) -> np.ndarray:
     deterministic).  Total function: no validation, never raises.
     """
     b = np.asarray(b, dtype=float)
-    return np.where(np.abs(b) < lam, 0.0, b)
+    return np.where(_survives(b, lam), b, 0.0)
 
 
 def truncated_hard_threshold(b: np.ndarray, lam: float, code_bound: float) -> np.ndarray:
@@ -123,24 +133,28 @@ def truncated_hard_threshold(b: np.ndarray, lam: float, code_bound: float) -> np
     of the result is 0 when ``|b_i| < lam``, ``b_i`` when
     ``lam <= |b_i| <= code_bound``, and ``sign(b_i) * code_bound`` above.
     Requires ``code_bound > lam`` (otherwise clipping could produce
-    nonzeros that thresholding should have removed).  Only the surviving
-    entries are clipped; like :func:`hard_threshold`, NaN survives.
+    nonzeros that thresholding should have removed).  The clip leaves the
+    threshold's zeros as they are; like :func:`hard_threshold`, NaN survives.
     """
     if not code_bound > lam:
         raise ConfigError(
             f"code_bound must exceed the sparsity weight (got bound={code_bound}, lam={lam})"
         )
-    b = np.asarray(b, dtype=float)
-    keep = np.flatnonzero(_survives(b, lam))
-    out = np.zeros(b.shape)
-    out.reshape(-1)[keep] = np.clip(b.reshape(-1)[keep], -code_bound, code_bound)
-    return out
+    out = hard_threshold(b, lam)
+    return np.clip(out, -code_bound, code_bound, out=out)
 
 
-def _survives(b: np.ndarray, lam: float) -> np.ndarray:
+def _survives(b: np.ndarray, lam: float, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Where the threshold keeps ``b``: ``~(-lam < b < lam)``, which is
-    ``~(|b| < lam)`` without a float temporary (and keeps NaN)."""
-    return ~((b < lam) & (b > -lam))
+    ``~(|b| < lam)`` without a float temporary (and keeps NaN).  ``out``,
+    two bool rows shaped like ``b``, takes the masks in place of fresh
+    arrays; the result is its first row."""
+    if out is None:
+        return ~((b < lam) & (b > -lam))
+    keep, above = out
+    np.less(b, lam, out=keep)
+    keep &= np.greater(b, -lam, out=above)
+    return np.logical_not(keep, out=keep)
 
 
 def _code_entries(C, j: int):
@@ -160,15 +174,6 @@ def _code_entries(C, j: int):
 def _correlations(Y: np.ndarray, D: np.ndarray, atoms, out: Optional[np.ndarray] = None) -> np.ndarray:
     """``D[:, atoms]^T Y`` as one GEMM: row k is ``Y^T d`` for ``atoms[k]``."""
     return np.matmul(D[:, atoms].T, Y, out=out)
-
-
-def _code_term(rhs: np.ndarray, old) -> np.ndarray:
-    """``E_j^T d_j = R^T d_j + c_j``: add ``c_j`` to ``rhs`` in place.
-
-    ``old`` is c_j as ``(rows, values)``, as :func:`_code_entries` gives it.
-    """
-    np.add.at(rhs, *old)
-    return rhs
 
 
 def _atom_term(d: np.ndarray, vals: np.ndarray, c_at_rows: np.ndarray) -> np.ndarray:
@@ -218,8 +223,9 @@ def code_rhs(Y: np.ndarray, D: np.ndarray, C, j: int) -> np.ndarray:
     scipy sparse matrix; column j must hold the current (pre-update)
     code.
     """
-    corr = _correlations(Y, D, [j])[0]
-    return _code_term(corr - C @ (D.T @ D[:, j]), _code_entries(C, j))
+    rhs = _correlations(Y, D, [j])[0] - C @ (D.T @ D[:, j])
+    np.add.at(rhs, *_code_entries(C, j))  # a sparse C may repeat rows
+    return rhs
 
 
 def sparse_code_step(
@@ -360,24 +366,30 @@ def _atom_step(
     atom is ``E_j c`` from them, normalized by :func:`_unit_atom`, and they
     get back the rank-2 update ``+ c_old d_old^T - c_new d_new^T``.  So on
     return ``R`` is the residual of the new code and atom.  Rows that fit
-    one chunk are gathered once; more are read again for the update.
-    Returns the new atom and leaves ``D`` as it was.
+    one chunk are gathered once; more are read again for the update; no
+    rows (both codes empty) leave ``R`` alone.  Returns the new atom and
+    leaves ``D`` as it was.
     """
-    spans = [slice(lo, lo + _GATHER) for lo in range(0, rows.size, _GATHER)]
-    kept = R[rows] if len(spans) == 1 else None
     d = D[:, j]
+    if not rows.size:
+        return _unit_atom(None, d, j, policy, rng)
+    if rows.size <= _GATHER:
+        part = R[rows]
+        h = _atom_term(d, w[0], w[1]) + part.T @ w[1] if np.any(w[1]) else None
+        d_new = _unit_atom(h, d, j, policy, rng)
+        part += w.T @ np.stack((d, -d_new))
+        R[rows] = part
+        return d_new
     h = None
     if np.any(w[1]):
         h = _atom_term(d, w[0], w[1])
-        for s in spans:
-            part = R[rows[s]] if kept is None else kept
-            h += part.T @ w[1, s]
+        for lo in range(0, rows.size, _GATHER):
+            h += R[rows[lo : lo + _GATHER]].T @ w[1, lo : lo + _GATHER]
     d_new = _unit_atom(h, d, j, policy, rng)
     change = np.stack((d, -d_new))
-    for s in spans:
-        part = R[rows[s]] if kept is None else kept
-        part += w[:, s].T @ change
-        R[rows[s]] = part
+    for lo in range(0, rows.size, _GATHER):
+        s = slice(lo, lo + _GATHER)
+        R[rows[s]] += w[:, s].T @ change
     return d_new
 
 
@@ -623,8 +635,10 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
     e1[0] = 1.0
     parked = np.array([rows.size == 0 and np.array_equal(D[:, j], e1) for j, (rows, _) in enumerate(codes)])
     hot = int(np.count_nonzero(_survives(R[:, 0], lam)))
-    # One buffer serves every block, so sweeps allocate no block-sized arrays.
+    # One buffer serves every block and two N-byte masks every screen, so a
+    # visit allocates in proportion to its union, not to N.
     corr = np.empty((min(_BLOCK, J), N))
+    masks = np.empty((2, N), dtype=bool)
     for t in range(K):
         order = np.arange(J) if config.atom_order == "cyclic" else rng.permutation(J)
         D_prev = D.copy()
@@ -642,20 +656,28 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
             block = visits[~parked[visits]]
             if block.size:
                 _correlations(R.T, D, block, out=corr[: block.size])
+                block_atoms = D[:, block].T
             k = 0  # rows of corr used so far
             for j in visits:
                 old = codes[j]
+                if parked[j] and not hot and policy != "random_unit":
+                    # No row can pass and the policy puts back e1, so the visit
+                    # changes nothing; the threshold and the atom step still see it.
+                    truncated_hard_threshold(old[1], lam, bound)
+                    _atom_step(R, D, j, old[0], np.empty((2, 0)), policy, rng)
+                    continue
                 if parked[j]:  # E_j^T d_j = R[:, 0], and old is empty
-                    rows = np.flatnonzero(_survives(R[:, 0], lam)) if hot else old[0]
-                    c = truncated_hard_threshold(R[rows, 0], lam, bound)
-                else:
-                    rows = None
-                    c = truncated_hard_threshold(_code_term(corr[k], old), lam, bound)
+                    e = R[:, 0]
+                else:  # E_j^T d_j = R^T d_j + c_j; a code's rows are distinct
+                    e = corr[k]
+                    e[old[0]] += old[1]
                     k += 1
-                kept = np.flatnonzero(c != 0)
-                support = kept if rows is None else rows[kept]
+                # Only the rows that pass the threshold can hold the new code.
+                rows = np.flatnonzero(_survives(e, lam, masks))
+                c = truncated_hard_threshold(e[rows], lam, bound)
+                kept = np.flatnonzero(c)
+                support = rows[kept]
                 codes[j] = (support, c[kept])
-                del c  # before the next threshold allocates its output
                 # c_j before and after on every row where either is stored
                 union = _union(old[0], support)
                 w = np.zeros((2, union.size))
@@ -670,7 +692,7 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
                 if k < block.size and union.size:
                     # R moved by c_old d_old^T - c_new d_new^T, and so do the
                     # later correlations R^T d_i.
-                    g = D[:, block[k:]].T @ np.column_stack((D[:, j], -d_new))
+                    g = block_atoms[k:] @ np.column_stack((D[:, j], -d_new))
                     _shift(corr[k : block.size], g, union, w)
                 delta_codes_sq += float(np.sum((w[1] - w[0]) ** 2))
                 D[:, j] = d_new
@@ -692,7 +714,9 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
 
     if overwrite_y and not in_place:
         Y[...] = R.T
-    del R, corr  # before the result is allocated, so as not to pin them in the heap
+    # Before the result is allocated, so as not to pin them in the heap; e is
+    # the last visit's view of R or corr (unbound if there was no visit).
+    R = corr = masks = e = None
     indptr = np.concatenate(([0], np.cumsum([rows.size for rows, _ in codes])))
     C = sparse.csc_array(
         (np.concatenate([vals for _, vals in codes]), np.concatenate([rows for rows, _ in codes]), indptr),

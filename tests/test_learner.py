@@ -394,6 +394,23 @@ class TestLearn:
             tracemalloc.stop()
         assert peak < Y.nbytes / 4
 
+    def test_thresholds_only_rows_that_pass(self, monkeypatch):
+        """Each visit screens its correlations once and hands the threshold
+        only the rows that pass it, parked or not, so no threshold input
+        holds a value below lam."""
+        Y = _small_scene_patches()
+        lam, J, K = 100.0, 64, 3
+        below = []
+        threshold = sparsedl.learner.truncated_hard_threshold
+
+        def spy(b, *args):
+            below.append(int(np.count_nonzero(np.abs(b) < lam)))
+            return threshold(b, *args)
+
+        monkeypatch.setattr(sparsedl.learner, "truncated_hard_threshold", spy)
+        learn(Y, _default_config(J, K, lam, overcomplete_dct_dictionary(64, J)))
+        assert len(below) == K * J and not any(below)
+
     def test_trace_matches_recomputation(self):
         rng = np.random.default_rng(31)
         Y = rng.standard_normal((8, 30))
@@ -687,6 +704,31 @@ class TestParkedAtoms:
         learn(Y, _default_config(3, 3, lam, self.D0, init_codes=C0))
         assert gemms == [[0, 2]] * 3
         assert sizes[1::3] == [0, 0, 0]  # atom 1's visits threshold no rows
+
+    def test_parked_visit_without_a_hot_row_builds_no_union(self, monkeypatch):
+        """With no hot row left, atom 1's parked visits still threshold and
+        take the atom step, on no rows, but gather nothing: no union of old
+        and new code is built for them."""
+        Y = np.array([[2.0, 1.8, 0.1], [2.0, 0.0, 0.0], [0.0, 2.4, 0.0], [0.0, 1.0, 2.0]])
+        C0 = np.zeros((3, 3))
+        C0[1, 2] = 3.0
+        events = []
+        union = sparsedl.learner._union
+        step = sparsedl.learner._atom_step
+
+        def union_spy(*args):
+            events.append(("union",))
+            return union(*args)
+
+        def step_spy(R, D, j, rows, w, *args):
+            events.append(("step", int(j), rows.size))
+            return step(R, D, j, rows, w, *args)
+
+        monkeypatch.setattr(sparsedl.learner, "_union", union_spy)
+        monkeypatch.setattr(sparsedl.learner, "_atom_step", step_spy)
+        learn(Y, _default_config(3, 3, 0.5, self.D0, init_codes=C0))
+        assert [e[:2] for e in events] == [("union",), ("step", 0), ("step", 1), ("union",), ("step", 2)] * 3
+        assert [e[2] for e in events if e[:2] == ("step", 1)] == [0, 0, 0]
 
     @pytest.mark.parametrize("order", ["cyclic", "random"])
     def test_parked_atoms_draw_under_random_unit(self, order):
