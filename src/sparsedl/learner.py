@@ -42,12 +42,12 @@ empty.  Its ``E_j^T d_j`` is then exactly ``R[:, 0]``, so its visit takes
 no GEMM row and no correction.  ``learn`` keeps ``hot``, the exact number
 of rows whose ``R[i, 0]`` passes the threshold, recounted on each visit's
 union rows, and a parked visit screens ``R[:, 0]`` while ``hot`` is
-positive.  While it is 0, the common case, the code stays empty and the
-policy puts back ``e1`` (``random_unit`` aside, which draws a new atom),
-so the visit changes nothing: it calls the threshold on no values and the
-atom step on no rows, so that the policy and the counters see every
-visit, and builds no union.  Parking changes only at an atom's own visit,
-so each block is known exactly when it is formed.
+positive.  While it is 0, the common case, no row can pass: the visit
+calls the threshold on no values and the atom step on no rows, builds no
+union and leaves R alone, and only the policy's atom can change it (it
+stays ``e1`` under ``unit_basis`` and ``keep_previous``).  Parking
+changes only at an atom's own visit, so each block is known exactly when
+it is formed.
 
 The codes are kept as per-atom ``(rows, values)`` pairs and assembled
 into one CSC array on return; the per-sweep objective is ``||R||_F^2 +
@@ -144,13 +144,13 @@ def truncated_hard_threshold(b: np.ndarray, lam: float, code_bound: float) -> np
     return np.clip(out, -code_bound, code_bound, out=out)
 
 
-def _survives(b: np.ndarray, lam: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _survives(b: np.ndarray, lam: float, out=None) -> np.ndarray:
     """Where the threshold keeps ``b``: ``~(-lam < b < lam)``, which is
-    ``~(|b| < lam)`` without a float temporary (and keeps NaN).  ``out``,
-    two bool rows shaped like ``b``, takes the masks in place of fresh
-    arrays; the result is its first row."""
+    ``~(|b| < lam)`` without a float temporary (and keeps NaN).  The masks
+    are formed in ``out``, two bool arrays shaped like ``b`` (fresh ones by
+    default), and the result is the first."""
     if out is None:
-        return ~((b < lam) & (b > -lam))
+        out = np.empty(np.shape(b), dtype=bool), np.empty(np.shape(b), dtype=bool)
     keep, above = out
     np.less(b, lam, out=keep)
     keep &= np.greater(b, -lam, out=above)
@@ -373,23 +373,20 @@ def _atom_step(
     d = D[:, j]
     if not rows.size:
         return _unit_atom(None, d, j, policy, rng)
-    if rows.size <= _GATHER:
-        part = R[rows]
-        h = _atom_term(d, w[0], w[1]) + part.T @ w[1] if np.any(w[1]) else None
-        d_new = _unit_atom(h, d, j, policy, rng)
-        part += w.T @ np.stack((d, -d_new))
-        R[rows] = part
-        return d_new
+    spans = [slice(lo, lo + _GATHER) for lo in range(0, rows.size, _GATHER)]
+    kept = R[rows] if len(spans) == 1 else None
     h = None
     if np.any(w[1]):
         h = _atom_term(d, w[0], w[1])
-        for lo in range(0, rows.size, _GATHER):
-            h += R[rows[lo : lo + _GATHER]].T @ w[1, lo : lo + _GATHER]
+        for s in spans:
+            part = R[rows[s]] if kept is None else kept
+            h += part.T @ w[1, s]
     d_new = _unit_atom(h, d, j, policy, rng)
     change = np.stack((d, -d_new))
-    for lo in range(0, rows.size, _GATHER):
-        s = slice(lo, lo + _GATHER)
-        R[rows[s]] += w[:, s].T @ change
+    for s in spans:
+        part = R[rows[s]] if kept is None else kept
+        part += w[:, s].T @ change
+        R[rows[s]] = part
     return d_new
 
 
@@ -660,11 +657,12 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
             k = 0  # rows of corr used so far
             for j in visits:
                 old = codes[j]
-                if parked[j] and not hot and policy != "random_unit":
-                    # No row can pass and the policy puts back e1, so the visit
-                    # changes nothing; the threshold and the atom step still see it.
+                if parked[j] and not hot:
+                    # No row can pass, so the code stays empty and the atom step
+                    # has no rows: only the policy's atom can change.
                     truncated_hard_threshold(old[1], lam, bound)
-                    _atom_step(R, D, j, old[0], np.empty((2, 0)), policy, rng)
+                    D[:, j] = d_new = _atom_step(R, D, j, old[0], np.empty((2, 0)), policy, rng)
+                    parked[j] = np.array_equal(d_new, e1)
                     continue
                 if parked[j]:  # E_j^T d_j = R[:, 0], and old is empty
                     e = R[:, 0]

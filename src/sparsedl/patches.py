@@ -21,10 +21,6 @@ __all__ = ["patch_grid_shape", "patch_cover", "extract_patches", "aggregate_patc
 # (1 MB at 8x8 patches on a 249-column grid) is read once from memory and 64 times from cache.
 _GRID_ROWS = 8
 
-# Windows gathered at a time when patches are picked by index (256 KB at 8x8
-# patches), so a pick holds little more than its result.
-_PICKS = 512
-
 
 def _check_geometry(image_shape, patch_size: int, stride: int):
     """Validated ``((H, W), p, s, (grid_rows, grid_cols))`` of a patch geometry."""
@@ -75,24 +71,15 @@ def extract_patches(image: np.ndarray, patch_size: int, stride: int = 1) -> np.n
     """
     img = np.asarray(image, dtype=float)
     _, p, s, _ = _check_geometry(img.shape, patch_size, stride)
-    return _patch_rows(img, p, np.s_[::s, ::s]).T
+    return np.array(_windows(img, p)[::s, ::s], order="C").reshape(-1, p * p).T
 
 
-def _patch_rows(img: np.ndarray, p: int, grid) -> np.ndarray:
-    """The p x p patches of ``img`` at ``grid`` (slices or index arrays on the
-    stride-1 window grid), one column-major vectorized patch per C-ordered
-    row, in a fresh writable buffer.  Slices are copied once; index arrays
-    are gathered ``_PICKS`` windows at a time into the result."""
+def _windows(img: np.ndarray, p: int) -> np.ndarray:
+    """Every p x p window of ``img`` as a read-only view: ``windows[r, c]`` is
+    the patch at (r, c) on the stride-1 grid, laid out so that its C order
+    is the patch's column-major vectorization."""
     # windows[r, c, col, row] = img[r + row, c + col]
-    windows = np.lib.stride_tricks.sliding_window_view(img, (p, p)).swapaxes(2, 3)
-    if isinstance(grid[0], slice):
-        return np.array(windows[grid], order="C").reshape(-1, p * p)
-    rows, cols = grid
-    out = np.empty((rows.size, p * p))
-    for lo in range(0, rows.size, _PICKS):
-        s = slice(lo, lo + _PICKS)
-        out[s].reshape(-1, p, p)[...] = windows[rows[s], cols[s]]
-    return out
+    return np.lib.stride_tricks.sliding_window_view(img, (p, p)).swapaxes(2, 3)
 
 
 def aggregate_patches(patches: np.ndarray, image_shape, patch_size: int, stride: int = 1):

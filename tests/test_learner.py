@@ -730,6 +730,27 @@ class TestParkedAtoms:
         assert [e[:2] for e in events] == [("union",), ("step", 0), ("step", 1), ("union",), ("step", 2)] * 3
         assert [e[2] for e in events if e[:2] == ("step", 1)] == [0, 0, 0]
 
+    def test_parked_visit_keeps_the_atom_its_step_returns(self, monkeypatch):
+        """A parked visit with no hot row takes its atom from the atom step,
+        like every other visit: a wrapped step that answers -e1 on no rows
+        moves atom 1 there."""
+        Y = np.array([[2.0, 1.8, 0.1], [2.0, 0.0, 0.0], [0.0, 2.4, 0.0], [0.0, 1.0, 2.0]])
+        C0 = np.zeros((3, 3))
+        C0[1, 2] = 3.0
+        returned = {}
+        step = sparsedl.learner._atom_step
+
+        def flip_spy(R, D, j, rows, w, *args):
+            d_new = step(R, D, j, rows, w, *args)
+            returned[int(j)] = d_new = -d_new if not rows.size else d_new
+            return d_new
+
+        monkeypatch.setattr(sparsedl.learner, "_atom_step", flip_spy)
+        D, C, _ = learn(Y, _default_config(3, 3, 0.5, self.D0, init_codes=C0))
+        assert C[:, [1]].nnz == 0 and np.array_equal(returned[1], -np.eye(4)[0])
+        for j, d in returned.items():
+            assert np.array_equal(D[:, j], d)
+
     @pytest.mark.parametrize("order", ["cyclic", "random"])
     def test_parked_atoms_draw_under_random_unit(self, order):
         """Under random_unit a parked atom whose code stays empty still draws a
