@@ -31,7 +31,11 @@ _DENOISE_KEYS = {
     "sigma": ("sigma", float, "noise standard deviation"),
     "omp_gain": ("error_gain", float, "error-goal gain, > 1 (default {})"),
     "stride": ("stride", int, "patch grid stride (default {})"),
-    "subsample": ("max_train_patches", int, "cap on training patches (default: all)"),
+    "subsample": (
+        "max_train_patches",
+        int,
+        "cap on training patches (default {}, which changes outputs only for images with more patches)",
+    ),
     "patch": ("patch_size", int, "patch side length (default {})"),
     "atoms": ("num_atoms", int, "dictionary size (default {})"),
     "iters": ("iterations", int, "learning iterations (default {}; 0 = DCT only)"),

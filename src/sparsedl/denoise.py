@@ -2,22 +2,34 @@
 
 Pipeline, parameterized by the (known) noise level sigma:
 
-1. extract every overlapping patch of the noisy image and remove each
+1. take the overlapping patches of the noisy image and remove each
    patch's mean;
 2. learn a dictionary on the centered patches (sparsity weight
    ``lam_multiplier * sigma``, magnitude bound ``||Y_train||_F``, DCT
-   initialization, zero initial codes).  The learner works inside the
-   patch buffer and leaves its residual there; ``C D^T`` of the learned
-   codes is added back, so one patch matrix serves both learning and
-   coding;
+   initialization, zero initial codes).  When it learns on every patch,
+   the learner works inside the one N x n patch buffer and leaves its
+   residual there.  Above ``max_train_patches`` patches it learns on a
+   seeded subsample, gathered from the image by grid index;
 3. re-code every centered patch against the learned dictionary with
    error-constrained OMP at goal ``n * error_gain^2 * sigma^2``;
-4. overwrite the patch buffer with the patch estimates (each patch's
-   mean plus ``D c`` of its code), and average their overlaps together
-   with a noisy-image prior weighted by ``prior_weight`` (default
-   ``20 / sigma``):
+4. overwrite the patches with their estimates (each patch's mean plus
+   ``D c`` of its code), and average their overlaps together with a
+   noisy-image prior weighted by ``prior_weight`` (default ``20 / sigma``):
 
        x = (prior_weight * noisy + patch_sum) / (prior_weight + cover)
+
+Steps 1, 3 and 4 run on one band of patch-grid rows at a time, in grid
+order: a band of about ``_BAND_PATCHES`` patches is taken, centered,
+coded, turned into estimates and added into ``patch_sum``, and the next
+band takes its place.  A band's patches come from the image through
+:func:`extract_patches`, or, after learning on every patch, from the
+learner's residual plus ``C D^T`` on the band's rows.  So besides
+image-sized buffers (the noisy image, ``patch_sum``, ``cover`` and the
+estimate) the coding pass holds the band it codes and, while the next
+band is taken, the one before; the N x n patch buffer and the N patch
+means exist only when the learner trains on every patch.  Every pixel sums its patch estimates
+in the order of one whole-grid aggregation, and OMP codes each patch as
+it would alone, so the bands do not change the bits.
 
 Setting ``iterations=0`` skips step 2 and codes against the fixed DCT
 dictionary, which is the baseline the reports compare against.
@@ -36,7 +48,21 @@ from .dictionaries import initial_dictionary, overcomplete_dct_dictionary  # noq
 from .exceptions import ConfigError
 from .learner import LearnConfig, LearnTrace, _add_products, learn
 from .omp import omp_code_matrix
-from .patches import aggregate_patches, extract_patches, patch_cover
+from .patches import (
+    _GRID_ROWS,
+    _gather_patches,
+    aggregate_patches,
+    extract_patches,
+    patch_cover,
+    patch_grid_shape,
+)
+
+# Patches coded at a time: the coding pass takes bands of whole _GRID_ROWS blocks
+# of grid rows holding about this many (64 grid rows at 256x256, 16 at 1024x1024),
+# so its working set does not grow with the image.  Each band pays OMP's set-up
+# (validation, distinct atoms, G): the 256x256 DCT pass took 59 ms in bands of 8
+# grid rows (about 2k patches) and 55 ms in bands of 64.
+_BAND_PATCHES = 1 << 14
 
 __all__ = [
     "add_gaussian_noise",
@@ -94,9 +120,12 @@ class DenoiseConfig:
 
     ``prior_weight=None`` resolves to ``20 / sigma``.  ``error_gain``
     must exceed 1 (the OMP goal must sit above the noise floor).
-    ``max_train_patches`` subsamples the learning set (seeded); coding
-    always uses every patch.  ``stride`` applies to both extraction and
-    aggregation; 1 uses maximum overlap.
+    ``max_train_patches`` caps the learning set: an image with more
+    patches learns on a seeded subsample of that many, and coding always
+    uses every patch.  Its default, 2**18 = 262,144, is above the 255,025
+    patches of a 512 x 512 image, so it changes outputs only above the
+    cap; ``None`` learns on every patch.  ``stride`` applies to both
+    extraction and aggregation; 1 uses maximum overlap.
     """
 
     sigma: float
@@ -107,7 +136,7 @@ class DenoiseConfig:
     lam_multiplier: float = 5.0
     error_gain: float = 1.15
     prior_weight: Optional[float] = None
-    max_train_patches: Optional[int] = None
+    max_train_patches: Optional[int] = 1 << 18
     init: str = "dct"
     seed: int = 0
 
@@ -154,27 +183,32 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
         raise ConfigError(f"max_train_patches must be positive, got {m}")
 
     p = int(config.patch_size)
+    s = int(config.stride)
     J = int(config.num_atoms)
     n = p * p
     if prior == 0.0:
         # a pixel lies under some patch iff both of its axis counts are positive
-        if not all(cover.all() for cover in patch_cover(noisy.shape, p, config.stride)):
+        if not all(cover.all() for cover in patch_cover(noisy.shape, p, s)):
             raise ConfigError(
                 "prior_weight 0 needs full patch coverage; shrink the stride or keep the prior"
             )
     D0 = initial_dictionary(config.init, n, J, config.seed)
-    Y = extract_patches(noisy, p, config.stride)  # Y.T is the C-ordered patch buffer
-    N = Y.shape[1]
-    means = Y.mean(axis=0)
-    Y -= means
-
-    rng = np.random.default_rng(config.seed)
-    # a subset of the rows of Y.T, so the training copy is signal-major too
-    train = Y.T[rng.choice(N, size=int(m), replace=False)].T if m is not None and m < N else Y
+    gr, gc = patch_grid_shape(noisy.shape, p, s)
+    N = gr * gc
+    num_train = N if m is None else min(int(m), N)
 
     trace = None
     D = D0
+    Y = None  # every centered patch, held only when learning on all of them
     if config.iterations > 0:
+        if num_train < N:
+            rng = np.random.default_rng(config.seed)
+            train = _gather_patches(noisy, p, s, rng.choice(N, size=num_train, replace=False))
+            train -= train.mean(axis=0)
+        else:
+            train = Y = extract_patches(noisy, p, s)  # Y.T is the C-ordered patch buffer
+            means = Y.mean(axis=0)
+            Y -= means
         # learn leaves its residual Y - D C^T in train
         D, C, trace = learn(
             train,
@@ -187,18 +221,34 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
             ),
             overwrite_y=True,
         )
-        if train is Y:  # put the patches back for coding: Y = R + D C^T
-            _add_products(Y.T, C, D)
-    num_train = train.shape[1]
-    del train  # a subsample is not read again
+        del train  # a subsample is not read again
+        if Y is not None:
+            codes_by_signal = C.tocsr()
 
     error_goal = n * config.error_gain**2 * sigma**2
-    codes, statuses = omp_code_matrix(D, Y, error_goal)
-    # the estimates overwrite the patches: each patch's mean plus D c
-    Y.T[...] = means[:, None]
-    _add_products(Y.T, codes, D)
-
-    total, cover = aggregate_patches(Y, noisy.shape, p, config.stride)
+    total = np.zeros(noisy.shape)
+    statuses = Counter()
+    # Each band is whole _GRID_ROWS blocks of grid rows, taken in ascending order, so
+    # every pixel sums its patch estimates in the order of one whole-grid aggregation.
+    band = max(1, _BAND_PATCHES // (gc * _GRID_ROWS)) * _GRID_ROWS
+    for g0 in range(0, gr, band):
+        g1 = min(gr, g0 + band)
+        y0, y1 = g0 * s, (g1 - 1) * s + p  # the image rows the band's patches cover
+        if Y is None:
+            P = extract_patches(noisy[y0:y1], p, s)
+            mu = P.mean(axis=0)
+            P -= mu
+        else:  # put the band's patches back from the residual: R + C D^T
+            cols = slice(g0 * gc, g1 * gc)
+            P, mu = Y[:, cols], means[cols]
+            _add_products(P.T, codes_by_signal[cols], D)
+        codes, stops = omp_code_matrix(D, P, error_goal)
+        statuses.update(stops)
+        # the estimates overwrite the patches: each patch's mean plus D c
+        P.T[...] = mu[:, None]
+        _add_products(P.T, codes, D)
+        aggregate_patches(P, (y1 - y0, noisy.shape[1]), p, s, out=total[y0:y1])
+    cover = np.outer(*patch_cover(noisy.shape, p, s))
     estimate = (prior * noisy + total) / (prior + cover)
 
     result = DenoiseResult(
@@ -208,6 +258,6 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
         num_train_patches=num_train,
         error_goal=error_goal,
         prior_weight=prior,
-        omp_statuses=dict(Counter(statuses)),
+        omp_statuses=dict(statuses),
     )
     return estimate, result

@@ -19,7 +19,7 @@ from .dictionaries import initial_dictionary, overcomplete_dct_dictionary
 from .exceptions import ConfigError
 from .io import read_csv_table, read_pgm, write_csv_table, write_trace_csv
 from .learner import LearnConfig, learn
-from .patches import _windows, patch_grid_shape
+from .patches import _gather_patches, patch_grid_shape
 
 __all__ = [
     "REFERENCE_PSNR",
@@ -80,30 +80,18 @@ DENOISE_COLUMNS = ("image", "sigma", "noisy_psnr", "odct_psnr", "learned_psnr")
 # keeps every other field at its default.
 _TABLE_SETTINGS = ("stride", "num_atoms", "iterations", "max_train_patches", "error_gain")
 
-# Windows gathered at a time by sample_patch_columns (256 KB at 8x8 patches),
-# so a sample holds little more than its result.
-_PICKS = 512
-
 
 def sample_patch_columns(image: np.ndarray, patch_size: int, count: int, seed: int = 0) -> np.ndarray:
     """Raw (not mean-removed) patches from ``count`` random grid locations:
     columns ``default_rng(seed).choice(N, count, replace=False)`` of
-    ``extract_patches(image, patch_size)``, and only those are extracted,
-    ``_PICKS`` at a time straight into the result."""
+    ``extract_patches(image, patch_size)``, and only those are extracted."""
     img = np.asarray(image, dtype=float)
     gr, gc = patch_grid_shape(img.shape, patch_size, 1)
     N = gr * gc
     if not 1 <= count <= N:
         raise ConfigError(f"patch count must lie in [1, {N}], got {count}")
     rng = np.random.default_rng(seed)
-    pick = rng.choice(N, size=count, replace=False)
-    p = int(patch_size)
-    windows, (rows, cols) = _windows(img, p), np.divmod(pick, gc)
-    out = np.empty((count, p * p))
-    for lo in range(0, count, _PICKS):
-        s = slice(lo, lo + _PICKS)
-        out[s].reshape(-1, p, p)[...] = windows[rows[s], cols[s]]
-    return out.T
+    return _gather_patches(img, patch_size, 1, rng.choice(N, size=count, replace=False))
 
 
 def convergence_trace(

@@ -39,9 +39,10 @@ of its correlation row plus work in proportion to its union:
 An atom is *parked* while its code is empty and its column is exactly
 ``e1``, where the ``unit_basis`` policy puts an atom whose code comes back
 empty.  Its ``E_j^T d_j`` is then exactly ``R[:, 0]``, so its visit takes
-no GEMM row and no correction.  ``learn`` keeps ``hot``, the exact number
-of rows whose ``R[i, 0]`` passes the threshold, recounted on each visit's
-union rows, and a parked visit screens ``R[:, 0]`` while ``hot`` is
+no GEMM row and no correction.  ``learn`` keeps an N-byte record of the
+rows whose ``R[i, 0]`` passes the threshold and ``hot``, their exact
+number, both brought up to date on each visit's union rows after its
+atom step, and a parked visit screens ``R[:, 0]`` while ``hot`` is
 positive.  While it is 0, the common case, no row can pass: the visit
 calls the threshold on no values and the atom step on no rows, builds no
 union and leaves R alone, and only the policy's atom can change it (it
@@ -53,11 +54,12 @@ The codes are kept as per-atom ``(rows, values)`` pairs and assembled
 into one CSC array on return; the per-sweep objective is ``||R||_F^2 +
 lam^2 nnz``.  Besides ``Y``, a run holds the N x n residual (none with
 ``overwrite_y``, which works in ``Y``'s own memory), the _BLOCK x N
-correlations, two N-byte masks, the codes and gathers of at most
-_GATHER x n.  The public single-column steps (:func:`code_rhs`,
-:func:`atom_rhs` and the steps built on them) form ``R^T d_j`` and ``R c``
-from ``Y`` and ``C`` instead, and share the ``d_j (c_j . c)`` term, the
-threshold and the atom normalization with ``learn``.
+correlations, two N-byte masks, the N-byte record of hot rows, the
+codes and gathers of at most _GATHER x n.  The public single-column steps
+(:func:`code_rhs`, :func:`atom_rhs` and the steps built on them) form
+``R^T d_j`` and ``R c`` from ``Y`` and ``C`` instead, and share the
+``d_j (c_j . c)`` term, the threshold and the atom normalization with
+``learn``.
 
 Zeros in ``C`` are structural: an entry is zero iff it was never
 assigned a nonzero value, and nnz counts are exact with no tolerance.
@@ -627,11 +629,13 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
     # Atom j is parked while its code is empty and its column is e1: its
     # E_j^T d_j is then exactly R[:, 0], and only the hot rows, where R[i, 0]
     # passes the threshold, can survive.  A visit changes R only on its union
-    # rows, so it recounts hot there, around the atom step.
+    # rows, so after the atom step it rescreens R[:, 0] there, into the record
+    # of hot rows, and recounts hot.
     e1 = np.zeros(n)
     e1[0] = 1.0
     parked = np.array([rows.size == 0 and np.array_equal(D[:, j], e1) for j, (rows, _) in enumerate(codes)])
-    hot = int(np.count_nonzero(_survives(R[:, 0], lam)))
+    passing = _survives(R[:, 0], lam)
+    hot = int(np.count_nonzero(passing))
     # One buffer serves every block and two N-byte masks every screen, so a
     # visit allocates in proportion to its union, not to N.
     corr = np.empty((min(_BLOCK, J), N))
@@ -681,12 +685,13 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
                 w = np.zeros((2, union.size))
                 w[0, np.searchsorted(union, old[0])] = old[1]
                 w[1, np.searchsorted(union, support)] = codes[j][1]
-                hot -= int(np.count_nonzero(_survives(R[union, 0], lam)))
+                hot -= int(np.count_nonzero(passing[union]))
                 try:
                     d_new = _atom_step(R, D, j, union, w, policy, rng)
                 except InvariantError as exc:
                     raise InvariantError(f"iteration {t + 1}, {exc}") from exc
-                hot += int(np.count_nonzero(_survives(R[union, 0], lam)))
+                passing[union] = now = _survives(R[union, 0], lam)
+                hot += int(np.count_nonzero(now))
                 if k < block.size and union.size:
                     # R moved by c_old d_old^T - c_new d_new^T, and so do the
                     # later correlations R^T d_i.
@@ -714,7 +719,7 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
         Y[...] = R.T
     # Before the result is allocated, so as not to pin them in the heap; e is
     # the last visit's view of R or corr (unbound if there was no visit).
-    R = corr = masks = e = None
+    R = corr = masks = passing = e = None
     indptr = np.concatenate(([0], np.cumsum([rows.size for rows, _ in codes])))
     C = sparse.csc_array(
         (np.concatenate([vals for _, vals in codes]), np.concatenate([rows for rows, _ in codes]), indptr),

@@ -52,7 +52,9 @@ __all__ = ["omp_code", "omp_code_matrix", "REACHED_ERROR_GOAL", "REACHED_ATOM_CA
 REACHED_ERROR_GOAL = "error_goal"
 REACHED_ATOM_CAP = "atom_cap"
 DEGENERATE = "degenerate"
-_STATUSES = np.array([REACHED_ERROR_GOAL, REACHED_ATOM_CAP, DEGENERATE])  # by stop index
+# By stop index.  An object array, so that indexing it hands out these three
+# strings themselves and a status list holds no string of its own per signal.
+_STATUSES = np.array([REACHED_ERROR_GOAL, REACHED_ATOM_CAP, DEGENERATE], dtype=object)
 
 # Relative distance to the current span under which a selected atom counts as singular.
 # L_kk^2 = G_pp - |w|^2 comes out within a few ulps of G_pp, so L_kk itself is rounding
@@ -102,8 +104,11 @@ def omp_code_matrix(D: np.ndarray, Y: np.ndarray, error_goal: float, max_atoms: 
 
     Returns the coefficient matrix as a csc array of shape (N, J) (row i
     holds the code of signal i, matching the learner's convention) plus
-    the per-signal stop statuses.  Each row equals the :func:`omp_code`
-    call on that column alone, bit for bit.
+    the per-signal stop statuses, a list of N entries that are the three
+    module constants themselves (``REACHED_ERROR_GOAL``,
+    ``REACHED_ATOM_CAP``, ``DEGENERATE``), not one new string per signal.
+    Each row and status equals the :func:`omp_code` call on that column
+    alone, bit for bit, so coding the columns in any split gives the same.
     """
     D = np.ascontiguousarray(D, dtype=float)
     Y = np.asarray(Y, dtype=float)

@@ -21,6 +21,10 @@ __all__ = ["patch_grid_shape", "patch_cover", "extract_patches", "aggregate_patc
 # (1 MB at 8x8 patches on a 249-column grid) is read once from memory and 64 times from cache.
 _GRID_ROWS = 8
 
+# Windows gathered at a time by _gather_patches (256 KB at 8x8 patches), so a
+# gather holds little more than its result.
+_PICKS = 512
+
 
 def _check_geometry(image_shape, patch_size: int, stride: int):
     """Validated ``((H, W), p, s, (grid_rows, grid_cols))`` of a patch geometry."""
@@ -74,6 +78,20 @@ def extract_patches(image: np.ndarray, patch_size: int, stride: int = 1) -> np.n
     return np.array(_windows(img, p)[::s, ::s], order="C").reshape(-1, p * p).T
 
 
+def _gather_patches(image: np.ndarray, patch_size: int, stride: int, index: np.ndarray) -> np.ndarray:
+    """Columns ``index`` of ``extract_patches(image, patch_size, stride)``,
+    F-ordered like it, and only those are extracted: ``_PICKS`` windows at a
+    time straight into the result."""
+    img = np.asarray(image, dtype=float)
+    _, p, s, (_, gc) = _check_geometry(img.shape, patch_size, stride)
+    windows, (rows, cols) = _windows(img, p)[::s, ::s], np.divmod(index, gc)
+    out = np.empty((len(index), p * p))
+    for lo in range(0, len(index), _PICKS):
+        picks = slice(lo, lo + _PICKS)
+        out[picks].reshape(-1, p, p)[...] = windows[rows[picks], cols[picks]]
+    return out.T
+
+
 def _windows(img: np.ndarray, p: int) -> np.ndarray:
     """Every p x p window of ``img`` as a read-only view: ``windows[r, c]`` is
     the patch at (r, c) on the stride-1 grid, laid out so that its C order
@@ -82,13 +100,20 @@ def _windows(img: np.ndarray, p: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(img, (p, p)).swapaxes(2, 3)
 
 
-def aggregate_patches(patches: np.ndarray, image_shape, patch_size: int, stride: int = 1):
+def aggregate_patches(patches: np.ndarray, image_shape, patch_size: int, stride: int = 1, *, out=None):
     """Scatter patches back onto the image grid.
 
     Returns ``(total, cover)``: per-pixel sums of all patch values laid
     over that pixel, and per-pixel overlap counts.  ``cover`` is zero on
     pixels no grid patch touches (possible when the stride skips the
     image border).
+
+    With ``out``, a float64 array of ``image_shape``, the patch values are
+    added into it and it is returned as ``total``.  Each pixel takes its
+    patches in grid order, ``_GRID_ROWS`` grid rows at a time, so adding
+    the grid band by band into the rows of ``out`` each band covers, in
+    ascending bands of whole ``_GRID_ROWS`` blocks, gives the bits of one
+    call on the whole grid.
     """
     P = np.asarray(patches, dtype=float)
     (H, W), p, s, (gr, gc) = _check_geometry(image_shape, patch_size, stride)
@@ -97,7 +122,12 @@ def aggregate_patches(patches: np.ndarray, image_shape, patch_size: int, stride:
             f"patch matrix shape {getattr(P, 'shape', None)} does not match "
             f"({p * p}, {gr * gc}) for this geometry"
         )
-    total = np.zeros((H, W))
+    if out is None:
+        total = np.zeros((H, W))
+    elif out.dtype == np.float64 and out.shape == (H, W):
+        total = out
+    else:
+        raise ConfigError(f"out must be a float64 array of shape {(H, W)}, got {out.dtype} {out.shape}")
     for r0 in range(0, gr, _GRID_ROWS):
         r1 = min(gr, r0 + _GRID_ROWS)
         block = P[:, r0 * gc : r1 * gc]

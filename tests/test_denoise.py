@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -233,23 +235,27 @@ class TestDenoiseImage:
     @pytest.mark.parametrize("subsample", [None, 100])
     def test_learns_inside_the_patch_buffer(self, small_image, monkeypatch, subsample):
         """learn works in the patch buffer that extract_patches made (or in
-        the training subset), and OMP still codes the centered patches."""
+        a training subset gathered before any patch is extracted), and OMP
+        still codes the centered patches."""
         extract = sparsedl.denoise.extract_patches
         learn = sparsedl.denoise.learn
         omp = sparsedl.denoise.omp_code_matrix
-        seen = {}
+        seen = {"patches": [], "omp_input": []}
 
         def tracked_extract(*args, **kwargs):
-            seen["patches"] = extract(*args, **kwargs)
-            return seen["patches"]
+            seen["patches"].append(extract(*args, **kwargs))
+            return seen["patches"][-1]
 
         def checked_learn(Y, config, **kwargs):
             assert kwargs == {"overwrite_y": True}
-            assert np.shares_memory(Y, seen["patches"]) == (subsample is None)
+            if subsample is None:
+                assert len(seen["patches"]) == 1 and np.shares_memory(Y, seen["patches"][0])
+            else:
+                assert seen["patches"] == []
             return learn(Y, config, **kwargs)
 
         def checked_omp(D, Y, *args):
-            seen["omp_input"] = Y.copy()
+            seen["omp_input"].append(Y.copy())
             return omp(D, Y, *args)
 
         monkeypatch.setattr(sparsedl.denoise, "extract_patches", tracked_extract)
@@ -260,5 +266,58 @@ class TestDenoiseImage:
 
         want = extract_patches(noisy, 4, 2)
         want -= want.mean(axis=0)
-        got = seen["omp_input"]
+        got = np.hstack(seen["omp_input"])
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_subsample_is_the_centered_patch_rows(self, small_image, monkeypatch):
+        """The training subsample, gathered from the image by grid index,
+        holds the bits of the seeded rows of the whole centered patch buffer."""
+        learn = sparsedl.denoise.learn
+        seen = []
+
+        def tracked_learn(Y, config, **kwargs):
+            seen.append(Y.copy())
+            return learn(Y, config, **kwargs)
+
+        monkeypatch.setattr(sparsedl.denoise, "learn", tracked_learn)
+        noisy = add_gaussian_noise(small_image.astype(float), 20.0, seed=6)
+        for stride, m in ((1, 3000), (2, 500)):
+            config = _tiny_config(patch_size=8, num_atoms=64, stride=stride, max_train_patches=m, seed=3)
+            denoise_image(noisy, config)
+            Y = extract_patches(noisy, 8, stride)
+            Y -= Y.mean(axis=0)
+            want = Y.T[np.random.default_rng(3).choice(Y.shape[1], size=m, replace=False)].T
+            assert np.array_equal(seen[-1], want)
+
+    def test_default_cap_subsamples_only_above_it(self, monkeypatch):
+        """The default cap, 2**18 patches, leaves every image up to 512 x 512
+        (255,025 patches) learning on all of them, and caps a larger one."""
+        assert DenoiseConfig(sigma=20.0).max_train_patches == 2**18 > 505 * 505
+        learn = sparsedl.denoise.learn
+        trained = []
+
+        def counted_learn(Y, config, **kwargs):
+            trained.append(Y.shape[1])
+            return learn(Y, config, **kwargs)
+
+        monkeypatch.setattr(sparsedl.denoise, "learn", counted_learn)
+        noisy = add_gaussian_noise(np.full((520, 520), 128.0), 20.0, seed=7)
+        _, result = denoise_image(noisy, DenoiseConfig(sigma=20.0, num_atoms=64, iterations=1))
+        assert trained == [2**18] == [result.num_train_patches]
+        assert result.num_patches == 513 * 513
+        assert sum(result.omp_statuses.values()) == 513 * 513
+
+    def test_coding_pass_peak_does_not_grow_with_the_image(self, natural_image):
+        """The DCT pass codes one band of patch-grid rows at a time, so its
+        traced peak is about the same at 128 x 128 and 256 x 256, while the
+        whole 8 x 8 patch matrix grows by 24 MB between them."""
+        peaks = []
+        for size in (128, 256):
+            noisy = add_gaussian_noise(natural_image[:size, :size].astype(float), 20.0, seed=8)
+            tracemalloc.start()
+            try:
+                denoise_image(noisy, DenoiseConfig(sigma=20.0, iterations=0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 4e6

@@ -175,6 +175,25 @@ class TestStepOracles:
             atom_update_step(Y, D, C, 0, c_new)
 
 
+class TestAddProducts:
+    def test_rows_do_not_depend_on_the_chunk(self):
+        """``rows += C D^T`` on the whole buffer, or split at uneven row
+        bounds across the _GATHER chunks, gives bit-identical rows."""
+        rng = np.random.default_rng(47)
+        n, N, J = 64, 2 * sparsedl.learner._GATHER + 517, 256
+        D = _unit_columns(rng, n, J)
+        C = sparse.random_array((N, J), density=0.02, format="csc", rng=rng)
+        start = rng.standard_normal((N, n))
+        whole = start.copy()
+        sparsedl.learner._add_products(whole, C, D)
+        by_signal = C.tocsr()
+        split = start.copy()
+        bounds = [0, 1, 3000, sparsedl.learner._GATHER + 1, N - 1, N]
+        for lo, hi in zip(bounds, bounds[1:]):
+            sparsedl.learner._add_products(split[lo:hi], by_signal[lo:hi], D)
+        assert np.array_equal(split, whole)
+
+
 class TestMetrics:
     def test_objective_matches_dense(self):
         rng = np.random.default_rng(20)

@@ -162,6 +162,17 @@ class TestOmpCodeMatrix:
             assert np.array_equal(dense[i], code)
             assert statuses[i] == status
 
+    def test_statuses_are_the_module_constants(self):
+        """The status list repeats the three constants: no string of its own per signal."""
+        D = overcomplete_dct_dictionary(16, 36)
+        Y = np.random.default_rng(6).standard_normal((16, 1500))
+        Y[:, :500] = 0.0  # codes to zero at once
+        for goal, cap in ((1.0, None), (1.0, 2), (0.0, None)):
+            _, statuses = omp_code_matrix(D, Y, goal, cap)
+            assert len(statuses) == 1500
+            assert len({id(s) for s in statuses}) <= 3
+            assert all(s is REACHED_ERROR_GOAL or s is REACHED_ATOM_CAP or s is DEGENERATE for s in statuses)
+
     def test_rejects_non_matrix(self):
         with pytest.raises(ConfigError):
             omp_code_matrix(random_dictionary(4, 4, 0), np.ones(4), 1.0)
@@ -268,6 +279,24 @@ class TestBatchIndependence:
         for i in range(N):
             code, status = omp_code(D, Y[:, i], 2.0)
             assert np.array_equal(code, codes[i]) and status == statuses[i], i
+
+    def test_uneven_column_splits_match_one_call(self):
+        """Coding a patch matrix in uneven column splits, as denoise_image
+        codes it band by band, gives the rows and statuses of one call."""
+        rng = np.random.default_rng(24)
+        image = add_gaussian_noise(make_textured_scene(80, 2).astype(float), 20.0, 3)
+        Y = extract_patches(image, 8, 1)
+        Y -= Y.mean(axis=0)
+        D = overcomplete_dct_dictionary(64, 256)
+        D[:, 200:] = D[:, [0]]  # repeated atoms, as the learner's parked ones
+        goal = 64 * 1.15**2 * 400.0
+        for cap in (None, 2):
+            C, statuses = omp_code_matrix(D, Y, goal, cap)
+            cuts = np.sort(rng.choice(np.arange(1, Y.shape[1]), size=4, replace=False))
+            bounds = [0, 1, *cuts, Y.shape[1] - 1, Y.shape[1]]
+            parts = [omp_code_matrix(D, Y[:, lo:hi], goal, cap) for lo, hi in zip(bounds, bounds[1:])]
+            assert np.array_equal(sparse.vstack([c for c, _ in parts]).toarray(), C.toarray())
+            assert [s for _, part in parts for s in part] == statuses
 
     def test_mixed_stops_in_one_call_match_single_calls(self):
         """One call where signals stop at the goal, at the cap and on a

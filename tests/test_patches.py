@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sparsedl.exceptions import ConfigError
-from sparsedl.patches import aggregate_patches, extract_patches, patch_grid_shape
+from sparsedl.patches import _GRID_ROWS, _gather_patches, aggregate_patches, extract_patches, patch_grid_shape
 
 
 def _extract_by_loops(img, p, s):
@@ -77,6 +77,17 @@ class TestExtract:
             assert img[0, 0] == 0.0
 
 
+    def test_gather_picks_grid_columns(self):
+        rng = np.random.default_rng(11)
+        img = rng.random((40, 37)) * 255
+        for p, s in ((4, 1), (3, 2), (5, 3)):
+            allp = extract_patches(img, p, s)
+            index = rng.choice(allp.shape[1], size=allp.shape[1] // 2, replace=False)
+            got = _gather_patches(img, p, s, index)
+            assert np.array_equal(got, allp[:, index])
+            assert got.flags.f_contiguous
+
+
 class TestAggregate:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(8)
@@ -100,6 +111,26 @@ class TestAggregate:
             got_f = aggregate_patches(P, shape, p, s)
             got_c = aggregate_patches(np.ascontiguousarray(P), shape, p, s)
             assert np.array_equal(got_f[0], got_c[0]) and np.array_equal(got_f[1], got_c[1])
+
+    def test_bands_into_out_give_the_bits_of_one_call(self):
+        """Adding bands of whole _GRID_ROWS blocks of grid rows, in order, into
+        the image rows each band covers keeps every pixel's summation order."""
+        rng = np.random.default_rng(12)
+        for p, s, shape, blocks in [(3, 1, (60, 23), 1), (4, 2, (75, 30), 2), (8, 1, (90, 33), 3)]:
+            band = blocks * _GRID_ROWS
+            gr, gc = patch_grid_shape(shape, p, s)
+            P = rng.standard_normal((gr * gc, p * p)).T
+            whole, _ = aggregate_patches(P, shape, p, s)
+            total = np.zeros(shape)
+            for g0 in range(0, gr, band):
+                g1 = min(gr, g0 + band)
+                y0, y1 = g0 * s, (g1 - 1) * s + p
+                band_patches = P[:, g0 * gc : g1 * gc]
+                got, _ = aggregate_patches(band_patches, (y1 - y0, shape[1]), p, s, out=total[y0:y1])
+                assert np.shares_memory(got, total)
+            assert np.array_equal(total, whole)
+        with pytest.raises(ConfigError):
+            aggregate_patches(P, shape, p, s, out=np.zeros((shape[0] + 1, shape[1])))
 
     def test_round_trip_recovers_image(self):
         rng = np.random.default_rng(9)
