@@ -30,11 +30,18 @@ of its correlation row plus work in proportion to its union:
   once, into two reusable N-byte masks, for the rows that pass the
   threshold; only the new code can live there, so
   :func:`truncated_hard_threshold` sees only those values;
-- it gathers the union rows of R once (``_GATHER`` at a time), forms the
-  new atom from them and scatters back the rank-2 update ``+ c_old
-  d_old^T - c_new d_new^T``; it never reads the other codes;
+- it marks the old code's rows in that screen mask and reads the union
+  off it, already sorted; at ``lam = 0`` a passing row whose correlation
+  is exactly 0 gets no code but joins the union with zero weights;
+- it gathers the union rows of R once (``_GATHER`` at a time, through
+  ``take``), forms the new atom from them and scatters back the rank-2
+  update ``+ c_old d_old^T - c_new d_new^T``; it never reads the other
+  codes;
 - it moves the correlations of the block's later atoms by that update,
-  on the union columns only.
+  on the union columns only, taken and written back the same way.
+
+A union of all N rows is ``arange(N)``, so its chunks are slices of R and
+of the correlations, updated in place with no gather or scatter.
 
 An atom is *parked* while its code is empty and its column is exactly
 ``e1``, where the ``unit_basis`` policy puts an atom whose code comes back
@@ -108,7 +115,7 @@ _NORM_TOL = 1e-8
 # changing either changes the bits of a run.  Each GEMM reads all of R: at
 # N=62,001 (2 BLAS threads) those of one sweep took 177 ms in blocks of 8,
 # 104 ms in blocks of 16 and 74 ms in blocks of 32, but blocks of 32 raised
-# the peak RSS of a 256x256 denoise by up to 2.4 MB.
+# the peak RSS of a 256x256 denoise from 108 to 115 MB.
 _BLOCK = 16
 _GATHER = 4096
 
@@ -347,7 +354,7 @@ def _unit_atom(h: Optional[np.ndarray], d: np.ndarray, j: int, policy: str, rng)
         e1 = np.zeros(d.size)
         e1[0] = 1.0
         return e1
-    norm = np.linalg.norm(h)
+    norm = np.sqrt(h.dot(h))  # np.linalg.norm's own sum for a 1-D vector
     if norm == 0.0:
         raise InvariantError(
             f"atom {j}: residual/code product vanished for a nonzero code; "
@@ -364,31 +371,41 @@ def _atom_step(
     ``rows`` are sorted, distinct signals that hold every stored entry of
     c_j before and after its code update, and ``w`` (2 x rows.size) is the
     old and the new c_j on them.  ``R`` and ``D`` hold the state before the
-    visit.  Those rows of ``R`` are gathered ``_GATHER`` at a time: the new
+    visit.  Those rows of ``R`` are taken ``_GATHER`` at a time: the new
     atom is ``E_j c`` from them, normalized by :func:`_unit_atom`, and they
     get back the rank-2 update ``+ c_old d_old^T - c_new d_new^T``.  So on
     return ``R`` is the residual of the new code and atom.  Rows that fit
-    one chunk are gathered once; more are read again for the update; no
-    rows (both codes empty) leave ``R`` alone.  Returns the new atom and
-    leaves ``D`` as it was.
+    one chunk are taken once; more are taken again for the update; all N
+    rows are worked on as slices of ``R``, in place; no rows (both codes
+    empty) leave ``R`` alone.  Returns the new atom and leaves ``D`` as it
+    was.
     """
     d = D[:, j]
     if not rows.size:
         return _unit_atom(None, d, j, policy, rng)
+    # Sorted, distinct and N of them, the rows are arange(N).
+    whole = rows.size == R.shape[0]
     spans = [slice(lo, lo + _GATHER) for lo in range(0, rows.size, _GATHER)]
-    kept = R[rows] if len(spans) == 1 else None
+
+    def gather(s):
+        return R[s] if whole else R.take(rows[s], axis=0)
+
+    kept = gather(spans[0]) if len(spans) == 1 else None
     h = None
     if np.any(w[1]):
         h = _atom_term(d, w[0], w[1])
         for s in spans:
-            part = R[rows[s]] if kept is None else kept
+            part = gather(s) if kept is None else kept
             h += part.T @ w[1, s]
     d_new = _unit_atom(h, d, j, policy, rng)
-    change = np.stack((d, -d_new))
+    change = np.empty((2, d.size))
+    change[0] = d
+    np.negative(d_new, out=change[1])
     for s in spans:
-        part = R[rows[s]] if kept is None else kept
+        part = gather(s) if kept is None else kept
         part += w[:, s].T @ change
-        R[rows[s]] = part
+        if not whole:
+            R[rows[s]] = part
     return d_new
 
 
@@ -506,19 +523,30 @@ def _validated_dictionary(D, n: int, J: int) -> np.ndarray:
     return D / norms
 
 
-def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.union1d`` of two sorted arrays of distinct rows, without its slow hash path."""
-    rows = np.sort(np.concatenate((a, b)))
-    first = np.ones(rows.size, dtype=bool)
-    np.not_equal(rows[1:], rows[:-1], out=first[1:])
-    return rows[first]
+def _union(keep: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """The sorted rows that the screen mask ``keep`` holds or ``old`` names.
+
+    Marks ``old`` in ``keep`` (an N-byte mask) and reads the union off it,
+    with no sort.
+    """
+    keep[old] = True
+    return np.flatnonzero(keep)
 
 
 def _shift(corr: np.ndarray, g: np.ndarray, rows: np.ndarray, w: np.ndarray) -> None:
-    """``corr[:, rows] += g @ w``, ``_GATHER`` columns at a time."""
+    """``corr[:, rows] += g @ w``, ``_GATHER`` columns at a time.
+
+    The columns are taken and written back, or, when ``rows`` holds every
+    column (so it is ``arange(N)``), updated in place as slices.
+    """
+    whole = rows.size == corr.shape[1]
     for lo in range(0, rows.size, _GATHER):
         s = slice(lo, lo + _GATHER)
-        corr[:, rows[s]] += g @ w[:, s]
+        if whole:
+            corr[:, s] += g @ w[:, s]
+        else:
+            cols = rows[s]
+            corr[:, cols] = corr.take(cols, axis=1) + g @ w[:, s]
 
 
 def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
@@ -640,6 +668,9 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
     # visit allocates in proportion to its union, not to N.
     corr = np.empty((min(_BLOCK, J), N))
     masks = np.empty((2, N), dtype=bool)
+    # The old and new atom as the columns of g's operand; C-ordered, as an
+    # F-ordered one changes the bits of the product.
+    pair = np.empty((n, 2))
     for t in range(K):
         order = np.arange(J) if config.atom_order == "cyclic" else rng.permutation(J)
         D_prev = D.copy()
@@ -675,13 +706,15 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
                     e[old[0]] += old[1]
                     k += 1
                 # Only the rows that pass the threshold can hold the new code.
-                rows = np.flatnonzero(_survives(e, lam, masks))
+                keep = _survives(e, lam, masks)
+                rows = np.flatnonzero(keep)
                 c = truncated_hard_threshold(e[rows], lam, bound)
                 kept = np.flatnonzero(c)
                 support = rows[kept]
                 codes[j] = (support, c[kept])
-                # c_j before and after on every row where either is stored
-                union = _union(old[0], support)
+                # c_j before and after on every row where either is stored (and,
+                # at lam = 0, on the passing rows whose new code is exactly 0)
+                union = _union(keep, old[0])
                 w = np.zeros((2, union.size))
                 w[0, np.searchsorted(union, old[0])] = old[1]
                 w[1, np.searchsorted(union, support)] = codes[j][1]
@@ -695,7 +728,9 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
                 if k < block.size and union.size:
                     # R moved by c_old d_old^T - c_new d_new^T, and so do the
                     # later correlations R^T d_i.
-                    g = block_atoms[k:] @ np.column_stack((D[:, j], -d_new))
+                    pair[:, 0] = D[:, j]
+                    np.negative(d_new, out=pair[:, 1])
+                    g = block_atoms[k:] @ pair
                     _shift(corr[k : block.size], g, union, w)
                 delta_codes_sq += float(np.sum((w[1] - w[0]) ** 2))
                 D[:, j] = d_new
@@ -717,9 +752,10 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
 
     if overwrite_y and not in_place:
         Y[...] = R.T
-    # Before the result is allocated, so as not to pin them in the heap; e is
-    # the last visit's view of R or corr (unbound if there was no visit).
-    R = corr = masks = passing = e = None
+    # Before the result is allocated, so as not to pin them in the heap; e and
+    # keep are the last visit's views of R or corr and of masks (unbound if
+    # there was no visit).
+    R = corr = masks = passing = e = keep = None
     indptr = np.concatenate(([0], np.cumsum([rows.size for rows, _ in codes])))
     C = sparse.csc_array(
         (np.concatenate([vals for _, vals in codes]), np.concatenate([rows for rows, _ in codes]), indptr),

@@ -852,3 +852,146 @@ class TestParkedAtoms:
             assert not parked_visits.any()
         else:
             assert np.all(parked_visits[1:] > 0) and all(len(g) > 1 for g in gemms)
+
+
+def _atom_step_by_fancy_indexing(R, D, j, rows, w):
+    """``_atom_step`` for a nonempty new code, written with plain fancy
+    indexing (``R[rows]``, ``R[rows] = part``), ``np.stack`` and
+    ``np.linalg.norm``, over the same ``_GATHER`` chunks."""
+    spans = [slice(lo, lo + sparsedl.learner._GATHER) for lo in range(0, rows.size, sparsedl.learner._GATHER)]
+    d = D[:, j]
+    h = d * float(w[0] @ w[1])
+    for s in spans:
+        h += R[rows[s]].T @ w[1, s]
+    d_new = h / np.linalg.norm(h)
+    change = np.stack((d, -d_new))
+    for s in spans:
+        part = R[rows[s]]
+        part += w[:, s].T @ change
+        R[rows[s]] = part
+    return d_new
+
+
+class TestVisitDataPaths:
+    """The visit's gathers and scatters go through ``take``, slices of all N
+    rows and the screen mask; each must give the bits of plain fancy
+    indexing."""
+
+    G = sparsedl.learner._GATHER
+    N = 2 * G + 37
+
+    def _case(self, size, N=None, seed=0):
+        rng = np.random.default_rng(seed)
+        N = self.N if N is None else N
+        R = rng.standard_normal((N, 6))
+        D = _unit_columns(rng, 6, 3)
+        rows = np.sort(rng.choice(N, size, replace=False))
+        w = rng.standard_normal((2, size)) * (rng.random((2, size)) < 0.7)
+        w[1, 0] = 1.5  # a nonempty new code
+        return R, D, rows, w
+
+    @pytest.mark.parametrize(
+        "size, N",
+        [(1, N), (100, N), (G + 50, N), (N, N), (50, 50)],
+        ids=["one", "under-gather", "over-gather", "all", "all-in-one-gather"],
+    )
+    def test_atom_step_equals_fancy_indexing(self, size, N):
+        R, D, rows, w = self._case(size, N)
+        R_ref = R.copy()
+        d_new = sparsedl.learner._atom_step(R, D, 1, rows, w, "unit_basis", None)
+        d_ref = _atom_step_by_fancy_indexing(R_ref, D, 1, rows, w)
+        assert np.array_equal(d_new, d_ref) and np.array_equal(R, R_ref)
+
+    @pytest.mark.parametrize("size", [1, G - 1, G + 50, N], ids=["one", "under-gather", "over-gather", "all"])
+    def test_atom_step_for_an_emptied_code_takes_the_policy_atom(self, size):
+        R, D, rows, w = self._case(size, seed=1)
+        w[1] = 0.0
+        R_ref = R.copy()
+        d_new = sparsedl.learner._atom_step(R, D, 0, rows, w, "unit_basis", None)
+        for lo in range(0, size, self.G):
+            s = slice(lo, lo + self.G)
+            R_ref[rows[s]] += w[:, s].T @ np.stack((D[:, 0], -d_new))
+        assert np.array_equal(d_new, np.eye(6)[0]) and np.array_equal(R, R_ref)
+
+    @pytest.mark.parametrize("size", [1, 100, G + 50, N], ids=["one", "under-gather", "over-gather", "all"])
+    def test_shift_equals_fancy_indexing(self, size):
+        _, _, rows, w = self._case(size, seed=2)
+        rng = np.random.default_rng(3)
+        buffer = rng.standard_normal((sparsedl.learner._BLOCK, self.N))
+        g = rng.standard_normal((7, 2))
+        expected = buffer.copy()
+        for lo in range(0, size, self.G):
+            s = slice(lo, lo + self.G)
+            expected[4:11, rows[s]] += g @ w[:, s]
+        sparsedl.learner._shift(buffer[4:11], g, rows, w)  # a block's later rows, as learn passes them
+        assert np.array_equal(buffer, expected)
+
+    @pytest.mark.parametrize("old_size", [0, 1, 40])
+    def test_union_reads_the_screen_mask_marked_with_the_old_rows(self, old_size):
+        rng = np.random.default_rng(old_size)
+        keep = rng.random(200) < 0.2
+        old = np.sort(rng.choice(200, old_size, replace=False))
+        expected = np.union1d(np.flatnonzero(keep), old)
+        marked = keep.copy()
+        marked[old] = True
+        union = sparsedl.learner._union(keep, old)
+        assert union.dtype == np.intp and np.array_equal(union, expected)
+        assert np.array_equal(keep, marked)
+
+
+def _record_step_unions(monkeypatch):
+    """Wrap ``learn``'s atom step; returns the list of ``(rows, w)`` it receives."""
+    calls = []
+    step = sparsedl.learner._atom_step
+
+    def spy(R, D, j, rows, w, *args):
+        calls.append((rows.copy(), w.copy()))
+        return step(R, D, j, rows, w, *args)
+
+    monkeypatch.setattr(sparsedl.learner, "_atom_step", spy)
+    return calls
+
+
+class TestWholeUnions:
+    """Visits whose union holds every signal, which the atom step and the
+    shift work on as slices of R and of the correlations."""
+
+    def test_a_code_on_every_signal_matches_the_references(self, monkeypatch):
+        """Raw 4x4 patches keep their mean, so the DCT dictionary's constant
+        atom correlates with every one above lam and its code covers all N
+        signals, more than one gather's worth.  J spans two blocks, so that
+        visit also shifts later correlations on every column."""
+        Y = extract_patches(make_textured_scene(size=68, seed=3), 4, 1)
+        n, N = Y.shape
+        J, K, lam = 25, 2, 20.0
+        assert N > sparsedl.learner._GATHER
+        D0 = overcomplete_dct_dictionary(n, J)
+        _assert_matches_reference(Y, D0, None, K, lam)
+        calls = _record_step_unions(monkeypatch)
+        half_steps = HalfStepObjectives(monkeypatch, Y, D0, lam)
+        D, C, _ = learn(Y, _default_config(J, K, lam, D0))
+        half_steps.assert_replays(D, C)
+        seq = half_steps.sequence(K, J)
+        assert np.all(np.diff(seq) <= 1e-9 * np.abs(seq[:-1]))
+        assert any(rows.size == N for rows, _ in calls)
+
+    def test_a_passing_row_with_a_zero_code_joins_the_union_with_zero_weights(self, monkeypatch):
+        """At lam = 0 every row passes the screen.  Signal 3 is all zero, so
+        its correlations are exactly 0 and its code stays 0; it joins every
+        union, with zero old and new weights, and changes nothing."""
+        rng = np.random.default_rng(48)
+        n, N, J, K = 5, 30, 4, 3
+        Y = rng.standard_normal((n, N))
+        Y[:, 3] = 0.0
+        D0 = _unit_columns(rng, n, J)
+        _assert_matches_reference(Y, D0, None, K, 0.0)
+        calls = _record_step_unions(monkeypatch)
+        half_steps = HalfStepObjectives(monkeypatch, Y, D0, 0.0)
+        D, C, _ = learn(Y, _default_config(J, K, 0.0, D0))
+        half_steps.assert_replays(D, C)
+        seq = half_steps.sequence(K, J)
+        assert np.all(np.diff(seq) <= 1e-9 * np.abs(seq[:-1]))
+        assert len(calls) == K * J
+        for rows, w in calls:
+            assert np.array_equal(rows, np.arange(N)) and not w[:, 3].any()
+        assert C[[3]].nnz == 0 and C.nnz == (N - 1) * J
