@@ -6,10 +6,10 @@ Pipeline, parameterized by the (known) noise level sigma:
    patch's mean;
 2. learn a dictionary on the centered patches (sparsity weight
    ``lam_multiplier * sigma``, magnitude bound ``||Y_train||_F``, DCT
-   initialization, zero initial codes).  When it learns on every patch,
-   the learner works inside the one N x n patch buffer and leaves its
-   residual there.  Above ``max_train_patches`` patches it learns on a
-   seeded subsample, gathered from the image by grid index;
+   initialization, zero initial codes).  The training patches are
+   gathered from the image by grid index: all of them, or above
+   ``max_train_patches`` patches a seeded subsample.  The learner works
+   inside that buffer, and it is dropped once learning returns;
 3. re-code every centered patch against the learned dictionary with
    error-constrained OMP at goal ``n * error_gain^2 * sigma^2``;
 4. overwrite the patches with their estimates (each patch's mean plus
@@ -22,14 +22,12 @@ Steps 1, 3 and 4 run on one band of patch-grid rows at a time, in grid
 order: a band of about ``_BAND_PATCHES`` patches is taken, centered,
 coded, turned into estimates and added into ``patch_sum``, and the next
 band takes its place.  A band's patches come from the image through
-:func:`extract_patches`, or, after learning on every patch, from the
-learner's residual plus ``C D^T`` on the band's rows.  So besides
-image-sized buffers (the noisy image, ``patch_sum``, ``cover`` and the
-estimate) the coding pass holds the band it codes and, while the next
-band is taken, the one before; the N x n patch buffer and the N patch
-means exist only when the learner trains on every patch.  Every pixel sums its patch estimates
-in the order of one whole-grid aggregation, and OMP codes each patch as
-it would alone, so the bands do not change the bits.
+:func:`extract_patches`.  So besides image-sized buffers (the noisy
+image, ``patch_sum``, ``cover`` and the estimate) the coding pass holds
+the band it codes and, while the next band is taken, the one before.
+Every pixel sums its patch estimates in the order of one whole-grid
+aggregation, and OMP codes each patch as it would alone, so the bands do
+not change the bits.
 
 Setting ``iterations=0`` skips step 2 and codes against the fixed DCT
 dictionary, which is the baseline the reports compare against.
@@ -101,6 +99,8 @@ def psnr(reference: np.ndarray, estimate: np.ndarray, peak: float = 255.0) -> fl
     b = np.asarray(estimate, dtype=float)
     if a.shape != b.shape:
         raise ConfigError(f"shape mismatch {a.shape} vs {b.shape}")
+    if a.size == 0:
+        raise ConfigError("cannot compare empty arrays")
     if not (np.isfinite(peak) and peak > 0.0):
         raise ConfigError(f"peak must be finite and positive, got {peak}")
     mse = float(np.mean((a - b) ** 2))
@@ -199,18 +199,14 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
 
     trace = None
     D = D0
-    Y = None  # every centered patch, held only when learning on all of them
     if config.iterations > 0:
         if num_train < N:
-            rng = np.random.default_rng(config.seed)
-            train = _gather_patches(noisy, p, s, rng.choice(N, size=num_train, replace=False))
-            train -= train.mean(axis=0)
+            index = np.random.default_rng(config.seed).choice(N, size=num_train, replace=False)
         else:
-            train = Y = extract_patches(noisy, p, s)  # Y.T is the C-ordered patch buffer
-            means = Y.mean(axis=0)
-            Y -= means
-        # learn leaves its residual Y - D C^T in train
-        D, C, trace = learn(
+            index = np.arange(N)
+        train = _gather_patches(noisy, p, s, index)  # train.T is C-ordered: learn works in it
+        train -= train.mean(axis=0)
+        D, _, trace = learn(
             train,
             LearnConfig(
                 num_atoms=J,
@@ -221,9 +217,7 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
             ),
             overwrite_y=True,
         )
-        del train  # a subsample is not read again
-        if Y is not None:
-            codes_by_signal = C.tocsr()
+        del train  # learn left its residual here; coding takes the patches anew
 
     error_goal = n * config.error_gain**2 * sigma**2
     total = np.zeros(noisy.shape)
@@ -234,14 +228,9 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
     for g0 in range(0, gr, band):
         g1 = min(gr, g0 + band)
         y0, y1 = g0 * s, (g1 - 1) * s + p  # the image rows the band's patches cover
-        if Y is None:
-            P = extract_patches(noisy[y0:y1], p, s)
-            mu = P.mean(axis=0)
-            P -= mu
-        else:  # put the band's patches back from the residual: R + C D^T
-            cols = slice(g0 * gc, g1 * gc)
-            P, mu = Y[:, cols], means[cols]
-            _add_products(P.T, codes_by_signal[cols], D)
+        P = extract_patches(noisy[y0:y1], p, s)
+        mu = P.mean(axis=0)
+        P -= mu
         codes, stops = omp_code_matrix(D, P, error_goal)
         statuses.update(stops)
         # the estimates overwrite the patches: each patch's mean plus D c

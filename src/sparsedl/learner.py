@@ -445,6 +445,8 @@ def sparsity_factor(C, signal_dim: int) -> float:
     if signal_dim < 1:
         raise ConfigError("signal_dim must be positive")
     N = C.shape[0]
+    if N < 1:
+        raise ConfigError("code matrix has no signals")
     return _code_nnz(C) / (signal_dim * N)
 
 
@@ -569,10 +571,11 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
         Carry the residual in ``Y``'s memory instead of a private N x n
         copy; ``Y`` must then be a writeable float64 ndarray.  On return
         ``Y`` holds the final residual ``Y - D C^T``.  An F-ordered ``Y``
-        (signal-major, as :func:`sparsedl.patches.extract_patches` makes)
-        is worked on in place; any other is copied and the residual copied
-        back.  The results are the same bits either way.  If ``learn``
-        raises after validation, ``Y``'s contents are undefined.
+        (signal-major, as the patch extractors make it; the denoiser
+        trains in patches gathered this way) is worked on in place; any
+        other is copied and the residual copied back.  The results are
+        the same bits either way.  If ``learn`` raises after validation,
+        ``Y``'s contents are undefined.
 
     Returns
     -------

@@ -71,7 +71,9 @@ def extract_patches(image: np.ndarray, patch_size: int, stride: int = 1) -> np.n
     row-major).  It is F-ordered, the transpose of a C-ordered
     (num_patches, patch_size**2) buffer, so each patch is contiguous in
     memory: the signal-major layout the learner carries its residual
-    in, which ``learn(..., overwrite_y=True)`` uses in place.
+    in, which ``learn(..., overwrite_y=True)`` uses in place.  The
+    denoiser takes the patches it codes from here, one band at a time;
+    it learns in a gathered training set of the same layout.
     """
     img = np.asarray(image, dtype=float)
     _, p, s, _ = _check_geometry(img.shape, patch_size, stride)
@@ -81,7 +83,9 @@ def extract_patches(image: np.ndarray, patch_size: int, stride: int = 1) -> np.n
 def _gather_patches(image: np.ndarray, patch_size: int, stride: int, index: np.ndarray) -> np.ndarray:
     """Columns ``index`` of ``extract_patches(image, patch_size, stride)``,
     F-ordered like it, and only those are extracted: ``_PICKS`` windows at a
-    time straight into the result."""
+    time straight into the result.  The denoiser's training set, which
+    ``learn(..., overwrite_y=True)`` works in; ``index = arange(N)`` gives
+    the bits of the whole extraction."""
     img = np.asarray(image, dtype=float)
     _, p, s, (_, gc) = _check_geometry(img.shape, patch_size, stride)
     windows, (rows, cols) = _windows(img, p)[::s, ::s], np.divmod(index, gc)

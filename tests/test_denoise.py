@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -71,6 +72,8 @@ class TestPsnr:
         for peak in (0.0, np.nan, np.inf):
             with pytest.raises(ConfigError):
                 psnr(np.zeros((2, 2)), np.zeros((2, 2)), peak=peak)
+        with pytest.raises(ConfigError, match="empty"):
+            psnr(np.zeros((0, 3)), np.zeros((0, 3)))
 
 
 class TestQuantize:
@@ -234,31 +237,30 @@ class TestDenoiseImage:
 
     @pytest.mark.parametrize("subsample", [None, 100])
     def test_learns_inside_the_patch_buffer(self, small_image, monkeypatch, subsample):
-        """learn works in the patch buffer that extract_patches made (or in
-        a training subset gathered before any patch is extracted), and OMP
-        still codes the centered patches."""
+        """learn works in place in a training set gathered from the image
+        before any patch is extracted, and OMP codes the centered patches
+        that extract_patches takes from the image, bit for bit."""
         extract = sparsedl.denoise.extract_patches
         learn = sparsedl.denoise.learn
         omp = sparsedl.denoise.omp_code_matrix
-        seen = {"patches": [], "omp_input": []}
+        seen = {"extracted": 0, "learned": 0, "omp_input": []}
 
-        def tracked_extract(*args, **kwargs):
-            seen["patches"].append(extract(*args, **kwargs))
-            return seen["patches"][-1]
+        def counted_extract(*args, **kwargs):
+            seen["extracted"] += 1
+            return extract(*args, **kwargs)
 
         def checked_learn(Y, config, **kwargs):
             assert kwargs == {"overwrite_y": True}
-            if subsample is None:
-                assert len(seen["patches"]) == 1 and np.shares_memory(Y, seen["patches"][0])
-            else:
-                assert seen["patches"] == []
+            assert seen["extracted"] == 0
+            assert Y.T.flags.c_contiguous
+            seen["learned"] += 1
             return learn(Y, config, **kwargs)
 
         def checked_omp(D, Y, *args):
             seen["omp_input"].append(Y.copy())
             return omp(D, Y, *args)
 
-        monkeypatch.setattr(sparsedl.denoise, "extract_patches", tracked_extract)
+        monkeypatch.setattr(sparsedl.denoise, "extract_patches", counted_extract)
         monkeypatch.setattr(sparsedl.denoise, "learn", checked_learn)
         monkeypatch.setattr(sparsedl.denoise, "omp_code_matrix", checked_omp)
         noisy = add_gaussian_noise(small_image[:48, :48].astype(float), 20.0, seed=5)
@@ -266,12 +268,38 @@ class TestDenoiseImage:
 
         want = extract_patches(noisy, 4, 2)
         want -= want.mean(axis=0)
-        got = np.hstack(seen["omp_input"])
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert seen["learned"] == 1
+        assert np.array_equal(np.hstack(seen["omp_input"]), want)
+
+    def test_training_buffer_is_freed_before_coding(self, small_image, monkeypatch):
+        """The buffer learn trained in is released before OMP codes the
+        first band, whether it holds every patch or a subsample."""
+        learn = sparsedl.denoise.learn
+        omp = sparsedl.denoise.omp_code_matrix
+        refs = []
+
+        def tracked_learn(Y, config, **kwargs):
+            owner = Y
+            while owner.base is not None:
+                owner = owner.base
+            refs.append(weakref.ref(owner))
+            return learn(Y, config, **kwargs)
+
+        def checked_omp(*args):
+            assert refs and refs[-1]() is None, "the training buffer outlives learning"
+            return omp(*args)
+
+        monkeypatch.setattr(sparsedl.denoise, "learn", tracked_learn)
+        monkeypatch.setattr(sparsedl.denoise, "omp_code_matrix", checked_omp)
+        noisy = add_gaussian_noise(small_image[:48, :48].astype(float), 20.0, seed=4)
+        for config in (_tiny_config(), _tiny_config(max_train_patches=100)):
+            denoise_image(noisy, config)
+        assert len(refs) == 2
 
     def test_subsample_is_the_centered_patch_rows(self, small_image, monkeypatch):
-        """The training subsample, gathered from the image by grid index,
-        holds the bits of the seeded rows of the whole centered patch buffer."""
+        """The training set, gathered from the image by grid index, holds
+        the bits of the seeded rows of the whole centered patch buffer, or
+        of all of it when learning is not capped."""
         learn = sparsedl.denoise.learn
         seen = []
 
@@ -281,13 +309,14 @@ class TestDenoiseImage:
 
         monkeypatch.setattr(sparsedl.denoise, "learn", tracked_learn)
         noisy = add_gaussian_noise(small_image.astype(float), 20.0, seed=6)
-        for stride, m in ((1, 3000), (2, 500)):
+        for stride, m in ((1, 3000), (2, 500), (2, None)):
             config = _tiny_config(patch_size=8, num_atoms=64, stride=stride, max_train_patches=m, seed=3)
             denoise_image(noisy, config)
             Y = extract_patches(noisy, 8, stride)
             Y -= Y.mean(axis=0)
-            want = Y.T[np.random.default_rng(3).choice(Y.shape[1], size=m, replace=False)].T
-            assert np.array_equal(seen[-1], want)
+            if m is not None:
+                Y = Y.T[np.random.default_rng(3).choice(Y.shape[1], size=m, replace=False)].T
+            assert np.array_equal(seen[-1], Y)
 
     def test_default_cap_subsamples_only_above_it(self, monkeypatch):
         """The default cap, 2**18 patches, leaves every image up to 512 x 512

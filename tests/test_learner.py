@@ -227,6 +227,8 @@ class TestMetrics:
         assert sparsity_factor(sparse.csc_array(C), 8) == pytest.approx(4 / 80)
         with pytest.raises(ConfigError):
             sparsity_factor(C, 0)
+        with pytest.raises(ConfigError, match="no signals"):
+            sparsity_factor(np.zeros((0, 6)), 8)
 
 
 def _default_config(J, K, lam, D0, **kw):

@@ -82,10 +82,11 @@ class TestExtract:
         img = rng.random((40, 37)) * 255
         for p, s in ((4, 1), (3, 2), (5, 3)):
             allp = extract_patches(img, p, s)
-            index = rng.choice(allp.shape[1], size=allp.shape[1] // 2, replace=False)
-            got = _gather_patches(img, p, s, index)
-            assert np.array_equal(got, allp[:, index])
-            assert got.flags.f_contiguous
+            N = allp.shape[1]
+            for index in (rng.choice(N, size=N // 2, replace=False), np.arange(N)):
+                got = _gather_patches(img, p, s, index)
+                assert np.array_equal(got, allp[:, index])
+                assert got.flags.f_contiguous
 
 
 class TestAggregate:
