@@ -20,19 +20,22 @@ d_j c_j^T`` the residual without atom j, a visit needs only
     E_j^T d_j = R^T d_j + c_j        (the code update's input)
     E_j c     = R c + d_j (c_j . c)  (the atom update's input)
 
-and changes R only on the rows in the supports of the old and new code
-(their *union*).  An atom changes only at its own visit, so ``learn``
-forms the correlations ``R^T d_j`` of the next 16 (``_BLOCK``) unparked
-atoms of the visit order with one GEMM.  A visit then costs one screen
-of its correlation row plus work in proportion to its union:
+and changes R only on the rows where the old or the new code is stored.
+Those lie in the visit's one row set, its *union*: the rows whose
+``E_j^T d_j`` passes the threshold, where alone the new code can be
+stored, and the old code's rows.  An atom changes only at its own visit,
+so ``learn`` forms the correlations ``R^T d_j`` of the next 16
+(``_BLOCK``) unparked atoms of the visit order with one GEMM.  A visit
+then costs one screen of its correlation row plus work in proportion to
+its union:
 
-- it adds ``c_j`` to the row on the old code's rows and screens the row
-  once, into two reusable N-byte masks, for the rows that pass the
-  threshold; only the new code can live there, so
-  :func:`truncated_hard_threshold` sees only those values;
-- it marks the old code's rows in that screen mask and reads the union
-  off it, already sorted; at ``lam = 0`` a passing row whose correlation
-  is exactly 0 gets no code but joins the union with zero weights;
+- it adds ``c_j`` to the row on the old code's rows, screens the row once
+  into two reusable N-byte masks, marks the old code's rows in that
+  screen mask and reads the union off it, already sorted;
+- :func:`truncated_hard_threshold` sees the row on the union only, and
+  its result is the new code on the union; at ``lam = 0`` a passing row
+  whose correlation is exactly 0 gets no code but stays in the union
+  with zero weights;
 - it gathers the union rows of R once (``_GATHER`` at a time, through
   ``take``), forms the new atom from them and scatters back the rank-2
   update ``+ c_old d_old^T - c_new d_new^T``; it never reads the other
@@ -49,13 +52,13 @@ empty.  Its ``E_j^T d_j`` is then exactly ``R[:, 0]``, so its visit takes
 no GEMM row and no correction.  ``learn`` keeps an N-byte record of the
 rows whose ``R[i, 0]`` passes the threshold and ``hot``, their exact
 number, both brought up to date on each visit's union rows after its
-atom step, and a parked visit screens ``R[:, 0]`` while ``hot`` is
-positive.  While it is 0, the common case, no row can pass: the visit
-calls the threshold on no values and the atom step on no rows, builds no
-union and leaves R alone, and only the policy's atom can change it (it
-stays ``e1`` under ``unit_basis`` and ``keep_previous``).  Parking
-changes only at an atom's own visit, so each block is known exactly when
-it is formed.
+atom step.  That record is a parked visit's screen, and with no old code
+its union, so a parked visit screens nothing.  While ``hot`` is 0, the
+common case, no row can pass: the visit calls the threshold on no values
+and the atom step on no rows, builds no union and leaves R alone, and
+only the policy's atom can change it (it stays ``e1`` under
+``unit_basis`` and ``keep_previous``).  Parking changes only at an
+atom's own visit, so each block is known exactly when it is formed.
 
 The codes are kept as per-atom ``(rows, values)`` pairs and assembled
 into one CSC array on return; the per-sweep objective is ``||R||_F^2 +
@@ -444,7 +447,9 @@ def sparsity_factor(C, signal_dim: int) -> float:
     """
     if signal_dim < 1:
         raise ConfigError("signal_dim must be positive")
-    N = C.shape[0]
+    if np.ndim(C) != 2:
+        raise ConfigError(f"code matrix must be 2-D, got shape {np.shape(C)}")
+    N = np.shape(C)[0]
     if N < 1:
         raise ConfigError("code matrix has no signals")
     return _code_nnz(C) / (signal_dim * N)
@@ -569,12 +574,11 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
     config : LearnConfig
     overwrite_y : bool
         Carry the residual in ``Y``'s memory instead of a private N x n
-        copy; ``Y`` must then be a writeable float64 ndarray.  On return
-        ``Y`` holds the final residual ``Y - D C^T``.  An F-ordered ``Y``
+        copy; ``Y`` must then be a writeable, F-ordered float64 ndarray
         (signal-major, as the patch extractors make it; the denoiser
-        trains in patches gathered this way) is worked on in place; any
-        other is copied and the residual copied back.  The results are
-        the same bits either way.  If ``learn`` raises after validation,
+        trains in patches gathered this way).  On return ``Y`` holds the
+        final residual ``Y - D C^T``; the results are the bits of a run
+        without ``overwrite_y``.  If ``learn`` raises after validation,
         ``Y``'s contents are undefined.
 
     Returns
@@ -599,8 +603,8 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] < 1 or Y.shape[1] < 1:
         raise ConfigError(f"training matrix must be 2-D and non-empty, got shape {Y.shape}")
-    if overwrite_y and (Y is not given or not Y.flags.writeable):
-        raise ConfigError("overwrite_y needs the training matrix as a writeable float64 ndarray")
+    if overwrite_y and (Y is not given or not Y.flags.writeable or not Y.T.flags.c_contiguous):
+        raise ConfigError("overwrite_y needs the training matrix as a writeable, F-ordered float64 ndarray")
     if not np.all(np.isfinite(Y)):
         raise ConfigError("training matrix must be finite")
     n, N = Y.shape
@@ -625,8 +629,7 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
 
     # The residual Y^T - C D^T, signal-major: row i is signal i.  Taken
     # over R, ||Y||_F sums in one order whatever Y's memory order.
-    in_place = overwrite_y and Y.T.flags.c_contiguous
-    R = Y.T if in_place else np.array(Y.T, order="C")
+    R = Y.T if overwrite_y else np.array(Y.T, order="C")
     ynorm = float(np.linalg.norm(R))
     bound = ynorm if config.code_bound is None else float(config.code_bound)
     if not (np.isfinite(bound) and bound > lam):
@@ -702,25 +705,22 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
                     D[:, j] = d_new = _atom_step(R, D, j, old[0], np.empty((2, 0)), policy, rng)
                     parked[j] = np.array_equal(d_new, e1)
                     continue
-                if parked[j]:  # E_j^T d_j = R[:, 0], and old is empty
+                # The union: the rows that pass the threshold, where alone the
+                # new code can live, and the old code's rows.
+                if parked[j]:  # E_j^T d_j = R[:, 0], old is empty and passing its screen
                     e = R[:, 0]
+                    union = np.flatnonzero(passing)
                 else:  # E_j^T d_j = R^T d_j + c_j; a code's rows are distinct
                     e = corr[k]
                     e[old[0]] += old[1]
                     k += 1
-                # Only the rows that pass the threshold can hold the new code.
-                keep = _survives(e, lam, masks)
-                rows = np.flatnonzero(keep)
-                c = truncated_hard_threshold(e[rows], lam, bound)
-                kept = np.flatnonzero(c)
-                support = rows[kept]
-                codes[j] = (support, c[kept])
-                # c_j before and after on every row where either is stored (and,
-                # at lam = 0, on the passing rows whose new code is exactly 0)
-                union = _union(keep, old[0])
+                    union = _union(_survives(e, lam, masks), old[0])
+                # c_j before and after on the union
                 w = np.zeros((2, union.size))
                 w[0, np.searchsorted(union, old[0])] = old[1]
-                w[1, np.searchsorted(union, support)] = codes[j][1]
+                w[1] = truncated_hard_threshold(e[union], lam, bound)
+                kept = np.flatnonzero(w[1])
+                codes[j] = (union[kept], w[1, kept])
                 hot -= int(np.count_nonzero(passing[union]))
                 try:
                     d_new = _atom_step(R, D, j, union, w, policy, rng)
@@ -737,8 +737,8 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
                     _shift(corr[k : block.size], g, union, w)
                 delta_codes_sq += float(np.sum((w[1] - w[0]) ** 2))
                 D[:, j] = d_new
-                nnz += support.size - old[0].size
-                parked[j] = support.size == 0 and np.array_equal(d_new, e1)
+                nnz += kept.size - old[0].size
+                parked[j] = kept.size == 0 and np.array_equal(d_new, e1)
             lo = hi
 
         # Exact updates cannot raise the objective, so a rise (or a NaN) is a fault.
@@ -753,12 +753,9 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
         trace.delta_codes[t] = np.sqrt(delta_codes_sq)
         trace.empty_atoms[t] = sum(rows.size == 0 for rows, _ in codes)
 
-    if overwrite_y and not in_place:
-        Y[...] = R.T
-    # Before the result is allocated, so as not to pin them in the heap; e and
-    # keep are the last visit's views of R or corr and of masks (unbound if
-    # there was no visit).
-    R = corr = masks = passing = e = keep = None
+    # Before the result is allocated, so as not to pin them in the heap; e is
+    # the last visit's view of R or corr (unbound if there was no visit).
+    R = corr = masks = passing = e = None
     indptr = np.concatenate(([0], np.cumsum([rows.size for rows, _ in codes])))
     C = sparse.csc_array(
         (np.concatenate([vals for _, vals in codes]), np.concatenate([rows for rows, _ in codes]), indptr),

@@ -112,12 +112,13 @@ def aggregate_patches(patches: np.ndarray, image_shape, patch_size: int, stride:
     pixels no grid patch touches (possible when the stride skips the
     image border).
 
-    With ``out``, a float64 array of ``image_shape``, the patch values are
-    added into it and it is returned as ``total``.  Each pixel takes its
-    patches in grid order, ``_GRID_ROWS`` grid rows at a time, so adding
-    the grid band by band into the rows of ``out`` each band covers, in
-    ascending bands of whole ``_GRID_ROWS`` blocks, gives the bits of one
-    call on the whole grid.
+    With ``out``, a writeable float64 ndarray of ``image_shape`` (any
+    other raises ``ConfigError`` before a pixel is written), the patch
+    values are added into it and it is returned as ``total``.  Each pixel
+    takes its patches in grid order, ``_GRID_ROWS`` grid rows at a time,
+    so adding the grid band by band into the rows of ``out`` each band
+    covers, in ascending bands of whole ``_GRID_ROWS`` blocks, gives the
+    bits of one call on the whole grid.
     """
     P = np.asarray(patches, dtype=float)
     (H, W), p, s, (gr, gc) = _check_geometry(image_shape, patch_size, stride)
@@ -128,10 +129,11 @@ def aggregate_patches(patches: np.ndarray, image_shape, patch_size: int, stride:
         )
     if out is None:
         total = np.zeros((H, W))
-    elif out.dtype == np.float64 and out.shape == (H, W):
+    elif isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (H, W) and out.flags.writeable:
         total = out
     else:
-        raise ConfigError(f"out must be a float64 array of shape {(H, W)}, got {out.dtype} {out.shape}")
+        got = f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}"
+        raise ConfigError(f"out must be a writeable float64 ndarray of shape {(H, W)}, got {got}")
     for r0 in range(0, gr, _GRID_ROWS):
         r1 = min(gr, r0 + _GRID_ROWS)
         block = P[:, r0 * gc : r1 * gc]

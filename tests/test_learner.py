@@ -229,6 +229,9 @@ class TestMetrics:
             sparsity_factor(C, 0)
         with pytest.raises(ConfigError, match="no signals"):
             sparsity_factor(np.zeros((0, 6)), 8)
+        assert sparsity_factor(C.tolist(), 8) == pytest.approx(4 / 80)
+        with pytest.raises(ConfigError, match="2-D"):
+            sparsity_factor(np.zeros(3), 2)
 
 
 def _default_config(J, K, lam, D0, **kw):
@@ -357,13 +360,13 @@ class TestLearn:
         assert np.abs(want[1]).max() > 0.0
         assert any(np.count_nonzero(want[1][:, j]) > sparsedl.learner._GATHER for j in range(J))
         residual = Y0 - want[0] @ want[1].T
-        for Y in (Y0.copy(), np.asfortranarray(Y0)):  # copied back, and in place
-            got = run(Y, overwrite_y=True)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
-            assert np.linalg.norm(Y - residual) <= 1e-10 * np.linalg.norm(residual)
+        Y = np.asfortranarray(Y0)
+        got = run(Y, overwrite_y=True)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert np.linalg.norm(Y - residual) <= 1e-10 * np.linalg.norm(residual)
         frozen = np.asfortranarray(Y0)
         frozen.flags.writeable = False
-        for bad in (Y0.astype(np.float32), Y0.tolist(), frozen):
+        for bad in (Y0.astype(np.float32), Y0.tolist(), frozen, Y0.copy()):
             with pytest.raises(ConfigError, match="overwrite_y"):
                 learn(bad, config, overwrite_y=True)
 
@@ -415,22 +418,35 @@ class TestLearn:
             tracemalloc.stop()
         assert peak < Y.nbytes / 4
 
-    def test_thresholds_only_rows_that_pass(self, monkeypatch):
-        """Each visit screens its correlations once and hands the threshold
-        only the rows that pass it, parked or not, so no threshold input
-        holds a value below lam."""
+    def test_thresholds_the_union_of_passing_and_old_rows(self, monkeypatch):
+        """Each visit hands the threshold its correlations on the rows it
+        then hands the atom step, parked or not, and a value there below lam
+        lies on a row of the old code: the other rows passed the screen."""
         Y = _small_scene_patches()
         lam, J, K = 100.0, 64, 3
-        below = []
+        inputs, steps = [], []
         threshold = sparsedl.learner.truncated_hard_threshold
+        step = sparsedl.learner._atom_step
 
-        def spy(b, *args):
-            below.append(int(np.count_nonzero(np.abs(b) < lam)))
+        def threshold_spy(b, *args):
+            inputs.append(np.array(b))
             return threshold(b, *args)
 
-        monkeypatch.setattr(sparsedl.learner, "truncated_hard_threshold", spy)
+        def step_spy(R, D, j, rows, w, *args):
+            steps.append(w[0].copy())
+            return step(R, D, j, rows, w, *args)
+
+        monkeypatch.setattr(sparsedl.learner, "truncated_hard_threshold", threshold_spy)
+        monkeypatch.setattr(sparsedl.learner, "_atom_step", step_spy)
         learn(Y, _default_config(J, K, lam, overcomplete_dct_dictionary(64, J)))
-        assert len(below) == K * J and not any(below)
+        assert len(inputs) == len(steps) == K * J
+        below = 0
+        for b, old in zip(inputs, steps):
+            assert b.size == old.size
+            low = np.abs(b) < lam
+            assert np.all(old[low] != 0.0)
+            below += int(np.count_nonzero(low))
+        assert below > 0
 
     def test_trace_matches_recomputation(self):
         rng = np.random.default_rng(31)
@@ -700,6 +716,27 @@ class TestParkedAtoms:
         gemms = _record_gemm_atoms(monkeypatch)
         learn(Y, _default_config(3, 1, lam, self.D0, init_codes=C0))
         assert gemms == [[0, 2]]
+
+    def test_only_gemm_rows_are_screened(self, monkeypatch):
+        """In the lifted-row case, atom 1's parked visit reads its screen off
+        the record of hot rows: the screens into the reusable masks (the
+        _survives calls with out=) are the rows of the block GEMMs."""
+        Y = np.array([[1.0, 2.0, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 3.0], [0.0, 0.0, 1.0]])
+        C0 = np.zeros((3, 3))
+        C0[:, 0] = [np.sqrt(2.0), 2.0 * np.sqrt(2.0), 0.0]
+        gemms = _record_gemm_atoms(monkeypatch)
+        screens = []
+        survives = sparsedl.learner._survives
+
+        def spy(b, lam, out=None):
+            if out is not None:
+                screens.append(np.size(b))
+            return survives(b, lam, out)
+
+        monkeypatch.setattr(sparsedl.learner, "_survives", spy)
+        D, C, _ = learn(Y, _default_config(3, 1, 0.5, self.D0, init_codes=C0))
+        assert C.toarray()[0, 1] != 0.0  # atom 1 took the lifted row
+        assert gemms == [[0, 2]] and len(screens) == sum(map(len, gemms))
 
     def test_parked_visit_after_the_last_hot_row_stays_empty(self, monkeypatch):
         """Signal 0 is the one row with |R[i, 0]| >= lam; atom 0's visit takes

@@ -130,8 +130,11 @@ class TestAggregate:
                 got, _ = aggregate_patches(band_patches, (y1 - y0, shape[1]), p, s, out=total[y0:y1])
                 assert np.shares_memory(got, total)
             assert np.array_equal(total, whole)
-        with pytest.raises(ConfigError):
-            aggregate_patches(P, shape, p, s, out=np.zeros((shape[0] + 1, shape[1])))
+        frozen = np.zeros(shape)
+        frozen.flags.writeable = False
+        for bad in (np.zeros((shape[0] + 1, shape[1])), np.zeros(shape).tolist(), frozen):
+            with pytest.raises(ConfigError, match="out must be"):
+                aggregate_patches(P, shape, p, s, out=bad)
 
     def test_round_trip_recovers_image(self):
         rng = np.random.default_rng(9)
