@@ -83,11 +83,18 @@ def _list_of(kind, what: str):
 def _build_parser() -> _Parser:
     from .denoise import DenoiseConfig
     from .dictionaries import INIT_KINDS
+    from .experiments import _TABLE_SETTINGS
     from .learner import ATOM_ORDERS, EMPTY_CODE_POLICIES
 
     parser = _Parser(prog="sparsedl", description="Sparse dictionary learning tools.")
     sub = parser.add_subparsers(dest=argparse.SUPPRESS, required=True, metavar="command")
     quiet = dict(argument_default=argparse.SUPPRESS)  # an omitted flag sets nothing
+
+    def add_denoise_flags(p, fields):
+        for key, (field, kind, text) in _DENOISE_KEYS.items():
+            if field in fields:
+                text = text and text.format(getattr(DenoiseConfig, field, None))
+                p.add_argument("--" + key.replace("_", "-"), dest=field, type=kind, help=text)
 
     p = sub.add_parser("learn", help="learn a dictionary from a matrix text file", **quiet)
     p.add_argument("--data", required=True, help="training matrix (text format, one signal per column)")
@@ -119,9 +126,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="denoised output image (PGM)")
     p.add_argument("--clean", help="clean reference image enabling PSNR reporting")
     p.add_argument("--report", help="PSNR report CSV (needs --clean)")
-    for key, (field, kind, text) in _DENOISE_KEYS.items():
-        text = text and text.format(getattr(DenoiseConfig, field, None))
-        p.add_argument("--" + key.replace("_", "-"), dest=field, type=kind, help=text)
+    add_denoise_flags(p, [field for field, _, _ in _DENOISE_KEYS.values()])
     p.add_argument("--config", help="key=value file supplying defaults for the flags above")
     p.set_defaults(func=_cmd_denoise)
 
@@ -147,8 +152,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--lambdas",
         type=_list_of(float, "number"),
-        default="100,80,69,55,40,30,20,15",
-        help="comma-separated grid",
+        help="comma-separated grid (default: eight weights from 100 down to 15)",
     )
     p.add_argument("--patches", dest="num_patches", type=int)
     p.add_argument("--atoms", dest="num_atoms", type=int)
@@ -169,11 +173,7 @@ def _build_parser() -> _Parser:
         "--sigmas", type=_list_of(float, "number"), required=True, help="comma-separated noise levels"
     )
     p.add_argument("--out", dest="out_csv", required=True)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--atoms", dest="num_atoms", type=int)
-    p.add_argument("--iters", dest="iterations", type=int)
-    p.add_argument("--subsample", dest="max_train_patches", type=int)
-    p.add_argument("--omp-gain", dest="error_gain", type=float)
+    add_denoise_flags(p, _TABLE_SETTINGS)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_denoise_table)
 
@@ -237,7 +237,10 @@ def _read_config_file(path):
             if "=" not in line:
                 raise FormatError(f"{path}:{num}: expected key=value")
             key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key in values:
+                raise FormatError(f"{path}:{num}: key {key!r} is set again")
+            values[key] = val.strip()
     return values
 
 

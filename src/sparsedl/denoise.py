@@ -41,9 +41,8 @@ from typing import Optional
 
 import numpy as np
 
-# overcomplete_dct_dictionary stays importable from here: perfbench wraps it by this name.
-from .dictionaries import initial_dictionary, overcomplete_dct_dictionary  # noqa: F401
-from .exceptions import ConfigError
+from .dictionaries import overcomplete_dct_dictionary
+from .exceptions import ConfigError, as_integer
 from .learner import LearnConfig, LearnTrace, _add_products, learn
 from .omp import omp_code_matrix
 from .patches import (
@@ -125,7 +124,9 @@ class DenoiseConfig:
     uses every patch.  Its default, 2**18 = 262,144, is above the 255,025
     patches of a 512 x 512 image, so it changes outputs only above the
     cap; ``None`` learns on every patch.  ``stride`` applies to both
-    extraction and aggregation; 1 uses maximum overlap.
+    extraction and aggregation; 1 uses maximum overlap.  Learning always
+    starts from ``overcomplete_dct_dictionary(patch_size**2, num_atoms)``,
+    so ``num_atoms`` must be a perfect square of at least ``patch_size**2``.
     """
 
     sigma: float
@@ -137,7 +138,6 @@ class DenoiseConfig:
     error_gain: float = 1.15
     prior_weight: Optional[float] = None
     max_train_patches: Optional[int] = 1 << 18
-    init: str = "dct"
     seed: int = 0
 
 
@@ -159,8 +159,12 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
 
     ``noisy_image`` is float or uint8, already noisy.  The estimate is
     float and unclipped; quantize with :func:`quantize_pixels` before
-    writing 8-bit output.
+    writing 8-bit output.  Once the patch geometry is checked, the start
+    is ``overcomplete_dct_dictionary(patch_size**2, num_atoms)``, which
+    ``iterations=0`` codes against as it is.
     """
+    if np.iscomplexobj(noisy_image):
+        raise ConfigError("noisy image must be real")
     noisy = np.asarray(noisy_image, dtype=float)
     if noisy.ndim != 2:
         raise ConfigError(f"expected a 2-D image, got shape {noisy.shape}")
@@ -176,15 +180,17 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
     prior = 20.0 / sigma if config.prior_weight is None else float(config.prior_weight)
     if not 0.0 <= prior < np.inf:
         raise ConfigError(f"prior_weight must be finite and nonnegative, got {prior}")
-    if config.iterations < 0:
-        raise ConfigError(f"iterations must be nonnegative, got {config.iterations}")
+    K = as_integer(config.iterations, "iterations")
+    if K < 0:
+        raise ConfigError(f"iterations must be nonnegative, got {K}")
     m = config.max_train_patches
-    if m is not None and m < 1:
+    if m is not None and as_integer(m, "max_train_patches") < 1:
         raise ConfigError(f"max_train_patches must be positive, got {m}")
 
+    gr, gc = patch_grid_shape(noisy.shape, config.patch_size, config.stride)
     p = int(config.patch_size)
     s = int(config.stride)
-    J = int(config.num_atoms)
+    J = as_integer(config.num_atoms, "num_atoms")
     n = p * p
     if prior == 0.0:
         # a pixel lies under some patch iff both of its axis counts are positive
@@ -192,14 +198,13 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
             raise ConfigError(
                 "prior_weight 0 needs full patch coverage; shrink the stride or keep the prior"
             )
-    D0 = initial_dictionary(config.init, n, J, config.seed)
-    gr, gc = patch_grid_shape(noisy.shape, p, s)
+    D0 = overcomplete_dct_dictionary(n, J)
     N = gr * gc
     num_train = N if m is None else min(int(m), N)
 
     trace = None
     D = D0
-    if config.iterations > 0:
+    if K > 0:
         if num_train < N:
             index = np.random.default_rng(config.seed).choice(N, size=num_train, replace=False)
         else:
@@ -210,7 +215,7 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
             train,
             LearnConfig(
                 num_atoms=J,
-                iterations=int(config.iterations),
+                iterations=K,
                 lam=config.lam_multiplier * sigma,
                 init_dictionary=D0,
                 seed=config.seed,

@@ -119,7 +119,7 @@ def convergence_trace(
 def lambda_sweep(
     image: np.ndarray,
     out_csv,
-    lambdas,
+    lambdas=(100, 80, 69, 55, 40, 30, 20, 15),
     *,
     num_patches: int = 30000,
     num_atoms: int = 256,

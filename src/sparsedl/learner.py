@@ -88,7 +88,8 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from .exceptions import ConfigError, InvariantError
+from .dictionaries import random_dictionary
+from .exceptions import ConfigError, InvariantError, as_integer
 
 __all__ = [
     "LearnConfig",
@@ -344,8 +345,11 @@ def _unit_atom(h: Optional[np.ndarray], d: np.ndarray, j: int, policy: str, rng)
     """The new atom j from ``h = E_j c``, or from the policy for an empty code.
 
     ``h=None`` marks an empty new code: any unit vector is optimal, and
-    ``policy`` picks one, ``d`` (the current atom) for ``keep_previous``.
-    Otherwise the atom is ``h / ||h||``, and a zero ``h`` raises.
+    ``policy`` picks one: ``d`` (the current atom) for ``keep_previous``,
+    ``e1`` for ``unit_basis``, and for ``random_unit`` the one column of
+    ``random_dictionary(d.size, 1, rng)``, drawn from ``rng`` itself (which
+    must be given).  Otherwise the atom is ``h / ||h||``, and a zero ``h``
+    raises.
     """
     if h is None:
         if policy == "keep_previous":
@@ -353,7 +357,7 @@ def _unit_atom(h: Optional[np.ndarray], d: np.ndarray, j: int, policy: str, rng)
         if policy == "random_unit":
             if rng is None:
                 raise ConfigError("policy 'random_unit' needs an rng")
-            return _random_unit_vector(rng, d.size)
+            return random_dictionary(d.size, 1, rng)[:, 0]
         e1 = np.zeros(d.size)
         e1[0] = 1.0
         return e1
@@ -410,15 +414,6 @@ def _atom_step(
         if not whole:
             R[rows[s]] = part
     return d_new
-
-
-def _random_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.standard_normal(n)
-    norm = np.linalg.norm(v)
-    while norm == 0.0:  # measure zero, but stay total
-        v = rng.standard_normal(n)
-        norm = np.linalg.norm(v)
-    return v / norm
 
 
 def objective(Y: np.ndarray, D: np.ndarray, C, lam: float) -> float:
@@ -600,6 +595,8 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
         code.
     """
     given = Y
+    if np.iscomplexobj(Y):
+        raise ConfigError("training matrix must be real")
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] < 1 or Y.shape[1] < 1:
         raise ConfigError(f"training matrix must be 2-D and non-empty, got shape {Y.shape}")
@@ -609,8 +606,8 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
         raise ConfigError("training matrix must be finite")
     n, N = Y.shape
 
-    J = int(config.num_atoms)
-    K = int(config.iterations)
+    J = as_integer(config.num_atoms, "num_atoms")
+    K = as_integer(config.iterations, "iterations")
     if J < 1:
         raise ConfigError("num_atoms must be at least 1")
     if K < 0:

@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, as_integer
 
 __all__ = ["omp_code", "omp_code_matrix", "REACHED_ERROR_GOAL", "REACHED_ATOM_CAP", "DEGENERATE"]
 
@@ -94,7 +94,7 @@ def omp_code(D: np.ndarray, y: np.ndarray, error_goal: float, max_atoms: Optiona
         support (it is dropped and selection stops) or no atom correlated
         with the residual.
     """
-    y = np.asarray(y, dtype=float).ravel()
+    y = np.asarray(y).ravel()
     C, statuses = omp_code_matrix(D, y[:, None], error_goal, max_atoms)
     return C.toarray()[0], statuses[0]
 
@@ -110,6 +110,8 @@ def omp_code_matrix(D: np.ndarray, Y: np.ndarray, error_goal: float, max_atoms: 
     Each row and status equals the :func:`omp_code` call on that column
     alone, bit for bit, so coding the columns in any split gives the same.
     """
+    if np.iscomplexobj(D) or np.iscomplexobj(Y):
+        raise ConfigError("dictionary and signals must be real")
     D = np.ascontiguousarray(D, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if D.ndim != 2:
@@ -125,7 +127,7 @@ def omp_code_matrix(D: np.ndarray, Y: np.ndarray, error_goal: float, max_atoms: 
         raise ConfigError("signals must be finite")
     if not (np.isfinite(error_goal) and error_goal >= 0.0):
         raise ConfigError(f"error_goal must be finite and nonnegative, got {error_goal}")
-    cap = min(n, J) if max_atoms is None else int(max_atoms)
+    cap = min(n, J) if max_atoms is None else as_integer(max_atoms, "max_atoms")
     if not 1 <= cap <= min(n, J):
         raise ConfigError(f"max_atoms must lie in [1, {min(n, J)}], got {cap}")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, as_integer
 
 __all__ = ["patch_grid_shape", "patch_cover", "extract_patches", "aggregate_patches"]
 
@@ -31,8 +31,8 @@ def _check_geometry(image_shape, patch_size: int, stride: int):
     if len(image_shape) != 2:
         raise ConfigError(f"expected a 2-D image shape, got {tuple(image_shape)}")
     H, W = int(image_shape[0]), int(image_shape[1])
-    p = int(patch_size)
-    s = int(stride)
+    p = as_integer(patch_size, "patch_size")
+    s = as_integer(stride, "stride")
     if p < 1:
         raise ConfigError(f"patch_size must be positive, got {patch_size}")
     if s < 1:
@@ -75,6 +75,8 @@ def extract_patches(image: np.ndarray, patch_size: int, stride: int = 1) -> np.n
     denoiser takes the patches it codes from here, one band at a time;
     it learns in a gathered training set of the same layout.
     """
+    if np.iscomplexobj(image):
+        raise ConfigError("image must be real")
     img = np.asarray(image, dtype=float)
     _, p, s, _ = _check_geometry(img.shape, patch_size, stride)
     return np.array(_windows(img, p)[::s, ::s], order="C").reshape(-1, p * p).T

@@ -251,10 +251,13 @@ def test_criterion_08_denoising_beats_noise_and_fixed_dictionary(natural_image):
 
 def test_criterion_09_per_iteration_cost_scales_linearly(natural_image, tmp_path):
     """Doubling the signal count from 30000 to 60000 must raise the
-    per-iteration wall time by at most 2.6x (the cost model says 2x)."""
+    per-iteration wall time by at most 2.6x (the cost model says 2x).
+    A one-sweep call takes only about 25 ms at 30000, so the fastest of
+    nine such calls per size is timed: with three, outside load on the
+    shared cores alone could lift the ratio past the bound."""
     out = tmp_path / "bench.csv"
     rows = scaling_bench(
-        natural_image.astype(float), out, sizes=(30000, 60000), iterations=3, seed=0
+        natural_image.astype(float), out, sizes=(30000, 60000), iterations=9, seed=0
     )
     ratio = rows[1][1] / rows[0][1]
     assert ratio <= 2.6, f"scaling ratio {ratio:.2f}"

@@ -248,6 +248,14 @@ class TestDenoiseCommand:
         proc = run_cli("denoise", "--in", noisy, "--out", tmp_path / "o.pgm", "--config", cfg)
         assert proc.returncode == 1
 
+    def test_repeated_config_key_is_format_error(self, tmp_path, image_files):
+        _, noisy = image_files
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("sigma=20\npatch=4\nsigma=30\n")
+        proc = run_cli("denoise", "--in", noisy, "--out", tmp_path / "o.pgm", "--config", cfg)
+        assert proc.returncode == 2
+        assert f"{cfg}:3" in proc.stderr and "sigma" in proc.stderr
+
     def test_config_line_without_equals_is_format_error(self, tmp_path, image_files):
         _, noisy = image_files
         cfg = tmp_path / "bad.cfg"

@@ -171,14 +171,32 @@ class TestDenoiseImage:
             denoise_image(np.zeros((131, 131)), DenoiseConfig(sigma=20.0, stride=2, prior_weight=0.0))
         for H in range(4, 12):
             for W in (4, 9):
-                for p in (1, 3, 4):
+                for p in (2, 3, 4):
                     for stride in range(1, 7):
-                        config = _tiny_config(patch_size=p, stride=stride, prior_weight=0.0, init="random")
+                        config = _tiny_config(patch_size=p, stride=stride, prior_weight=0.0)
                         gr, gc = patch_grid_shape((H, W), p, stride)
                         _, cover = aggregate_patches(np.zeros((p * p, gr * gc)), (H, W), p, stride)
                         gap = np.any(cover == 0.0)
                         with pytest.raises(ConfigError if gap else Reached):
                             denoise_image(np.zeros((H, W)), config)
+
+    def test_oversize_patch_is_a_geometry_error(self):
+        with pytest.raises(ConfigError, match="does not fit"):
+            denoise_image(np.zeros((20, 20)), DenoiseConfig(sigma=20.0, patch_size=32))
+
+    @pytest.mark.parametrize("iterations", [0, 2])
+    def test_starts_from_the_dct_once(self, monkeypatch, iterations):
+        """The start is built by the sparsedl.denoise name of the DCT, once per call."""
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return overcomplete_dct_dictionary(*args)
+
+        monkeypatch.setattr(sparsedl.denoise, "overcomplete_dct_dictionary", spy)
+        img = add_gaussian_noise(np.full((16, 16), 100.0), 20.0, seed=1)
+        denoise_image(img, _tiny_config(iterations=iterations))
+        assert calls == [(16, 16)]
 
     def test_near_clean_input_stays_close(self):
         img = np.full((16, 16), 120.0)
@@ -195,6 +213,8 @@ class TestDenoiseImage:
             denoise_image(np.zeros(16), _tiny_config())
         with pytest.raises(ConfigError):
             denoise_image(np.full((16, 16), np.nan), _tiny_config())
+        with pytest.raises(ConfigError, match="real"):
+            denoise_image(img + 1j, _tiny_config())
         for bad in (
             dict(sigma=0.0),
             dict(error_gain=1.0),
@@ -202,12 +222,15 @@ class TestDenoiseImage:
             dict(prior_weight=-1.0),
             dict(prior_weight=np.nan),
             dict(prior_weight=np.inf),
-            dict(init="fourier"),
             dict(lam_multiplier=0.0),
             dict(lam_multiplier=np.nan),
             dict(lam_multiplier=np.inf),
             dict(iterations=-2),
             dict(max_train_patches=0),
+            dict(patch_size=2.5),
+            dict(iterations=1.5),
+            dict(max_train_patches=50.5),
+            dict(num_atoms=16.0),
         ):
             with pytest.raises(ConfigError):
                 denoise_image(img, _tiny_config(**bad))

@@ -660,6 +660,12 @@ class TestLearn:
             learn(Y, _default_config(0, 1, 0.5, D0))
         with pytest.raises(ConfigError):
             learn(Y, _default_config(3, -1, 0.5, D0))
+        with pytest.raises(ConfigError, match="real"):
+            learn(np.ones((4, 6)) + 1j, _default_config(3, 1, 0.5, D0))
+        with pytest.raises(ConfigError, match="num_atoms must be an integer"):
+            learn(Y, _default_config(4.5, 1, 0.5, D0))
+        with pytest.raises(ConfigError, match="iterations must be an integer"):
+            learn(Y, _default_config(3, 1.7, 0.5, D0))
         with pytest.raises(ConfigError):
             learn(Y, _default_config(3, 1, -0.5, D0))
         with pytest.raises(ConfigError):

@@ -145,6 +145,13 @@ class TestOmpCode:
             omp_code(D, y, 1.0, max_atoms=0)
         with pytest.raises(ConfigError):
             omp_code(D, y, 1.0, max_atoms=5)  # exceeds min(n, J)
+        with pytest.raises(ConfigError, match="max_atoms must be an integer"):
+            omp_code(D, y, 1.0, max_atoms=2.5)
+        for bad_D, bad_y in ((D, y + 1j), (D + 0j, y)):
+            with pytest.raises(ConfigError, match="real"):
+                omp_code(bad_D, bad_y, 1.0)
+            with pytest.raises(ConfigError, match="real"):
+                omp_code_matrix(bad_D, bad_y[:, None], 1.0)
 
 
 class TestOmpCodeMatrix:

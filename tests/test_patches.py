@@ -45,6 +45,12 @@ class TestGrid:
             patch_grid_shape((4, 4), 2, 0)
         with pytest.raises(ConfigError):
             patch_grid_shape((4, 4, 3), 2, 1)
+        with pytest.raises(ConfigError, match="patch_size must be an integer"):
+            patch_grid_shape((4, 4), 2.5, 1)
+        with pytest.raises(ConfigError, match="stride must be an integer"):
+            extract_patches(np.zeros((8, 8)), 4, 1.5)
+        with pytest.raises(ConfigError, match="real"):
+            extract_patches(np.zeros((16, 16)) + 1j, 4)
 
 
 class TestExtract:
