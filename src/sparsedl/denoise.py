@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .dictionaries import overcomplete_dct_dictionary
-from .exceptions import ConfigError, as_integer
+from .exceptions import ConfigError, as_integer, as_real_array
 from .learner import LearnConfig, LearnTrace, _add_products, learn
 from .omp import omp_code_matrix
 from .patches import (
@@ -80,7 +80,7 @@ def add_gaussian_noise(image: np.ndarray, sigma: float, seed: int = 0) -> np.nda
     just the distribution) is pinned so seeded runs reproduce bit for
     bit.  The result is float and NOT clipped to [0, 255].
     """
-    img = np.asarray(image, dtype=float)
+    img = as_real_array(image, "image")
     if not (np.isfinite(sigma) and sigma >= 0.0):
         raise ConfigError(f"sigma must be finite and nonnegative, got {sigma}")
     rng = np.random.default_rng(seed)
@@ -94,8 +94,8 @@ def psnr(reference: np.ndarray, estimate: np.ndarray, peak: float = 255.0) -> fl
 
     Returns ``inf`` for identical inputs.
     """
-    a = np.asarray(reference, dtype=float)
-    b = np.asarray(estimate, dtype=float)
+    a = as_real_array(reference, "reference")
+    b = as_real_array(estimate, "estimate")
     if a.shape != b.shape:
         raise ConfigError(f"shape mismatch {a.shape} vs {b.shape}")
     if a.size == 0:
@@ -110,7 +110,7 @@ def psnr(reference: np.ndarray, estimate: np.ndarray, peak: float = 255.0) -> fl
 
 def quantize_pixels(image: np.ndarray) -> np.ndarray:
     """Round and clip a float image to uint8 pixels in [0, 255]."""
-    return np.clip(np.rint(np.asarray(image, dtype=float)), 0.0, 255.0).astype(np.uint8)
+    return np.clip(np.rint(as_real_array(image, "image")), 0.0, 255.0).astype(np.uint8)
 
 
 @dataclass
@@ -163,13 +163,7 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
     is ``overcomplete_dct_dictionary(patch_size**2, num_atoms)``, which
     ``iterations=0`` codes against as it is.
     """
-    if np.iscomplexobj(noisy_image):
-        raise ConfigError("noisy image must be real")
-    noisy = np.asarray(noisy_image, dtype=float)
-    if noisy.ndim != 2:
-        raise ConfigError(f"expected a 2-D image, got shape {noisy.shape}")
-    if not np.all(np.isfinite(noisy)):
-        raise ConfigError("noisy image must be finite")
+    noisy = as_real_array(noisy_image, "noisy image", ndim=2, finite=True)
     sigma = float(config.sigma)
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise ConfigError(f"sigma must be finite and positive, got {sigma}")
@@ -205,10 +199,8 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
     trace = None
     D = D0
     if K > 0:
-        if num_train < N:
-            index = np.random.default_rng(config.seed).choice(N, size=num_train, replace=False)
-        else:
-            index = np.arange(N)
+        rng = np.random.default_rng(config.seed)
+        index = rng.choice(N, size=num_train, replace=False) if num_train < N else None
         train = _gather_patches(noisy, p, s, index)  # train.T is C-ordered: learn works in it
         train -= train.mean(axis=0)
         D, _, trace = learn(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .denoise import DenoiseConfig, add_gaussian_noise, denoise_image, psnr, quantize_pixels
 from .dictionaries import initial_dictionary, overcomplete_dct_dictionary
-from .exceptions import ConfigError
+from .exceptions import ConfigError, as_real_array
 from .io import read_csv_table, read_pgm, write_csv_table, write_trace_csv
 from .learner import LearnConfig, learn
 from .patches import _gather_patches, patch_grid_shape
@@ -85,7 +85,7 @@ def sample_patch_columns(image: np.ndarray, patch_size: int, count: int, seed: i
     """Raw (not mean-removed) patches from ``count`` random grid locations:
     columns ``default_rng(seed).choice(N, count, replace=False)`` of
     ``extract_patches(image, patch_size)``, and only those are extracted."""
-    img = np.asarray(image, dtype=float)
+    img = as_real_array(image, "image")
     gr, gc = patch_grid_shape(img.shape, patch_size, 1)
     N = gr * gc
     if not 1 <= count <= N:
@@ -236,9 +236,10 @@ def scaling_bench(
 ):
     """Per-iteration learning wall time as the signal count grows.
 
-    Per size, one untimed warm-up sweep runs, then ``iterations``
-    one-sweep ``learn`` calls from the same start are timed apart and the
-    fastest is reported, so load from other processes inflates it less.
+    Per size, one untimed warm-up sweep runs.  Then ``iterations`` rounds
+    each time one one-sweep ``learn`` call per size, from the same start,
+    and each size reports its fastest call: interleaved, a spell of load
+    from other processes slows every size alike instead of one.
     Writes rows (num_signals, seconds_per_iteration).
     """
     sizes = [int(s) for s in sizes]
@@ -246,19 +247,18 @@ def scaling_bench(
         raise ConfigError("scaling_bench needs positive sizes")
     if iterations < 1:
         raise ConfigError("scaling_bench needs at least one timed iteration")
-    rows = []
-    for size in sizes:
-        Y = sample_patch_columns(image, 8, size, seed)
-        D0 = overcomplete_dct_dictionary(Y.shape[0], num_atoms)
-        common = dict(num_atoms=num_atoms, lam=lam, init_dictionary=D0, seed=seed)
-        config = LearnConfig(iterations=1, **common)
+    signals = [sample_patch_columns(image, 8, size, seed) for size in sizes]
+    D0 = overcomplete_dct_dictionary(8 * 8, num_atoms)
+    config = LearnConfig(num_atoms=num_atoms, iterations=1, lam=lam, init_dictionary=D0, seed=seed)
+    for Y in signals:
         learn(Y, config)  # warm-up, untimed
-        times = []
-        for _ in range(iterations):
+    best = [np.inf] * len(sizes)
+    for _ in range(iterations):
+        for k, Y in enumerate(signals):
             start = time.perf_counter()
             learn(Y, config)
-            times.append(time.perf_counter() - start)
-        rows.append((size, min(times)))
+            best[k] = min(best[k], time.perf_counter() - start)
+    rows = list(zip(sizes, best))
     write_csv_table(
         out_csv,
         ("num_signals", "seconds_per_iteration"),

@@ -19,7 +19,7 @@ from io import BytesIO
 
 import numpy as np
 
-from .exceptions import ConfigError, FormatError
+from .exceptions import ConfigError, FormatError, as_real_array
 from .learner import LearnTrace
 
 __all__ = [
@@ -84,11 +84,9 @@ def read_matrix_text(path) -> np.ndarray:
 
 def write_matrix_text(path, matrix) -> None:
     """Write a float matrix in the 'rows cols' header format, full precision."""
-    M = np.asarray(matrix, dtype=float)
-    if M.ndim != 2 or M.size == 0:
-        raise ConfigError(f"matrix text needs a non-empty 2-D array, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ConfigError("matrix text cannot represent non-finite entries")
+    M = as_real_array(matrix, "matrix", ndim=2, finite=True)
+    if M.size == 0:
+        raise ConfigError(f"matrix text needs a non-empty matrix, got shape {M.shape}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"{M.shape[0]} {M.shape[1]}\n")
         np.savetxt(fh, M, fmt="%" + _FLOAT_FMT)

@@ -89,7 +89,7 @@ import numpy as np
 from scipy import sparse
 
 from .dictionaries import random_dictionary
-from .exceptions import ConfigError, InvariantError, as_integer
+from .exceptions import ConfigError, InvariantError, as_integer, as_real_array
 
 __all__ = [
     "LearnConfig",
@@ -207,6 +207,8 @@ def _code_nnz(C) -> int:
 
 def _fit(Y: np.ndarray, D: np.ndarray, C) -> float:
     """Fit term ``||Y - D C^T||_F^2``, over ``_GATHER`` signals at a time."""
+    if np.iscomplexobj(C):
+        raise ConfigError("code matrix must be real")
     C = C.tocsr() if sparse.issparse(C) else np.asarray(C)
     fit = 0.0
     for lo in range(0, Y.shape[1], _GATHER):
@@ -422,12 +424,13 @@ def objective(Y: np.ndarray, D: np.ndarray, C, lam: float) -> float:
     The nonzero count is structural/exact; no tolerance is applied when
     deciding whether an entry is zero.
     """
-    return _fit(np.asarray(Y, dtype=float), D, C) + lam * lam * _code_nnz(C)
+    Y, D = as_real_array(Y, "training matrix"), as_real_array(D, "dictionary")
+    return _fit(Y, D, C) + lam * lam * _code_nnz(C)
 
 
 def nsre(Y: np.ndarray, D: np.ndarray, C) -> float:
     """Normalized representation error ``||Y - D C^T||_F / ||Y||_F``."""
-    Y = np.asarray(Y, dtype=float)
+    Y, D = as_real_array(Y, "training matrix"), as_real_array(D, "dictionary")
     ynorm = np.linalg.norm(Y)
     if ynorm == 0.0:
         raise ConfigError("nsre is undefined for an all-zero training matrix")
@@ -503,6 +506,8 @@ def _initial_codes(init_codes, N: int, J: int, code_bound: float) -> sparse.csc_
         return sparse.csc_array((N, J), dtype=float)
     if np.shape(init_codes) != (N, J):
         raise ConfigError(f"init_codes shape {np.shape(init_codes)} does not match (N, J)=({N}, {J})")
+    if np.iscomplexobj(init_codes):
+        raise ConfigError("init_codes must be real")
     C = sparse.csc_array(init_codes, dtype=float, copy=True)
     C.sum_duplicates()
     C.eliminate_zeros()
@@ -514,11 +519,9 @@ def _initial_codes(init_codes, N: int, J: int, code_bound: float) -> sparse.csc_
 
 
 def _validated_dictionary(D, n: int, J: int) -> np.ndarray:
-    D = np.array(D, dtype=float, copy=True)
-    if D.ndim != 2 or D.shape != (n, J):
-        raise ConfigError(f"init dictionary must have shape ({n}, {J}), got {getattr(D, 'shape', None)}")
-    if not np.all(np.isfinite(D)):
-        raise ConfigError("init dictionary must be finite")
+    D = as_real_array(D, "init dictionary", finite=True)
+    if D.shape != (n, J):
+        raise ConfigError(f"init dictionary must have shape ({n}, {J}), got {D.shape}")
     norms = np.linalg.norm(D, axis=0)
     if np.any(np.abs(norms - 1.0) > _NORM_TOL):
         raise ConfigError("init dictionary columns must have unit l2 norm")
@@ -595,15 +598,11 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
         code.
     """
     given = Y
-    if np.iscomplexobj(Y):
-        raise ConfigError("training matrix must be real")
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2 or Y.shape[0] < 1 or Y.shape[1] < 1:
-        raise ConfigError(f"training matrix must be 2-D and non-empty, got shape {Y.shape}")
+    Y = as_real_array(Y, "training matrix", ndim=2, finite=True)
+    if Y.size == 0:
+        raise ConfigError(f"training matrix must be non-empty, got shape {Y.shape}")
     if overwrite_y and (Y is not given or not Y.flags.writeable or not Y.T.flags.c_contiguous):
         raise ConfigError("overwrite_y needs the training matrix as a writeable, F-ordered float64 ndarray")
-    if not np.all(np.isfinite(Y)):
-        raise ConfigError("training matrix must be finite")
     n, N = Y.shape
 
     J = as_integer(config.num_atoms, "num_atoms")

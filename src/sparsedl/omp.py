@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from .exceptions import ConfigError, as_integer
+from .exceptions import ConfigError, as_integer, as_real_array
 
 __all__ = ["omp_code", "omp_code_matrix", "REACHED_ERROR_GOAL", "REACHED_ATOM_CAP", "DEGENERATE"]
 
@@ -110,21 +110,11 @@ def omp_code_matrix(D: np.ndarray, Y: np.ndarray, error_goal: float, max_atoms: 
     Each row and status equals the :func:`omp_code` call on that column
     alone, bit for bit, so coding the columns in any split gives the same.
     """
-    if np.iscomplexobj(D) or np.iscomplexobj(Y):
-        raise ConfigError("dictionary and signals must be real")
-    D = np.ascontiguousarray(D, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if D.ndim != 2:
-        raise ConfigError(f"dictionary must be 2-D, got shape {D.shape}")
-    if Y.ndim != 2:
-        raise ConfigError(f"signal matrix must be 2-D, got shape {Y.shape}")
+    D = as_real_array(D, "dictionary", ndim=2, finite=True)
+    Y = as_real_array(Y, "signal matrix", ndim=2, finite=True)
     n, J = D.shape
     if Y.shape[0] != n:
         raise ConfigError(f"signal length {Y.shape[0]} does not match dictionary rows {n}")
-    if not np.isfinite(D).all():
-        raise ConfigError("dictionary must be finite")
-    if not np.isfinite(Y).all():
-        raise ConfigError("signals must be finite")
     if not (np.isfinite(error_goal) and error_goal >= 0.0):
         raise ConfigError(f"error_goal must be finite and nonnegative, got {error_goal}")
     cap = min(n, J) if max_atoms is None else as_integer(max_atoms, "max_atoms")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import ConfigError, as_integer
+from .exceptions import ConfigError, as_integer, as_real_array
 
 __all__ = ["patch_grid_shape", "patch_cover", "extract_patches", "aggregate_patches"]
 
@@ -75,22 +75,20 @@ def extract_patches(image: np.ndarray, patch_size: int, stride: int = 1) -> np.n
     denoiser takes the patches it codes from here, one band at a time;
     it learns in a gathered training set of the same layout.
     """
-    if np.iscomplexobj(image):
-        raise ConfigError("image must be real")
-    img = np.asarray(image, dtype=float)
-    _, p, s, _ = _check_geometry(img.shape, patch_size, stride)
-    return np.array(_windows(img, p)[::s, ::s], order="C").reshape(-1, p * p).T
+    return _gather_patches(as_real_array(image, "image"), patch_size, stride, None)
 
 
-def _gather_patches(image: np.ndarray, patch_size: int, stride: int, index: np.ndarray) -> np.ndarray:
-    """Columns ``index`` of ``extract_patches(image, patch_size, stride)``,
-    F-ordered like it, and only those are extracted: ``_PICKS`` windows at a
-    time straight into the result.  The denoiser's training set, which
-    ``learn(..., overwrite_y=True)`` works in; ``index = arange(N)`` gives
-    the bits of the whole extraction."""
-    img = np.asarray(image, dtype=float)
+def _gather_patches(img: np.ndarray, patch_size: int, stride: int, index: np.ndarray | None) -> np.ndarray:
+    """Columns ``index`` of ``extract_patches(img, patch_size, stride)`` of a
+    float64 image, F-ordered like it, and only those are extracted:
+    ``_PICKS`` windows at a time straight into the result.  ``index=None``
+    takes every column in one strided copy.  The denoiser's training set,
+    which ``learn(..., overwrite_y=True)`` works in."""
     _, p, s, (_, gc) = _check_geometry(img.shape, patch_size, stride)
-    windows, (rows, cols) = _windows(img, p)[::s, ::s], np.divmod(index, gc)
+    windows = _windows(img, p)[::s, ::s]
+    if index is None:
+        return np.array(windows, order="C").reshape(-1, p * p).T
+    rows, cols = np.divmod(index, gc)
     out = np.empty((len(index), p * p))
     for lo in range(0, len(index), _PICKS):
         picks = slice(lo, lo + _PICKS)
@@ -122,13 +120,10 @@ def aggregate_patches(patches: np.ndarray, image_shape, patch_size: int, stride:
     covers, in ascending bands of whole ``_GRID_ROWS`` blocks, gives the
     bits of one call on the whole grid.
     """
-    P = np.asarray(patches, dtype=float)
+    P = as_real_array(patches, "patch matrix")
     (H, W), p, s, (gr, gc) = _check_geometry(image_shape, patch_size, stride)
-    if P.ndim != 2 or P.shape != (p * p, gr * gc):
-        raise ConfigError(
-            f"patch matrix shape {getattr(P, 'shape', None)} does not match "
-            f"({p * p}, {gr * gc}) for this geometry"
-        )
+    if P.shape != (p * p, gr * gc):
+        raise ConfigError(f"patch matrix shape {P.shape} does not match the geometry's ({p * p}, {gr * gc})")
     if out is None:
         total = np.zeros((H, W))
     elif isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (H, W) and out.flags.writeable:

@@ -361,6 +361,13 @@ class TestExperimentCommands:
 
 
 class TestThreadPinning:
+    def test_importing_the_cli_loads_no_numpy(self):
+        """The thread variables are seeded before numpy loads, so the CLI
+        module and the exceptions it imports leave numpy unloaded."""
+        code = "import sys, sparsedl.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env())
+        assert proc.returncode == 0, proc.stderr
+
     def test_env_seeding(self, monkeypatch):
         for var in cli._THREAD_VARS:
             monkeypatch.delenv(var, raising=False)

@@ -49,6 +49,8 @@ class TestNoise:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ConfigError):
             add_gaussian_noise(np.zeros((2, 2)), -1.0)
+        with pytest.raises(ConfigError, match="real"):
+            add_gaussian_noise(np.zeros((2, 2)) + 1j, 1.0)
 
 
 class TestPsnr:
@@ -74,6 +76,9 @@ class TestPsnr:
                 psnr(np.zeros((2, 2)), np.zeros((2, 2)), peak=peak)
         with pytest.raises(ConfigError, match="empty"):
             psnr(np.zeros((0, 3)), np.zeros((0, 3)))
+        for a, b in ((np.zeros((2, 2)) + 1j, np.zeros((2, 2))), (np.zeros((2, 2)), np.zeros((2, 2)) + 1j)):
+            with pytest.raises(ConfigError, match="real"):
+                psnr(a, b)
 
 
 class TestQuantize:
@@ -81,6 +86,8 @@ class TestQuantize:
         x = np.array([[-3.2, 0.4, 254.6, 300.0]])
         assert quantize_pixels(x).tolist() == [[0, 0, 255, 255]]
         assert quantize_pixels(x).dtype == np.uint8
+        with pytest.raises(ConfigError, match="real"):
+            quantize_pixels(x + 1j)
 
 
 def _tiny_config(**kw):

@@ -97,6 +97,8 @@ class TestPatchSampling:
             sample_patch_columns(texture, 8, 0)
         with pytest.raises(ConfigError):
             sample_patch_columns(texture, 8, 10**9)
+        with pytest.raises(ConfigError, match="real"):
+            sample_patch_columns(texture + 1j, 8, 10)
 
 
 class TestConvergenceTrace:

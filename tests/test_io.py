@@ -60,6 +60,8 @@ class TestMatrixText:
             write_matrix_text(tmp_path / "x.txt", np.zeros(3))
         with pytest.raises(ConfigError):
             write_matrix_text(tmp_path / "x.txt", np.array([[np.inf]]))
+        with pytest.raises(ConfigError, match="real"):
+            write_matrix_text(tmp_path / "x.txt", np.array([[1.0 + 2j]]))
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):

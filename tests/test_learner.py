@@ -686,6 +686,19 @@ class TestLearn:
         big[0, 0] = 1e9
         with pytest.raises(ConfigError):
             learn(Y, _default_config(3, 1, 0.5, D0, init_codes=big))
+        with pytest.raises(ConfigError, match="real"):
+            learn(Y, _default_config(3, 1, 0.5, D0 + 0j))
+        codes = np.zeros((6, 3), dtype=complex)
+        codes[0, 0] = 1.0 + 1j
+        for init_codes in (codes, sparse.csc_array(codes)):
+            with pytest.raises(ConfigError, match="real"):
+                learn(Y, _default_config(3, 1, 0.5, D0, init_codes=init_codes))
+        C = np.zeros((6, 3))
+        for Yc, Dc, Cc in ((Y + 1j, D0, C), (Y, D0 + 0j, C), (Y, D0, codes), (Y, D0, sparse.csc_array(codes))):
+            with pytest.raises(ConfigError, match="real"):
+                objective(Yc, Dc, Cc, 0.5)
+            with pytest.raises(ConfigError, match="real"):
+                nsre(Yc, Dc, Cc)
 
     def test_single_row_signals(self):
         rng = np.random.default_rng(41)

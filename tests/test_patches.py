@@ -164,3 +164,5 @@ class TestAggregate:
             aggregate_patches(np.zeros((4, 9)), (5, 5), 3, 1)  # n != p*p
         with pytest.raises(ConfigError):
             aggregate_patches(np.zeros((9, 8)), (5, 5), 3, 1)  # wrong patch count
+        with pytest.raises(ConfigError, match="real"):
+            aggregate_patches(np.zeros((9, 9)) + 1j, (5, 5), 3, 1)
