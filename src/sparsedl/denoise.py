@@ -5,8 +5,8 @@ Pipeline, parameterized by the (known) noise level sigma:
 1. take the overlapping patches of the noisy image and remove each
    patch's mean;
 2. learn a dictionary on the centered patches (sparsity weight
-   ``lam_multiplier * sigma``, magnitude bound ``||Y_train||_F``, DCT
-   initialization, zero initial codes).  The training patches are
+   ``5 * sigma``, magnitude bound ``||Y_train||_F``, DCT initialization,
+   zero initial codes).  The training patches are
    gathered from the image by grid index: all of them, or above
    ``max_train_patches`` patches a seeded subsample.  The learner works
    inside that buffer, and it is dropped once learning returns;
@@ -61,6 +61,10 @@ from .patches import (
 # grid rows (about 2k patches) and 55 ms in bands of 64.
 _BAND_PATCHES = 1 << 14
 
+# The sparsity weight per unit of sigma: the denoiser learns at a weight
+# proportional to the noise level, lam = 5 * sigma.
+_LAM_PER_SIGMA = 5.0
+
 __all__ = [
     "add_gaussian_noise",
     "psnr",
@@ -89,8 +93,9 @@ def add_gaussian_noise(image: np.ndarray, sigma: float, seed: int = 0) -> np.nda
     return img + sigma * np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
-def psnr(reference: np.ndarray, estimate: np.ndarray, peak: float = 255.0) -> float:
-    """Peak signal-to-noise ratio ``20 log10(peak / rmse)`` in dB.
+def psnr(reference: np.ndarray, estimate: np.ndarray) -> float:
+    """Peak signal-to-noise ratio ``20 log10(255 / rmse)`` in dB, for
+    8-bit gray levels.
 
     Returns ``inf`` for identical inputs.
     """
@@ -100,12 +105,10 @@ def psnr(reference: np.ndarray, estimate: np.ndarray, peak: float = 255.0) -> fl
         raise ConfigError(f"shape mismatch {a.shape} vs {b.shape}")
     if a.size == 0:
         raise ConfigError("cannot compare empty arrays")
-    if not (np.isfinite(peak) and peak > 0.0):
-        raise ConfigError(f"peak must be finite and positive, got {peak}")
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return float("inf")
-    return float(20.0 * np.log10(peak / np.sqrt(mse)))
+    return float(20.0 * np.log10(255.0 / np.sqrt(mse)))
 
 
 def quantize_pixels(image: np.ndarray) -> np.ndarray:
@@ -117,6 +120,7 @@ def quantize_pixels(image: np.ndarray) -> np.ndarray:
 class DenoiseConfig:
     """Settings for :func:`denoise_image`.
 
+    Learning runs at the sparsity weight ``lam = 5 * sigma``.
     ``prior_weight=None`` resolves to ``20 / sigma``.  ``error_gain``
     must exceed 1 (the OMP goal must sit above the noise floor).
     ``max_train_patches`` caps the learning set: an image with more
@@ -134,7 +138,6 @@ class DenoiseConfig:
     num_atoms: int = 256
     iterations: int = 10
     stride: int = 1
-    lam_multiplier: float = 5.0
     error_gain: float = 1.15
     prior_weight: Optional[float] = None
     max_train_patches: Optional[int] = 1 << 18
@@ -169,8 +172,6 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
         raise ConfigError(f"sigma must be finite and positive, got {sigma}")
     if not 1.0 < config.error_gain < np.inf:
         raise ConfigError(f"error_gain must be finite and exceed 1, got {config.error_gain}")
-    if not 0.0 < config.lam_multiplier < np.inf:
-        raise ConfigError(f"lam_multiplier must be finite and positive, got {config.lam_multiplier}")
     prior = 20.0 / sigma if config.prior_weight is None else float(config.prior_weight)
     if not 0.0 <= prior < np.inf:
         raise ConfigError(f"prior_weight must be finite and nonnegative, got {prior}")
@@ -208,7 +209,7 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
             LearnConfig(
                 num_atoms=J,
                 iterations=K,
-                lam=config.lam_multiplier * sigma,
+                lam=_LAM_PER_SIGMA * sigma,
                 init_dictionary=D0,
                 seed=config.seed,
             ),

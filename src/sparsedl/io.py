@@ -1,5 +1,5 @@
 """File formats: whitespace-delimited matrix text, CSV tables (the
-learning trace among them), PGM images.
+learning trace among them), PGM images (read as P2 or P5, written as P5).
 
 Readers raise FormatError on malformed input, including a file that
 holds less or more than its header promises; no array is sized by a
@@ -200,8 +200,8 @@ def read_pgm(path) -> np.ndarray:
     return pixels.astype(np.uint8).reshape(height, width)
 
 
-def write_pgm(path, image, binary: bool = True) -> None:
-    """Write a uint8 image as P5 (default) or P2 PGM with maxval 255."""
+def write_pgm(path, image) -> None:
+    """Write a uint8 image as a binary (P5) PGM with maxval 255."""
     img = np.asarray(image)
     if img.ndim != 2 or img.size == 0:
         raise ConfigError(f"write_pgm needs a non-empty 2-D array, got shape {img.shape}")
@@ -213,8 +213,4 @@ def write_pgm(path, image, binary: bool = True) -> None:
         img = img.astype(np.uint8)
     height, width = img.shape
     with open(path, "wb") as fh:
-        fh.write(f"{'P5' if binary else 'P2'}\n{width} {height}\n255\n".encode("ascii"))
-        if binary:
-            fh.write(img.tobytes())
-        else:
-            np.savetxt(fh, img, fmt="%d")
+        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii") + img.tobytes())

@@ -50,21 +50,21 @@ An atom is *parked* while its code is empty and its column is exactly
 ``e1``, where the ``unit_basis`` policy puts an atom whose code comes back
 empty.  Its ``E_j^T d_j`` is then exactly ``R[:, 0]``, so its visit takes
 no GEMM row and no correction.  ``learn`` keeps an N-byte record of the
-rows whose ``R[i, 0]`` passes the threshold and ``hot``, their exact
-number, both brought up to date on each visit's union rows after its
-atom step.  That record is a parked visit's screen, and with no old code
-its union, so a parked visit screens nothing.  While ``hot`` is 0, the
-common case, no row can pass: the visit calls the threshold on no values
-and the atom step on no rows, builds no union and leaves R alone, and
-only the policy's atom can change it (it stays ``e1`` under
-``unit_basis`` and ``keep_previous``).  Parking changes only at an
+rows whose ``R[i, 0]`` passes the threshold, ``passing``, brought up to
+date on each visit's union rows after its atom step.  That record is a
+parked visit's screen, and with no old code its union, so a parked visit
+screens nothing.  While ``passing.any()`` is false, the common case, no
+row can pass: the visit calls the threshold on no values and the atom
+step on no rows, builds no union and leaves R alone, and only the
+policy's atom can change it (it stays ``e1`` under ``unit_basis`` and
+``keep_previous``).  Parking changes only at an
 atom's own visit, so each block is known exactly when it is formed.
 
 The codes are kept as per-atom ``(rows, values)`` pairs and assembled
 into one CSC array on return; the per-sweep objective is ``||R||_F^2 +
 lam^2 nnz``.  Besides ``Y``, a run holds the N x n residual (none with
 ``overwrite_y``, which works in ``Y``'s own memory), the _BLOCK x N
-correlations, two N-byte masks, the N-byte record of hot rows, the
+correlations, two N-byte masks, the N-byte record of passing rows, the
 codes and gathers of at most _GATHER x n.  The public single-column steps
 (:func:`code_rhs`, :func:`atom_rhs` and the steps built on them) form
 ``R^T d_j`` and ``R c`` from ``Y`` and ``C`` instead, and share the
@@ -133,9 +133,10 @@ def hard_threshold(b: np.ndarray, lam: float) -> np.ndarray:
 
     Entries with magnitude exactly equal to ``lam`` are kept (the
     minimizer is non-unique there; keeping the value makes the operator
-    deterministic).  Total function: no validation, never raises.
+    deterministic).  Raises only on complex ``b``; NaN and infinities
+    are thresholded like any value.
     """
-    b = np.asarray(b, dtype=float)
+    b = as_real_array(b, "threshold input")
     return np.where(_survives(b, lam), b, 0.0)
 
 
@@ -205,10 +206,16 @@ def _code_nnz(C) -> int:
     return int(np.count_nonzero(C))
 
 
-def _fit(Y: np.ndarray, D: np.ndarray, C) -> float:
-    """Fit term ``||Y - D C^T||_F^2``, over ``_GATHER`` signals at a time."""
+def _real_inputs(Y, D, C):
+    """``Y`` and ``D`` through :func:`as_real_array`, once a dense or sparse
+    ``C`` is known to be real."""
     if np.iscomplexobj(C):
         raise ConfigError("code matrix must be real")
+    return as_real_array(Y, "training matrix"), as_real_array(D, "dictionary")
+
+
+def _fit(Y: np.ndarray, D: np.ndarray, C) -> float:
+    """Fit term ``||Y - D C^T||_F^2``, over ``_GATHER`` signals at a time."""
     C = C.tocsr() if sparse.issparse(C) else np.asarray(C)
     fit = 0.0
     for lo in range(0, Y.shape[1], _GATHER):
@@ -238,6 +245,7 @@ def code_rhs(Y: np.ndarray, D: np.ndarray, C, j: int) -> np.ndarray:
     scipy sparse matrix; column j must hold the current (pre-update)
     code.
     """
+    Y, D = _real_inputs(Y, D, C)
     rhs = _correlations(Y, D, [j])[0] - C @ (D.T @ D[:, j])
     np.add.at(rhs, *_code_entries(C, j))  # a sparse C may repeat rows
     return rhs
@@ -298,7 +306,8 @@ def atom_rhs(Y: np.ndarray, D: np.ndarray, C, j: int, new_code: np.ndarray) -> n
     the pre-update atom).  As with :func:`code_rhs`, ``E_j`` is never
     formed.
     """
-    c = np.asarray(new_code, dtype=float)
+    Y, D = _real_inputs(Y, D, C)
+    c = as_real_array(new_code, "new code")
     rows, vals = _code_entries(C, j)
     h = _atom_term(D[:, j], vals, c[rows]) - D @ (C.T @ c)
     support = np.flatnonzero(c != 0)
@@ -339,7 +348,8 @@ def atom_update_step(
     """
     if policy not in EMPTY_CODE_POLICIES:
         raise ConfigError(f"unknown empty-code policy {policy!r}; choose from {EMPTY_CODE_POLICIES}")
-    c = np.asarray(new_code, dtype=float)
+    Y, D = _real_inputs(Y, D, C)
+    c = as_real_array(new_code, "new code")
     return _unit_atom(atom_rhs(Y, D, C, j, c) if np.any(c) else None, D[:, j], j, policy, rng)
 
 
@@ -424,13 +434,13 @@ def objective(Y: np.ndarray, D: np.ndarray, C, lam: float) -> float:
     The nonzero count is structural/exact; no tolerance is applied when
     deciding whether an entry is zero.
     """
-    Y, D = as_real_array(Y, "training matrix"), as_real_array(D, "dictionary")
+    Y, D = _real_inputs(Y, D, C)
     return _fit(Y, D, C) + lam * lam * _code_nnz(C)
 
 
 def nsre(Y: np.ndarray, D: np.ndarray, C) -> float:
     """Normalized representation error ``||Y - D C^T||_F / ||Y||_F``."""
-    Y, D = as_real_array(Y, "training matrix"), as_real_array(D, "dictionary")
+    Y, D = _real_inputs(Y, D, C)
     ynorm = np.linalg.norm(Y)
     if ynorm == 0.0:
         raise ConfigError("nsre is undefined for an all-zero training matrix")
@@ -657,15 +667,14 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
     rounding = np.finfo(float).eps * ynorm * ynorm
 
     # Atom j is parked while its code is empty and its column is e1: its
-    # E_j^T d_j is then exactly R[:, 0], and only the hot rows, where R[i, 0]
-    # passes the threshold, can survive.  A visit changes R only on its union
-    # rows, so after the atom step it rescreens R[:, 0] there, into the record
-    # of hot rows, and recounts hot.
+    # E_j^T d_j is then exactly R[:, 0], and only the passing rows, where
+    # R[i, 0] passes the threshold, can survive.  A visit changes R only on its
+    # union rows, so after the atom step it rescreens R[:, 0] there, into the
+    # record of passing rows.
     e1 = np.zeros(n)
     e1[0] = 1.0
     parked = np.array([rows.size == 0 and np.array_equal(D[:, j], e1) for j, (rows, _) in enumerate(codes)])
     passing = _survives(R[:, 0], lam)
-    hot = int(np.count_nonzero(passing))
     # One buffer serves every block and two N-byte masks every screen, so a
     # visit allocates in proportion to its union, not to N.
     corr = np.empty((min(_BLOCK, J), N))
@@ -694,7 +703,7 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
             k = 0  # rows of corr used so far
             for j in visits:
                 old = codes[j]
-                if parked[j] and not hot:
+                if parked[j] and not passing.any():
                     # No row can pass, so the code stays empty and the atom step
                     # has no rows: only the policy's atom can change.
                     truncated_hard_threshold(old[1], lam, bound)
@@ -717,13 +726,11 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
                 w[1] = truncated_hard_threshold(e[union], lam, bound)
                 kept = np.flatnonzero(w[1])
                 codes[j] = (union[kept], w[1, kept])
-                hot -= int(np.count_nonzero(passing[union]))
                 try:
                     d_new = _atom_step(R, D, j, union, w, policy, rng)
                 except InvariantError as exc:
                     raise InvariantError(f"iteration {t + 1}, {exc}") from exc
-                passing[union] = now = _survives(R[union, 0], lam)
-                hot += int(np.count_nonzero(now))
+                passing[union] = _survives(R[union, 0], lam)
                 if k < block.size and union.size:
                     # R moved by c_old d_old^T - c_new d_new^T, and so do the
                     # later correlations R^T d_i.

@@ -13,7 +13,7 @@ import sparsedl.cli as cli
 import sparsedl.denoise
 import sparsedl.experiments
 import sparsedl.learner
-from sparsedl.denoise import DenoiseConfig, DenoiseResult, add_gaussian_noise, quantize_pixels
+from sparsedl.denoise import DenoiseConfig, DenoiseResult, add_gaussian_noise, psnr, quantize_pixels
 from sparsedl.dictionaries import random_dictionary
 from sparsedl.exceptions import InvariantError
 from sparsedl.experiments import DENOISE_COLUMNS
@@ -25,7 +25,8 @@ from sparsedl.io import (
     write_matrix_text,
     write_pgm,
 )
-from sparsedl.learner import LearnConfig, LearnTrace
+from sparsedl.learner import LearnConfig, LearnTrace, learn
+from sparsedl.omp import omp_code_matrix
 
 
 def run_cli(*args, env_extra=None):
@@ -497,3 +498,23 @@ class TestShellParity:
         ]
         assert cli.main(argv) == 0
         assert seen == [DenoiseConfig(sigma=20.0)]
+
+
+def test_settable_surface_is_pinned():
+    """The settings a caller can reach: a new field or parameter must be
+    added here on purpose, and one that no entry point sets taken out."""
+    assert [f.name for f in fields(DenoiseConfig)] == [
+        "sigma", "patch_size", "num_atoms", "iterations", "stride",
+        "error_gain", "prior_weight", "max_train_patches", "seed",
+    ]
+    assert [f.name for f in fields(LearnConfig)] == [
+        "num_atoms", "iterations", "lam", "init_dictionary", "code_bound",
+        "init_codes", "atom_order", "empty_code_policy", "seed",
+    ]
+    functions = (learn, omp_code_matrix, psnr, write_pgm)
+    assert {fn.__name__: list(inspect.signature(fn).parameters) for fn in functions} == {
+        "learn": ["Y", "config", "overwrite_y"],
+        "omp_code_matrix": ["D", "Y", "error_goal", "max_atoms"],
+        "psnr": ["reference", "estimate"],
+        "write_pgm": ["path", "image"],
+    }

@@ -63,17 +63,9 @@ class TestPsnr:
         a = np.ones((4, 4))
         assert psnr(a, a) == np.inf
 
-    def test_custom_peak(self):
-        a = np.zeros((3, 3))
-        b = np.ones((3, 3))
-        assert psnr(a, b, peak=1.0) == pytest.approx(0.0)
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             psnr(np.zeros((2, 2)), np.zeros((2, 3)))
-        for peak in (0.0, np.nan, np.inf):
-            with pytest.raises(ConfigError):
-                psnr(np.zeros((2, 2)), np.zeros((2, 2)), peak=peak)
         with pytest.raises(ConfigError, match="empty"):
             psnr(np.zeros((0, 3)), np.zeros((0, 3)))
         for a, b in ((np.zeros((2, 2)) + 1j, np.zeros((2, 2))), (np.zeros((2, 2)), np.zeros((2, 2)) + 1j)):
@@ -229,9 +221,6 @@ class TestDenoiseImage:
             dict(prior_weight=-1.0),
             dict(prior_weight=np.nan),
             dict(prior_weight=np.inf),
-            dict(lam_multiplier=0.0),
-            dict(lam_multiplier=np.nan),
-            dict(lam_multiplier=np.inf),
             dict(iterations=-2),
             dict(max_train_patches=0),
             dict(patch_size=2.5),
@@ -300,6 +289,23 @@ class TestDenoiseImage:
         want -= want.mean(axis=0)
         assert seen["learned"] == 1
         assert np.array_equal(np.hstack(seen["omp_input"]), want)
+
+    def test_learns_at_five_sigma(self, small_image, monkeypatch):
+        """learn is handed the sparsity weight lam = 5 * sigma."""
+        seen = []
+
+        class Reached(Exception):
+            pass
+
+        def spy(Y, config, **kwargs):
+            seen.append(config.lam)
+            raise Reached
+
+        monkeypatch.setattr(sparsedl.denoise, "learn", spy)
+        for sigma in (5.0, 20.0):
+            with pytest.raises(Reached):
+                denoise_image(small_image[:48, :48].astype(float), _tiny_config(sigma=sigma))
+        assert seen == [25.0, 100.0]
 
     def test_training_buffer_is_freed_before_coding(self, small_image, monkeypatch):
         """The buffer learn trained in is released before OMP codes the

@@ -123,14 +123,6 @@ class TestPgm:
         write_pgm(path, img)
         assert np.array_equal(read_pgm(path), img)
 
-    def test_ascii_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        img = rng.integers(0, 256, size=(5, 7), dtype=np.uint8)
-        path = tmp_path / "img.pgm"
-        write_pgm(path, img, binary=False)
-        assert path.read_bytes().startswith(b"P2\n")
-        assert np.array_equal(read_pgm(path), img)
-
     def test_deterministic_bytes(self, tmp_path):
         img = np.arange(64, dtype=np.uint8).reshape(8, 8)
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
@@ -153,11 +145,6 @@ class TestPgm:
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P2\n2 2\n255\n1 2 # first row\n3#4\n# last\n4")
         assert read_pgm(path).tolist() == [[1, 2], [3, 4]]
-
-    def test_ascii_written_bytes_are_pinned(self, tmp_path):
-        path = tmp_path / "a.pgm"
-        write_pgm(path, np.array([[0, 1, 2], [253, 254, 255]], dtype=np.uint8), binary=False)
-        assert path.read_bytes() == b"P2\n3 2\n255\n0 1 2\n253 254 255\n"
 
     @pytest.mark.parametrize("raster, count", [(b"1 2 3\n", 3), (b"1 2 3 4 5\n", 5)], ids=["short", "long"])
     def test_ascii_raster_count_is_named(self, tmp_path, raster, count):

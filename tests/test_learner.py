@@ -699,6 +699,19 @@ class TestLearn:
                 objective(Yc, Dc, Cc, 0.5)
             with pytest.raises(ConfigError, match="real"):
                 nsre(Yc, Dc, Cc)
+        complex_code = np.array([1.0 + 1j, 0.0, 0.0, 0.0, 0.0, 0.0])
+        for call in (
+            lambda: hard_threshold(np.array([2 + 1j, 0.1]), 0.5),
+            lambda: truncated_hard_threshold(np.array([2 + 1j, 0.1]), 0.5, 3.0),
+            lambda: code_rhs(Y + 1j, D0, C, 0),
+            lambda: code_rhs(Y, D0, sparse.csc_array(codes), 0),
+            lambda: sparse_code_step(Y + 1j, D0, C, 0, 0.5, 3.0),
+            lambda: atom_rhs(Y + 1j, D0, C, 0, np.ones(6)),
+            lambda: atom_rhs(Y, D0, C, 0, complex_code),
+            lambda: atom_update_step(Y, D0, C, 0, complex_code),
+        ):
+            with pytest.raises(ConfigError, match="real"):
+                call()
 
     def test_single_row_signals(self):
         rng = np.random.default_rng(41)
