@@ -123,6 +123,19 @@ class TestPgm:
         write_pgm(path, img)
         assert np.array_equal(read_pgm(path), img)
 
+    def test_ascii_round_trip(self, tmp_path):
+        rng = np.random.default_rng(2)
+        img = rng.integers(0, 256, size=(5, 7), dtype=np.uint8)
+        rows = "\n".join(" ".join(map(str, row)) for row in img.tolist())
+        path = tmp_path / "img.pgm"
+        path.write_bytes(f"P2\n7 5\n255\n{rows}\n".encode("ascii"))
+        assert np.array_equal(read_pgm(path), img)
+
+    def test_written_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "a.pgm"
+        write_pgm(path, np.array([[0, 1, 2], [253, 254, 255]], dtype=np.uint8))
+        assert path.read_bytes() == b"P5\n3 2\n255\n" + bytes([0, 1, 2, 253, 254, 255])
+
     def test_deterministic_bytes(self, tmp_path):
         img = np.arange(64, dtype=np.uint8).reshape(8, 8)
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
