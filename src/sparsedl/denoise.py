@@ -22,9 +22,10 @@ Steps 1, 3 and 4 run on one band of patch-grid rows at a time, in grid
 order: a band of about ``_BAND_PATCHES`` patches is taken, centered,
 coded, turned into estimates and added into ``patch_sum``, and the next
 band takes its place.  A band's patches come from the image through
-:func:`extract_patches`.  So besides image-sized buffers (the noisy
-image, ``patch_sum``, ``cover`` and the estimate) the coding pass holds
-the band it codes and, while the next band is taken, the one before.
+:func:`extract_patches`, into one band-sized buffer that every band
+reuses.  So besides image-sized buffers (the noisy image, ``patch_sum``,
+``cover`` and the estimate) the coding pass holds that buffer and OMP's
+work on it, and takes no new patch matrix per band.
 Every pixel sums its patch estimates in the order of one whole-grid
 aggregation, and OMP codes each patch as it would alone, so the bands do
 not change the bits.
@@ -223,10 +224,14 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
     # Each band is whole _GRID_ROWS blocks of grid rows, taken in ascending order, so
     # every pixel sums its patch estimates in the order of one whole-grid aggregation.
     band = max(1, _BAND_PATCHES // (gc * _GRID_ROWS)) * _GRID_ROWS
+    # One buffer serves every band, so no band-sized matrix is freed between
+    # OMP's small allocations in the C heap: the heap the pass leaves, and so
+    # the peak of the next call, would then vary from run to run.
+    buf = np.empty((min(band, gr) * gc, n))
     for g0 in range(0, gr, band):
         g1 = min(gr, g0 + band)
         y0, y1 = g0 * s, (g1 - 1) * s + p  # the image rows the band's patches cover
-        P = extract_patches(noisy[y0:y1], p, s)
+        P = extract_patches(noisy[y0:y1], p, s, out=buf[: (g1 - g0) * gc])
         mu = P.mean(axis=0)
         P -= mu
         codes, stops = omp_code_matrix(D, P, error_goal)

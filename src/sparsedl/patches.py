@@ -63,7 +63,7 @@ def _axis_cover(size: int, count: int, p: int, s: int) -> np.ndarray:
     return np.bincount((starts[:, None] + np.arange(p)).ravel(), minlength=size).astype(float)
 
 
-def extract_patches(image: np.ndarray, patch_size: int, stride: int = 1) -> np.ndarray:
+def extract_patches(image: np.ndarray, patch_size: int, stride: int = 1, *, out=None) -> np.ndarray:
     """Extract every full patch on the stride grid.
 
     Returns an array of shape (patch_size**2, num_patches): column i is
@@ -72,24 +72,51 @@ def extract_patches(image: np.ndarray, patch_size: int, stride: int = 1) -> np.n
     (num_patches, patch_size**2) buffer, so each patch is contiguous in
     memory: the signal-major layout the learner carries its residual
     in, which ``learn(..., overwrite_y=True)`` uses in place.  The
-    denoiser takes the patches it codes from here, one band at a time;
-    it learns in a gathered training set of the same layout.
+    denoiser takes the patches it codes from here, one band at a time
+    into one buffer; it learns in a gathered training set of the same
+    layout.
+
+    With ``out``, a writeable C-contiguous float64 ndarray of shape
+    (num_patches, patch_size**2) (any other raises ``ConfigError``
+    before a value is written), the patches are written into it and
+    ``out.T`` is returned.
     """
-    return _gather_patches(as_real_array(image, "image"), patch_size, stride, None)
+    return _gather_patches(as_real_array(image, "image"), patch_size, stride, None, out)
 
 
-def _gather_patches(img: np.ndarray, patch_size: int, stride: int, index: np.ndarray | None) -> np.ndarray:
+def _check_out(out, shape, contiguous=False) -> None:
+    """Raise ``ConfigError`` unless ``out`` is a writeable float64 ndarray of
+    ``shape`` (and C-contiguous, with ``contiguous``)."""
+    if not (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.float64
+        and out.shape == shape
+        and out.flags.writeable
+        and (out.flags.c_contiguous or not contiguous)
+    ):
+        got = f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}"
+        kind = "writeable C-contiguous" if contiguous else "writeable"
+        raise ConfigError(f"out must be a {kind} float64 ndarray of shape {shape}, got {got}")
+
+
+def _gather_patches(img: np.ndarray, patch_size: int, stride: int, index: np.ndarray | None, out=None) -> np.ndarray:
     """Columns ``index`` of ``extract_patches(img, patch_size, stride)`` of a
     float64 image, F-ordered like it, and only those are extracted:
     ``_PICKS`` windows at a time straight into the result.  ``index=None``
-    takes every column in one strided copy.  The denoiser's training set,
-    which ``learn(..., overwrite_y=True)`` works in."""
-    _, p, s, (_, gc) = _check_geometry(img.shape, patch_size, stride)
+    takes every column in one strided copy.  The result is ``out.T`` when
+    ``out`` is given, as for :func:`extract_patches`.  The denoiser's
+    training set, which ``learn(..., overwrite_y=True)`` works in."""
+    _, p, s, (gr, gc) = _check_geometry(img.shape, patch_size, stride)
     windows = _windows(img, p)[::s, ::s]
+    shape = (gr * gc if index is None else len(index), p * p)
+    if out is None:
+        out = np.empty(shape)
+    else:
+        _check_out(out, shape, contiguous=True)
     if index is None:
-        return np.array(windows, order="C").reshape(-1, p * p).T
+        out.reshape(windows.shape)[...] = windows
+        return out.T
     rows, cols = np.divmod(index, gc)
-    out = np.empty((len(index), p * p))
     for lo in range(0, len(index), _PICKS):
         picks = slice(lo, lo + _PICKS)
         out[picks].reshape(-1, p, p)[...] = windows[rows[picks], cols[picks]]
@@ -126,11 +153,9 @@ def aggregate_patches(patches: np.ndarray, image_shape, patch_size: int, stride:
         raise ConfigError(f"patch matrix shape {P.shape} does not match the geometry's ({p * p}, {gr * gc})")
     if out is None:
         total = np.zeros((H, W))
-    elif isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (H, W) and out.flags.writeable:
-        total = out
     else:
-        got = f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}"
-        raise ConfigError(f"out must be a writeable float64 ndarray of shape {(H, W)}, got {got}")
+        _check_out(out, (H, W))
+        total = out
     for r0 in range(0, gr, _GRID_ROWS):
         r1 = min(gr, r0 + _GRID_ROWS)
         block = P[:, r0 * gc : r1 * gc]

@@ -254,6 +254,22 @@ class TestDenoiseImage:
             denoise_image(noisy, config)
         assert shared == [True, True, True]
 
+    def test_bands_share_one_patch_buffer(self, small_image, monkeypatch):
+        """Every band is extracted into one buffer, made once per call."""
+        extract = sparsedl.denoise.extract_patches
+        buffers = []
+
+        def tracked_extract(*args, out, **kwargs):
+            buffers.append(out)
+            return extract(*args, out=out, **kwargs)
+
+        monkeypatch.setattr(sparsedl.denoise, "extract_patches", tracked_extract)
+        monkeypatch.setattr(sparsedl.denoise, "_BAND_PATCHES", 100)
+        noisy = add_gaussian_noise(small_image[:48, :48].astype(float), 20.0, seed=4)
+        denoise_image(noisy, _tiny_config(iterations=0))
+        assert len(buffers) > 1
+        assert all(np.shares_memory(b, buffers[0]) for b in buffers)
+
     @pytest.mark.parametrize("subsample", [None, 100])
     def test_learns_inside_the_patch_buffer(self, small_image, monkeypatch, subsample):
         """learn works in place in a training set gathered from the image

@@ -83,6 +83,27 @@ class TestExtract:
             assert img[0, 0] == 0.0
 
 
+    def test_out_takes_the_patches(self):
+        """With out, the patches are written into it, bit for bit those of a
+        new matrix, and out.T is returned; a bad out is refused before any
+        value is written."""
+        rng = np.random.default_rng(10)
+        img = rng.random((21, 19)) * 255
+        for p, s in ((4, 1), (3, 2), (5, 3)):
+            want = extract_patches(img, p, s)
+            out = np.full(want.shape[::-1], np.nan)
+            got = extract_patches(img, p, s, out=out)
+            assert np.array_equal(got, want)
+            assert np.shares_memory(got, out) and got.flags.f_contiguous
+        frozen = np.zeros(out.shape)
+        frozen.flags.writeable = False
+        for bad in (np.zeros(want.shape), np.zeros(out.shape, dtype=np.float32),
+                    np.zeros(out.shape, order="F"), out.tolist(), frozen):
+            before = np.copy(bad)
+            with pytest.raises(ConfigError, match="out must be"):
+                extract_patches(img, p, s, out=bad)
+            assert np.array_equal(np.asarray(bad), before)
+
     def test_gather_picks_grid_columns(self):
         rng = np.random.default_rng(11)
         img = rng.random((40, 37)) * 255
