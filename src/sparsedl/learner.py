@@ -73,6 +73,9 @@ codes and gathers of at most _GATHER x n.  The public single-column steps
 
 Zeros in ``C`` are structural: an entry is zero iff it was never
 assigned a nonzero value, and nnz counts are exact with no tolerance.
+Every function that takes codes (``init_codes`` in ``learn``) reads them,
+dense or sparse, once through one gate as real, finite canonical CSC:
+duplicates summed, stored zeros dropped.
 All arithmetic is float64.  For a fixed BLAS thread count and the fixed
 block and chunk constants (``_BLOCK``, ``_GATHER``), a run is
 reproducible bit for bit, whether or not it overwrites ``Y`` and
@@ -171,18 +174,28 @@ def _survives(b: np.ndarray, lam: float, out=None) -> np.ndarray:
     return np.logical_not(keep, out=keep)
 
 
-def _code_entries(C, j: int):
-    """Stored entries of column j of a dense or scipy-sparse ``C``.
+def _code_matrix(C, N: int, J: int, name: str) -> sparse.csc_array:
+    """``C``, dense or scipy-sparse, as canonical CSC: a real, finite
+    float64 copy of shape (N, J) with duplicates summed and stored zeros
+    (-0.0 too) dropped, so each column's rows are sorted and distinct and
+    ``nnz`` counts the structural nonzeros.  Anything else raises
+    :class:`ConfigError` naming ``name``."""
+    if np.shape(C) != (N, J):
+        raise ConfigError(f"{name} shape {np.shape(C)} does not match (N, J)=({N}, {J})")
+    if np.iscomplexobj(C):
+        raise ConfigError(f"{name} must be real")
+    C = sparse.csc_array(C, dtype=float, copy=True)
+    C.sum_duplicates()
+    C.eliminate_zeros()
+    if not np.all(np.isfinite(C.data)):
+        raise ConfigError(f"{name} must be finite")
+    return C
 
-    Returns ``(rows, values)``: a sparse ``C`` gives its stored entries,
-    read straight from the CSC arrays (rows may repeat, and then sum),
-    and a dense ``C`` gives ``slice(None)`` and the whole column.
-    """
-    if not sparse.issparse(C):
-        return slice(None), np.asarray(C)[:, j]
-    C = C if C.format == "csc" else C.tocsc()
+
+def _code_entries(C: sparse.csc_array, j: int):
+    """Column j of a canonical CSC ``C`` as ``(rows, values)``, its stored entries."""
     span = slice(C.indptr[j], C.indptr[j + 1])
-    return C.indices[span], C.data[span]
+    return C.indices[span].astype(np.intp), C.data[span]
 
 
 def _correlations(Y: np.ndarray, D: np.ndarray, atoms, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -199,27 +212,28 @@ def _atom_term(d: np.ndarray, vals: np.ndarray, c_at_rows: np.ndarray) -> np.nda
     return d * float(vals @ c_at_rows)
 
 
-def _code_nnz(C) -> int:
-    """Exact structural nonzero count of a coefficient matrix."""
-    if sparse.issparse(C):
-        return int(np.count_nonzero(C.data))
-    return int(np.count_nonzero(C))
-
-
 def _real_inputs(Y, D, C):
-    """``Y`` and ``D`` through :func:`as_real_array`, once a dense or sparse
-    ``C`` is known to be real."""
-    if np.iscomplexobj(C):
-        raise ConfigError("code matrix must be real")
-    return as_real_array(Y, "training matrix"), as_real_array(D, "dictionary")
+    """``Y`` and ``D`` as real 2-D arrays, and ``C`` through :func:`_code_matrix`."""
+    Y = as_real_array(Y, "training matrix", ndim=2)
+    D = as_real_array(D, "dictionary", ndim=2)
+    return Y, D, _code_matrix(C, Y.shape[1], D.shape[1], "code matrix")
 
 
-def _fit(Y: np.ndarray, D: np.ndarray, C) -> float:
+def _step_inputs(Y, D, C, j):
+    """:func:`_real_inputs`, and the atom index ``j`` checked against ``D``."""
+    Y, D, C = _real_inputs(Y, D, C)
+    j = as_integer(j, "atom index")
+    if not 0 <= j < D.shape[1]:
+        raise ConfigError(f"atom index {j} out of range for {D.shape[1]} atoms")
+    return Y, D, C, j
+
+
+def _fit(Y: np.ndarray, D: np.ndarray, C: sparse.csc_array) -> float:
     """Fit term ``||Y - D C^T||_F^2``, over ``_GATHER`` signals at a time."""
-    C = C.tocsr() if sparse.issparse(C) else np.asarray(C)
+    C = C.tocsr()
     fit = 0.0
     for lo in range(0, Y.shape[1], _GATHER):
-        resid = np.asarray(C[lo : lo + _GATHER] @ D.T, dtype=float)
+        resid = C[lo : lo + _GATHER] @ D.T
         resid -= Y[:, lo : lo + _GATHER].T
         fit += float(np.vdot(resid, resid))
     return fit
@@ -241,13 +255,18 @@ def code_rhs(Y: np.ndarray, D: np.ndarray, C, j: int) -> np.ndarray:
         Y^T d_j - C (D^T d_j) + c_j
 
     so the n x N matrix ``E_j`` is never materialized; ``c_j`` is added
-    over its stored entries only.  ``C`` may be a dense array or any
-    scipy sparse matrix; column j must hold the current (pre-update)
-    code.
+    over its stored entries only.  ``C`` may be dense or scipy-sparse; it
+    is read as real, finite canonical CSC.  Column j must hold the current
+    (pre-update) code.
     """
-    Y, D = _real_inputs(Y, D, C)
+    return _code_rhs(*_step_inputs(Y, D, C, j))
+
+
+def _code_rhs(Y: np.ndarray, D: np.ndarray, C: sparse.csc_array, j: int) -> np.ndarray:
+    """:func:`code_rhs` on checked inputs."""
     rhs = _correlations(Y, D, [j])[0] - C @ (D.T @ D[:, j])
-    np.add.at(rhs, *_code_entries(C, j))  # a sparse C may repeat rows
+    rows, vals = _code_entries(C, j)
+    rhs[rows] += vals  # canonical rows are distinct
     return rhs
 
 
@@ -273,9 +292,10 @@ def sparse_code_step(
         Dictionary with unit-norm columns; column j is the atom paired
         with the code being updated.
     C : ndarray or scipy sparse, shape (N, J)
-        Coefficient matrix; column j holds the pre-update code.
+        Coefficient matrix, read as real, finite canonical CSC; column j
+        holds the pre-update code.
     j : int
-        Atom index.
+        Atom index, in ``[0, J)``.
     lam : float
         Sparsity weight (threshold level).
     code_bound : float
@@ -287,9 +307,7 @@ def sparse_code_step(
         The updated code column.  Every nonzero entry has magnitude in
         ``[lam, code_bound]``.
     """
-    if not 0 <= j < D.shape[1]:
-        raise ConfigError(f"atom index {j} out of range for {D.shape[1]} atoms")
-    return truncated_hard_threshold(code_rhs(Y, D, C, j), lam, code_bound)
+    return truncated_hard_threshold(_code_rhs(*_step_inputs(Y, D, C, j)), lam, code_bound)
 
 
 def atom_rhs(Y: np.ndarray, D: np.ndarray, C, j: int, new_code: np.ndarray) -> np.ndarray:
@@ -304,10 +322,14 @@ def atom_rhs(Y: np.ndarray, D: np.ndarray, C, j: int, new_code: np.ndarray) -> n
     where ``C`` and ``D`` are the matrices from *before* the code commit
     (column j of ``C`` is the pre-update code ``c_j``, column j of ``D``
     the pre-update atom).  As with :func:`code_rhs`, ``E_j`` is never
-    formed.
+    formed and ``C`` is read as canonical CSC.
     """
-    Y, D = _real_inputs(Y, D, C)
-    c = as_real_array(new_code, "new code")
+    Y, D, C, j = _step_inputs(Y, D, C, j)
+    return _atom_rhs(Y, D, C, j, as_real_array(new_code, "new code"))
+
+
+def _atom_rhs(Y: np.ndarray, D: np.ndarray, C: sparse.csc_array, j: int, c: np.ndarray) -> np.ndarray:
+    """:func:`atom_rhs` on checked inputs."""
     rows, vals = _code_entries(C, j)
     h = _atom_term(D[:, j], vals, c[rows]) - D @ (C.T @ c)
     support = np.flatnonzero(c != 0)
@@ -348,9 +370,9 @@ def atom_update_step(
     """
     if policy not in EMPTY_CODE_POLICIES:
         raise ConfigError(f"unknown empty-code policy {policy!r}; choose from {EMPTY_CODE_POLICIES}")
-    Y, D = _real_inputs(Y, D, C)
+    Y, D, C, j = _step_inputs(Y, D, C, j)
     c = as_real_array(new_code, "new code")
-    return _unit_atom(atom_rhs(Y, D, C, j, c) if np.any(c) else None, D[:, j], j, policy, rng)
+    return _unit_atom(_atom_rhs(Y, D, C, j, c) if np.any(c) else None, D[:, j], j, policy, rng)
 
 
 def _unit_atom(h: Optional[np.ndarray], d: np.ndarray, j: int, policy: str, rng) -> np.ndarray:
@@ -434,13 +456,13 @@ def objective(Y: np.ndarray, D: np.ndarray, C, lam: float) -> float:
     The nonzero count is structural/exact; no tolerance is applied when
     deciding whether an entry is zero.
     """
-    Y, D = _real_inputs(Y, D, C)
-    return _fit(Y, D, C) + lam * lam * _code_nnz(C)
+    Y, D, C = _real_inputs(Y, D, C)
+    return _fit(Y, D, C) + lam * lam * C.nnz
 
 
 def nsre(Y: np.ndarray, D: np.ndarray, C) -> float:
     """Normalized representation error ``||Y - D C^T||_F / ||Y||_F``."""
-    Y, D = _real_inputs(Y, D, C)
+    Y, D, C = _real_inputs(Y, D, C)
     ynorm = np.linalg.norm(Y)
     if ynorm == 0.0:
         raise ConfigError("nsre is undefined for an all-zero training matrix")
@@ -457,10 +479,10 @@ def sparsity_factor(C, signal_dim: int) -> float:
         raise ConfigError("signal_dim must be positive")
     if np.ndim(C) != 2:
         raise ConfigError(f"code matrix must be 2-D, got shape {np.shape(C)}")
-    N = np.shape(C)[0]
+    N, J = np.shape(C)
     if N < 1:
         raise ConfigError("code matrix has no signals")
-    return _code_nnz(C) / (signal_dim * N)
+    return _code_matrix(C, N, J, "code matrix").nnz / (signal_dim * N)
 
 
 @dataclass
@@ -505,27 +527,6 @@ class LearnTrace:
 
     def __len__(self) -> int:
         return len(self.objective)
-
-
-def _initial_codes(init_codes, N: int, J: int, code_bound: float) -> sparse.csc_array:
-    """Canonical CSC copy of the initial codes, checked against the bound.
-
-    Stored zeros (including -0.0) are dropped, so nnz stays structural.
-    """
-    if init_codes is None:
-        return sparse.csc_array((N, J), dtype=float)
-    if np.shape(init_codes) != (N, J):
-        raise ConfigError(f"init_codes shape {np.shape(init_codes)} does not match (N, J)=({N}, {J})")
-    if np.iscomplexobj(init_codes):
-        raise ConfigError("init_codes must be real")
-    C = sparse.csc_array(init_codes, dtype=float, copy=True)
-    C.sum_duplicates()
-    C.eliminate_zeros()
-    if not np.all(np.isfinite(C.data)):
-        raise ConfigError("init_codes must be finite")
-    if C.nnz and np.max(np.abs(C.data)) > code_bound:
-        raise ConfigError(f"init_codes exceed the magnitude bound {code_bound}")
-    return C
 
 
 def _validated_dictionary(D, n: int, J: int) -> np.ndarray:
@@ -643,15 +644,15 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
             f"code_bound must be finite and exceed lam (got bound={bound}, lam={lam}); "
             "pass an explicit code_bound for zero training data"
         )
-    C = _initial_codes(config.init_codes, N, J, bound)
+    init = sparse.csc_array((N, J)) if config.init_codes is None else config.init_codes
+    C = _code_matrix(init, N, J, "init_codes")
+    if C.nnz and np.max(np.abs(C.data)) > bound:
+        raise ConfigError(f"init_codes exceed the magnitude bound {bound}")
     rng = np.random.default_rng(config.seed)
 
     if C.nnz:
         _add_products(R, C, -D)
-    codes = [
-        (C.indices[C.indptr[j] : C.indptr[j + 1]].astype(np.intp), C.data[C.indptr[j] : C.indptr[j + 1]])
-        for j in range(J)
-    ]
+    codes = [_code_entries(C, j) for j in range(J)]
     nnz = C.nnz
     del C
 

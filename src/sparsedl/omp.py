@@ -3,7 +3,7 @@
 Greedy sparse coding against a fixed dictionary: atoms are selected by
 largest absolute correlation with the running residual (ties go to the
 lowest index), and selection stops once the squared residual drops to
-the error goal or the support hits the atom cap.
+the error goal or the support hits the atom cap, ``min(n, J)`` atoms.
 
 Batch-OMP with progressive Cholesky (Rubinstein, Zibulevsky and Elad,
 Technion CS-2008-08) never forms a residual.  From ``G = D^T D`` and
@@ -40,12 +40,10 @@ where many atoms coincide, as the learner's atoms parked on ``e1`` do.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 from scipy import sparse
 
-from .exceptions import ConfigError, as_integer, as_real_array
+from .exceptions import ConfigError, as_real_array
 
 __all__ = ["omp_code", "omp_code_matrix", "REACHED_ERROR_GOAL", "REACHED_ATOM_CAP", "DEGENERATE"]
 
@@ -68,7 +66,7 @@ _SPAN_TOL = 1e-6
 _BAND = 2048
 
 
-def omp_code(D: np.ndarray, y: np.ndarray, error_goal: float, max_atoms: Optional[int] = None):
+def omp_code(D: np.ndarray, y: np.ndarray, error_goal: float):
     """Sparse-code one signal.
 
     Parameters
@@ -76,30 +74,29 @@ def omp_code(D: np.ndarray, y: np.ndarray, error_goal: float, max_atoms: Optiona
     D : ndarray, shape (n, J)
         Dictionary with unit-norm columns.
     y : ndarray, shape (n,)
-        Signal to approximate.
+        Signal to approximate; a 2-D patch raises, as its vector is the
+        column-major one (the patch extractors' order).
     error_goal : float
         Stop once ``||y - D code||_2^2 <= error_goal``.  Nonnegative.
-        The running squared residual is trusted to ``(n + max_atoms)``
+        The running squared residual is trusted to ``n + min(n, J)``
         ulps of ``||y||^2``; a goal within that is counted as met.
-    max_atoms : int, optional
-        Support cap; defaults to ``min(n, J)``.
 
     Returns
     -------
     code : ndarray, shape (J,)
     status : str
         ``"error_goal"`` when the goal was met, ``"atom_cap"`` when the
-        cap stopped selection first, ``"degenerate"`` when a selected
-        atom lies within ``1e-6`` of its norm of the span of the current
-        support (it is dropped and selection stops) or no atom correlated
-        with the residual.
+        cap of ``min(n, J)`` atoms stopped selection first,
+        ``"degenerate"`` when a selected atom lies within ``1e-6`` of its
+        norm of the span of the current support (it is dropped and
+        selection stops) or no atom correlated with the residual.
     """
-    y = np.asarray(y).ravel()
-    C, statuses = omp_code_matrix(D, y[:, None], error_goal, max_atoms)
+    y = as_real_array(y, "signal", ndim=1)
+    C, statuses = omp_code_matrix(D, y[:, None], error_goal)
     return C.toarray()[0], statuses[0]
 
 
-def omp_code_matrix(D: np.ndarray, Y: np.ndarray, error_goal: float, max_atoms: Optional[int] = None):
+def omp_code_matrix(D: np.ndarray, Y: np.ndarray, error_goal: float):
     """Sparse-code every column of ``Y`` with the same error goal.
 
     Returns the coefficient matrix as a csc array of shape (N, J) (row i
@@ -117,9 +114,9 @@ def omp_code_matrix(D: np.ndarray, Y: np.ndarray, error_goal: float, max_atoms: 
         raise ConfigError(f"signal length {Y.shape[0]} does not match dictionary rows {n}")
     if not (np.isfinite(error_goal) and error_goal >= 0.0):
         raise ConfigError(f"error_goal must be finite and nonnegative, got {error_goal}")
-    cap = min(n, J) if max_atoms is None else as_integer(max_atoms, "max_atoms")
-    if not 1 <= cap <= min(n, J):
-        raise ConfigError(f"max_atoms must lie in [1, {min(n, J)}], got {cap}")
+    cap = min(n, J)
+    if not cap:
+        raise ConfigError(f"dictionary must have rows and atoms, got shape {D.shape}")
 
     N = Y.shape[1]
     keep = _distinct_columns(D)

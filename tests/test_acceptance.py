@@ -188,8 +188,8 @@ def test_criterion_05_iterate_changes_decay_on_patch_data(smooth_image):
 
 
 def test_criterion_06_error_decreases_across_sparsity_weights(natural_image, tmp_path):
-    """A decreasing weight grid whose solutions span roughly 2%-20%
-    code density must drive the normalized error strictly down."""
+    """A decreasing weight grid must drive the normalized error strictly
+    down, its lowest code density at most 3% and its highest at least 15%."""
     out = tmp_path / "sweep.csv"
     rows = lambda_sweep(
         natural_image.astype(float),

@@ -26,7 +26,7 @@ from sparsedl.io import (
     write_pgm,
 )
 from sparsedl.learner import LearnConfig, LearnTrace, learn
-from sparsedl.omp import omp_code_matrix
+from sparsedl.omp import omp_code, omp_code_matrix
 
 
 def run_cli(*args, env_extra=None):
@@ -511,10 +511,11 @@ def test_settable_surface_is_pinned():
         "num_atoms", "iterations", "lam", "init_dictionary", "code_bound",
         "init_codes", "atom_order", "empty_code_policy", "seed",
     ]
-    functions = (learn, omp_code_matrix, psnr, write_pgm)
+    functions = (learn, omp_code, omp_code_matrix, psnr, write_pgm)
     assert {fn.__name__: list(inspect.signature(fn).parameters) for fn in functions} == {
         "learn": ["Y", "config", "overwrite_y"],
-        "omp_code_matrix": ["D", "Y", "error_goal", "max_atoms"],
+        "omp_code": ["D", "y", "error_goal"],
+        "omp_code_matrix": ["D", "Y", "error_goal"],
         "psnr": ["reference", "estimate"],
         "write_pgm": ["path", "image"],
     }

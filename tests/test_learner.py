@@ -80,6 +80,22 @@ class TestThresholding:
             assert np.array_equal(truncated_hard_threshold(b, lam, bound), want, equal_nan=True)
 
 
+def _non_canonical(C):
+    """Dense ``C`` as a CSC array that is not canonical: every nonzero is
+    stored as two halves, each column also stores 0.0 on its first row and
+    -0.0 on its last, and the rows of a column are not sorted."""
+    N, J = C.shape
+    rows, cols = np.nonzero(C)
+    halves = C[rows, cols] / 2.0
+    r = np.concatenate([rows, rows, np.zeros(J, int), np.full(J, N - 1)])
+    c = np.concatenate([cols, cols, np.arange(J), np.arange(J)])
+    v = np.concatenate([halves, halves, np.zeros(J), np.full(J, -0.0)])
+    order = np.argsort(c, kind="stable")
+    M = sparse.csc_array((v[order], r[order], np.searchsorted(c[order], np.arange(J + 1))), shape=(N, J))
+    assert not M.has_canonical_format and M.nnz == 2 * rows.size + 2 * J
+    return M
+
+
 class TestStepOracles:
     def test_code_rhs_matches_dense_residual(self):
         rng = np.random.default_rng(11)
@@ -90,8 +106,8 @@ class TestStepOracles:
             want = dense_residual_excluding(Y, D, C, j).T @ D[:, j]
             got = code_rhs(Y, D, C, j)
             assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
-            got_sparse = code_rhs(Y, D, sparse.csc_array(C), j)
-            assert np.allclose(got_sparse, want, rtol=1e-10, atol=1e-12)
+            for codes in (sparse.csc_array(C), _non_canonical(C)):
+                assert np.allclose(code_rhs(Y, D, codes, j), want, rtol=1e-10, atol=1e-12)
 
     def test_atom_rhs_matches_dense_residual(self):
         rng = np.random.default_rng(12)
@@ -101,10 +117,8 @@ class TestStepOracles:
             j = int(rng.integers(J))
             c_new = rng.standard_normal(N) * (rng.random(N) < 0.5)
             want = dense_residual_excluding(Y, D, C, j) @ c_new
-            assert np.allclose(atom_rhs(Y, D, C, j, c_new), want, rtol=1e-10, atol=1e-12)
-            assert np.allclose(
-                atom_rhs(Y, D, sparse.csc_array(C), j, c_new), want, rtol=1e-10, atol=1e-12
-            )
+            for codes in (C, sparse.csc_array(C), _non_canonical(C)):
+                assert np.allclose(atom_rhs(Y, D, codes, j, c_new), want, rtol=1e-10, atol=1e-12)
 
     def test_atom_rhs_gathers_a_support_wider_than_one_chunk(self):
         rng = np.random.default_rng(19)
@@ -132,11 +146,22 @@ class TestStepOracles:
             C2[:, j] = sparse_code_step(Y, D, C, j, lam, bound)
             assert dense_objective(Y, D, C2, lam) <= before + 1e-10 * abs(before)
 
-    def test_sparse_code_step_rejects_bad_index(self):
+    @pytest.mark.parametrize("j", [-1, 3, 1.5])
+    def test_single_column_steps_reject_bad_index(self, j):
+        """An index outside [0, J) or not an integer raises, for a dense or
+        a sparse C alike; -1 does not wrap to the last atom."""
         rng = np.random.default_rng(15)
         Y, D, C = random_instance(rng, 4, 6, 3)
-        with pytest.raises(ConfigError):
-            sparse_code_step(Y, D, C, 3, 0.5, 2.0)
+        code = np.ones(6)
+        for codes in (C, sparse.csc_array(C)):
+            for call in (
+                lambda: code_rhs(Y, D, codes, j),
+                lambda: sparse_code_step(Y, D, codes, j, 0.5, 2.0),
+                lambda: atom_rhs(Y, D, codes, j, code),
+                lambda: atom_update_step(Y, D, codes, j, code),
+            ):
+                with pytest.raises(ConfigError, match="atom index"):
+                    call()
 
     def test_atom_update_is_normalized_rhs(self):
         rng = np.random.default_rng(16)
@@ -200,8 +225,8 @@ class TestMetrics:
         Y, D, C = random_instance(rng, 5, 11, 4)
         lam = 0.7
         want = dense_objective(Y, D, C, lam)
-        assert np.isclose(objective(Y, D, C, lam), want, rtol=1e-12)
-        assert np.isclose(objective(Y, D, sparse.csc_array(C), lam), want, rtol=1e-12)
+        for codes in (C, sparse.csc_array(C), _non_canonical(C)):
+            assert np.isclose(objective(Y, D, codes, lam), want, rtol=1e-12)
 
     def test_objective_counts_structural_zeros_exactly(self):
         Y = np.zeros((2, 3))
@@ -694,6 +719,28 @@ class TestLearn:
             with pytest.raises(ConfigError, match="real"):
                 learn(Y, _default_config(3, 1, 0.5, D0, init_codes=init_codes))
         C = np.zeros((6, 3))
+        nan_codes = C.copy()
+        nan_codes[2, 1] = np.nan
+        bad_codes = (
+            (nan_codes, "finite"),
+            (sparse.csc_array(nan_codes), "finite"),
+            (np.zeros((6, 2)), "shape"),
+            (sparse.csc_array((5, 3)), "shape"),
+            (np.zeros(6), "shape"),
+        )
+        for Cb, match in bad_codes:
+            for call in (
+                lambda: code_rhs(Y, D0, Cb, 0),
+                lambda: sparse_code_step(Y, D0, Cb, 0, 0.5, 3.0),
+                lambda: atom_rhs(Y, D0, Cb, 0, np.ones(6)),
+                lambda: atom_update_step(Y, D0, Cb, 0, np.ones(6)),
+                lambda: objective(Y, D0, Cb, 0.5),
+                lambda: nsre(Y, D0, Cb),
+            ):
+                with pytest.raises(ConfigError, match=match):
+                    call()
+        with pytest.raises(ConfigError, match="finite"):
+            sparsity_factor(nan_codes, 4)
         for Yc, Dc, Cc in ((Y + 1j, D0, C), (Y, D0 + 0j, C), (Y, D0, codes), (Y, D0, sparse.csc_array(codes))):
             with pytest.raises(ConfigError, match="real"):
                 objective(Yc, Dc, Cc, 0.5)

@@ -47,12 +47,11 @@ def _textbook_omp(D, y, goal, cap):
     return support, coef, REACHED_ERROR_GOAL
 
 
-def _assert_matches_textbook(D, Y, goal, max_atoms=None):
-    C, statuses = omp_code_matrix(D, Y, goal, max_atoms)
+def _assert_matches_textbook(D, Y, goal):
+    C, statuses = omp_code_matrix(D, Y, goal)
     codes = C.toarray()
-    cap = min(D.shape) if max_atoms is None else max_atoms
     for i in range(Y.shape[1]):
-        support, coef, status = _textbook_omp(D, Y[:, i], goal, cap)
+        support, coef, status = _textbook_omp(D, Y[:, i], goal, min(D.shape))
         assert statuses[i] == status, i
         assert np.array_equal(np.flatnonzero(codes[i]), np.sort(support)), i
         assert np.linalg.norm(codes[i, support] - coef) <= 1e-10 * np.linalg.norm(coef), i
@@ -127,12 +126,14 @@ class TestOmpCode:
         assert status == REACHED_ERROR_GOAL
 
     def test_atom_cap_limits_support(self):
+        """Two atoms in nine dimensions: a generic signal takes both and
+        stops at the cap of min(n, J) atoms, short of a zero goal."""
         rng = np.random.default_rng(4)
-        D = random_dictionary(9, 14, rng)
+        D = random_dictionary(9, 2, rng)
         y = rng.standard_normal(9)
-        code, status = omp_code(D, y, 0.0, max_atoms=2)
-        assert np.count_nonzero(code) <= 2
-        assert status in (REACHED_ATOM_CAP, REACHED_ERROR_GOAL)
+        code, status = omp_code(D, y, 0.0)
+        assert np.count_nonzero(code) == 2
+        assert status == REACHED_ATOM_CAP
 
     def test_validation(self):
         D = random_dictionary(4, 6, 0)
@@ -141,12 +142,12 @@ class TestOmpCode:
             omp_code(D, np.ones(5), 1.0)
         with pytest.raises(ConfigError):
             omp_code(D, y, -1.0)
-        with pytest.raises(ConfigError):
-            omp_code(D, y, 1.0, max_atoms=0)
-        with pytest.raises(ConfigError):
-            omp_code(D, y, 1.0, max_atoms=5)  # exceeds min(n, J)
-        with pytest.raises(ConfigError, match="max_atoms must be an integer"):
-            omp_code(D, y, 1.0, max_atoms=2.5)
+        # A 2-D patch: raveled in C order it would code as the transpose of
+        # its column-major vector, [5, -1, -2, 0] instead of [5, -2, -1, 0].
+        patch = np.array([[1.0, 2.0], [3.0, 4.0]])
+        for signal in (patch, patch.ravel(order="F")[:, None]):
+            with pytest.raises(ConfigError, match="1-D"):
+                omp_code(overcomplete_dct_dictionary(4, 4), signal, 0.0)
         for bad_D, bad_y in ((D, y + 1j), (D + 0j, y)):
             with pytest.raises(ConfigError, match="real"):
                 omp_code(bad_D, bad_y, 1.0)
@@ -171,11 +172,13 @@ class TestOmpCodeMatrix:
 
     def test_statuses_are_the_module_constants(self):
         """The status list repeats the three constants: no string of its own per signal."""
+        rng = np.random.default_rng(6)
         D = overcomplete_dct_dictionary(16, 36)
-        Y = np.random.default_rng(6).standard_normal((16, 1500))
+        Y = rng.standard_normal((16, 1500))
         Y[:, :500] = 0.0  # codes to zero at once
-        for goal, cap in ((1.0, None), (1.0, 2), (0.0, None)):
-            _, statuses = omp_code_matrix(D, Y, goal, cap)
+        # two atoms in 16 dimensions stop most signals at the atom cap
+        for Dg, goal in ((D, 1.0), (random_dictionary(16, 2, rng), 1.0), (D, 0.0)):
+            _, statuses = omp_code_matrix(Dg, Y, goal)
             assert len(statuses) == 1500
             assert len({id(s) for s in statuses}) <= 3
             assert all(s is REACHED_ERROR_GOAL or s is REACHED_ATOM_CAP or s is DEGENERATE for s in statuses)
@@ -189,7 +192,7 @@ class TestOmpCodeMatrix:
         [
             "no-signals-negative-goal",
             "no-signals-row-mismatch",
-            "no-signals-cap-too-large",
+            "no-signals-no-atoms",
             "dictionary-not-2d",
             "nan-signal",
             "inf-atom",
@@ -198,13 +201,13 @@ class TestOmpCodeMatrix:
     def test_validates_before_coding_any_signal(self, case):
         D = random_dictionary(4, 6, 0)
         Y = np.ones((4, 3))
-        goal, cap = 1.0, None
+        goal = 1.0
         if case == "no-signals-negative-goal":
             Y, goal = np.ones((4, 0)), -1.0
         elif case == "no-signals-row-mismatch":
             Y = np.ones((5, 0))
-        elif case == "no-signals-cap-too-large":
-            Y, cap = np.ones((4, 0)), 99
+        elif case == "no-signals-no-atoms":
+            D, Y = np.ones((4, 0)), np.ones((4, 0))
         elif case == "dictionary-not-2d":
             D = np.ones(4)
         elif case == "nan-signal":
@@ -212,7 +215,7 @@ class TestOmpCodeMatrix:
         elif case == "inf-atom":
             D[1, 3] = np.inf
         with pytest.raises(ConfigError):
-            omp_code_matrix(D, Y, goal, cap)
+            omp_code_matrix(D, Y, goal)
 
 
 class TestAgainstTextbookOmp:
@@ -225,8 +228,7 @@ class TestAgainstTextbookOmp:
             D = random_dictionary(n, J, rng)
             Y = rng.standard_normal((n, 6))
             goal = float(rng.uniform(0.02, 0.6)) * n
-            cap = None if rng.random() < 0.5 else int(rng.integers(1, min(n, J) + 1))
-            seen.update(_assert_matches_textbook(D, Y, goal, cap)[0])
+            seen.update(_assert_matches_textbook(D, Y, goal)[0])  # J < n can stop at the cap
         assert seen == {REACHED_ERROR_GOAL, REACHED_ATOM_CAP}
 
     def test_rank_deficient_dictionaries_stop_when_the_span_is_used_up(self):
@@ -297,58 +299,61 @@ class TestBatchIndependence:
         D = overcomplete_dct_dictionary(64, 256)
         D[:, 200:] = D[:, [0]]  # repeated atoms, as the learner's parked ones
         goal = 64 * 1.15**2 * 400.0
-        for cap in (None, 2):
-            C, statuses = omp_code_matrix(D, Y, goal, cap)
+        for Dc in (D, D[:, 1:3]):  # two atoms in 64 dimensions stop at the atom cap
+            C, statuses = omp_code_matrix(Dc, Y, goal)
             cuts = np.sort(rng.choice(np.arange(1, Y.shape[1]), size=4, replace=False))
             bounds = [0, 1, *cuts, Y.shape[1] - 1, Y.shape[1]]
-            parts = [omp_code_matrix(D, Y[:, lo:hi], goal, cap) for lo, hi in zip(bounds, bounds[1:])]
+            parts = [omp_code_matrix(Dc, Y[:, lo:hi], goal) for lo, hi in zip(bounds, bounds[1:])]
             assert np.array_equal(sparse.vstack([c for c, _ in parts]).toarray(), C.toarray())
             assert [s for _, part in parts for s in part] == statuses
 
     def test_mixed_stops_in_one_call_match_single_calls(self):
         """One call where signals stop at the goal, at the cap and on a
-        duplicated atom; every row equals its own single-column call."""
+        residual no atom correlates with; every row equals its own
+        single-column call."""
         rng = np.random.default_rng(23)
         e = np.eye(5)
-        # atom 1 duplicates atom 0; nothing reaches the last coordinate
-        D = np.column_stack([e[0], e[0], e[1], e[2], e[1] + e[2] + e[3], e[1] - e[2], e[3]])
+        # four atoms in five dimensions: the cap is 4, and nothing reaches the last coordinate
+        D = np.column_stack([e[0], e[1], e[2], e[1] + e[2] + e[3]])
         D /= np.linalg.norm(D, axis=0)
         kinds = rng.integers(0, 3, 300)
         Y = np.zeros((5, kinds.size))
         for i, kind in enumerate(kinds):
             if kind == 0:  # one atom's worth: meets the goal
-                Y[:, i] = D[:, rng.integers(7)] * rng.uniform(1.0, 3.0)
-            elif kind == 1:  # generic in the span: needs four atoms, capped at three
+                Y[:, i] = D[:, rng.integers(4)] * rng.uniform(1.0, 3.0)
+            elif kind == 1:  # generic in the span plus an unreachable part: takes all four atoms
                 Y[:4, i] = rng.uniform(1.0, 2.0, 4) * rng.choice([-1.0, 1.0], 4)
-            else:  # along the duplicated atom plus an unreachable part
+                Y[4, i] = rng.uniform(1.0, 3.0)
+            else:  # along atom 0 plus an unreachable part
                 Y[0, i] = rng.uniform(1.0, 3.0)
                 Y[4, i] = rng.uniform(1.0, 3.0)
-        C, statuses = omp_code_matrix(D, Y, 1e-6, max_atoms=3)
+        C, statuses = omp_code_matrix(D, Y, 1e-6)
         want = {0: REACHED_ERROR_GOAL, 1: REACHED_ATOM_CAP, 2: DEGENERATE}
         assert statuses == [want[k] for k in kinds]
-        _assert_matches_textbook(D, Y, 1e-6, max_atoms=3)
+        _assert_matches_textbook(D, Y, 1e-6)
         codes = C.toarray()
         for i in range(kinds.size):
-            code, status = omp_code(D, Y[:, i], 1e-6, max_atoms=3)
+            code, status = omp_code(D, Y[:, i], 1e-6)
             assert np.array_equal(code, codes[i]) and status == statuses[i], i
         assert np.all(np.count_nonzero(codes[kinds == 2], axis=1) == 1)
 
 
 class TestBandKernel:
-    @pytest.mark.parametrize("max_atoms", [None, 3])
-    def test_rows_match_single_calls_when_the_last_band_holds_one_signal(self, max_atoms):
+    @pytest.mark.parametrize("J", [107, 11])
+    def test_rows_match_single_calls_when_the_last_band_holds_one_signal(self, J):
         """One GEMM forms a band's correlations, and a one-signal band doubles
-        its row; 107 atoms of length 64 leave a tail past the last multiple
-        of 8, which BLAS rounds by the row count unless padded."""
+        its row; 107 or 11 atoms of length 64 leave a tail past the last
+        multiple of 8, which BLAS rounds by the row count unless padded.
+        11 atoms stop many signals at the atom cap."""
         rng = np.random.default_rng(25)
-        D = random_dictionary(64, 107, rng)
+        D = random_dictionary(64, J, rng)
         N = _BAND + 1
         Y = rng.standard_normal((64, N)) * rng.uniform(0.5, 1.0, N)
-        C, statuses = omp_code_matrix(D, Y, 24.0, max_atoms)
+        C, statuses = omp_code_matrix(D, Y, 24.0)
         codes = C.toarray()
         assert len({np.count_nonzero(row) for row in codes}) >= 3
         for i in range(N):
-            code, status = omp_code(D, Y[:, i], 24.0, max_atoms)
+            code, status = omp_code(D, Y[:, i], 24.0)
             assert np.array_equal(code, codes[i]) and status == statuses[i], i
 
     def test_duplicated_atoms_code_like_their_first_occurrence(self):
@@ -363,9 +368,9 @@ class TestBandKernel:
             order.insert(int(rng.integers(order.index(j) + 1, len(order) + 1)), int(j))
         order += [0] * 12
         Y = rng.standard_normal((10, 400)) * rng.uniform(0.3, 3.0, 400)
-        for goal, cap in [(0.8, None), (0.05, 4)]:
-            C, statuses = omp_code_matrix(D, Y, goal, cap)
-            Cd, sd = omp_code_matrix(D[:, order], Y, goal, cap)
+        for goal in (0.8, 0.05):
+            C, statuses = omp_code_matrix(D, Y, goal)
+            Cd, sd = omp_code_matrix(D[:, order], Y, goal)
             first = np.array([order.index(j) for j in range(21)])
             want = np.zeros((400, len(order)))
             want[:, first] = C.toarray()
