@@ -43,16 +43,16 @@ from typing import Optional
 import numpy as np
 
 from .dictionaries import overcomplete_dct_dictionary
-from .exceptions import ConfigError, as_integer, as_real_array
+from .exceptions import ConfigError, as_integer, as_real_array, as_real_number
 from .learner import LearnConfig, LearnTrace, _add_products, learn
 from .omp import omp_code_matrix
 from .patches import (
     _GRID_ROWS,
+    _check_geometry,
     _gather_patches,
     aggregate_patches,
     extract_patches,
     patch_cover,
-    patch_grid_shape,
 )
 
 # Patches coded at a time: the coding pass takes bands of whole _GRID_ROWS blocks
@@ -86,9 +86,8 @@ def add_gaussian_noise(image: np.ndarray, sigma: float, seed: int = 0) -> np.nda
     bit.  The result is float and NOT clipped to [0, 255].
     """
     img = as_real_array(image, "image")
-    if not (np.isfinite(sigma) and sigma >= 0.0):
-        raise ConfigError(f"sigma must be finite and nonnegative, got {sigma}")
-    rng = np.random.default_rng(seed)
+    sigma = as_real_number(sigma, "sigma", low=0.0)
+    rng = np.random.default_rng(as_integer(seed, "seed", low=0))
     u1 = 1.0 - rng.random(img.shape)
     u2 = rng.random(img.shape)
     return img + sigma * np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
@@ -128,10 +127,14 @@ class DenoiseConfig:
     patches learns on a seeded subsample of that many, and coding always
     uses every patch.  Its default, 2**18 = 262,144, is above the 255,025
     patches of a 512 x 512 image, so it changes outputs only above the
-    cap; ``None`` learns on every patch.  ``stride`` applies to both
-    extraction and aggregation; 1 uses maximum overlap.  Learning always
-    starts from ``overcomplete_dct_dictionary(patch_size**2, num_atoms)``,
-    so ``num_atoms`` must be a perfect square of at least ``patch_size**2``.
+    cap; ``None`` learns on every patch.  ``seed``, a non-negative
+    integer, draws that subsample and seeds the learner.  ``stride``
+    applies to both extraction and aggregation; 1 uses maximum overlap.
+    Learning always starts from
+    ``overcomplete_dct_dictionary(patch_size**2, num_atoms)``, so
+    ``num_atoms`` must be a perfect square of at least ``patch_size**2``.
+    :func:`denoise_image` checks every setting before any work starts,
+    ``seed`` included when no learning reads it.
     """
 
     sigma: float
@@ -168,25 +171,15 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
     ``iterations=0`` codes against as it is.
     """
     noisy = as_real_array(noisy_image, "noisy image", ndim=2, finite=True)
-    sigma = float(config.sigma)
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ConfigError(f"sigma must be finite and positive, got {sigma}")
-    if not 1.0 < config.error_gain < np.inf:
-        raise ConfigError(f"error_gain must be finite and exceed 1, got {config.error_gain}")
-    prior = 20.0 / sigma if config.prior_weight is None else float(config.prior_weight)
-    if not 0.0 <= prior < np.inf:
-        raise ConfigError(f"prior_weight must be finite and nonnegative, got {prior}")
-    K = as_integer(config.iterations, "iterations")
-    if K < 0:
-        raise ConfigError(f"iterations must be nonnegative, got {K}")
+    sigma = as_real_number(config.sigma, "sigma", low=0.0, exclusive=True)
+    gain = as_real_number(config.error_gain, "error_gain", low=1.0, exclusive=True)
+    prior = config.prior_weight
+    prior = 20.0 / sigma if prior is None else as_real_number(prior, "prior_weight", low=0.0)
+    K = as_integer(config.iterations, "iterations", low=0)
     m = config.max_train_patches
-    if m is not None and as_integer(m, "max_train_patches") < 1:
-        raise ConfigError(f"max_train_patches must be positive, got {m}")
-
-    gr, gc = patch_grid_shape(noisy.shape, config.patch_size, config.stride)
-    p = int(config.patch_size)
-    s = int(config.stride)
-    J = as_integer(config.num_atoms, "num_atoms")
+    m = None if m is None else as_integer(m, "max_train_patches", low=1)
+    seed = as_integer(config.seed, "seed", low=0)
+    _, p, s, (gr, gc) = _check_geometry(noisy.shape, config.patch_size, config.stride)
     n = p * p
     if prior == 0.0:
         # a pixel lies under some patch iff both of its axis counts are positive
@@ -194,31 +187,31 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
             raise ConfigError(
                 "prior_weight 0 needs full patch coverage; shrink the stride or keep the prior"
             )
-    D0 = overcomplete_dct_dictionary(n, J)
+    D0 = overcomplete_dct_dictionary(n, config.num_atoms)
     N = gr * gc
-    num_train = N if m is None else min(int(m), N)
+    num_train = N if m is None else min(m, N)
 
     trace = None
     D = D0
     if K > 0:
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(seed)
         index = rng.choice(N, size=num_train, replace=False) if num_train < N else None
         train = _gather_patches(noisy, p, s, index)  # train.T is C-ordered: learn works in it
         train -= train.mean(axis=0)
         D, _, trace = learn(
             train,
             LearnConfig(
-                num_atoms=J,
+                num_atoms=D0.shape[1],
                 iterations=K,
                 lam=_LAM_PER_SIGMA * sigma,
                 init_dictionary=D0,
-                seed=config.seed,
+                seed=seed,
             ),
             overwrite_y=True,
         )
         del train  # learn left its residual here; coding takes the patches anew
 
-    error_goal = n * config.error_gain**2 * sigma**2
+    error_goal = n * gain**2 * sigma**2
     total = np.zeros(noisy.shape)
     statuses = Counter()
     # Each band is whole _GRID_ROWS blocks of grid rows, taken in ascending order, so

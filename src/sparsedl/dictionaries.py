@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, as_integer
 
 __all__ = ["INIT_KINDS", "initial_dictionary", "overcomplete_dct_dictionary", "random_dictionary"]
 
@@ -35,12 +35,12 @@ def overcomplete_dct_dictionary(signal_dim: int, num_atoms: int) -> np.ndarray:
     -------
     ndarray, shape (signal_dim, num_atoms)
     """
-    p = math.isqrt(int(signal_dim))
-    q = math.isqrt(int(num_atoms))
-    if p < 1 or p * p != signal_dim:
-        raise ConfigError(f"signal_dim must be a positive perfect square, got {signal_dim}")
-    if q < 1 or q * q != num_atoms:
-        raise ConfigError(f"num_atoms must be a positive perfect square, got {num_atoms}")
+    p = math.isqrt(as_integer(signal_dim, "signal_dim", low=1))
+    q = math.isqrt(as_integer(num_atoms, "num_atoms", low=1))
+    if p * p != signal_dim:
+        raise ConfigError(f"signal_dim must be a perfect square, got {signal_dim}")
+    if q * q != num_atoms:
+        raise ConfigError(f"num_atoms must be a perfect square, got {num_atoms}")
     if num_atoms < signal_dim:
         raise ConfigError(f"need num_atoms >= signal_dim, got {num_atoms} < {signal_dim}")
     i = np.arange(p)[:, None]
@@ -59,27 +59,32 @@ def overcomplete_dct_dictionary(signal_dim: int, num_atoms: int) -> np.ndarray:
 def random_dictionary(signal_dim: int, num_atoms: int, seed=0) -> np.ndarray:
     """Dictionary with iid standard normal entries, columns normalized.
 
-    ``seed`` may be an int or a numpy Generator.  A zero-norm column
-    (probability zero, but possible in principle) is redrawn.
+    ``seed`` may be a non-negative int or a numpy Generator.  A zero-norm
+    column (probability zero, but possible in principle) is redrawn.
     """
-    if signal_dim < 1 or num_atoms < 1:
-        raise ConfigError(
-            f"dictionary dimensions must be positive, got {signal_dim} x {num_atoms}"
-        )
-    rng = np.random.default_rng(seed)
-    D = rng.standard_normal((signal_dim, num_atoms))
+    n = as_integer(signal_dim, "signal_dim", low=1)
+    J = as_integer(num_atoms, "num_atoms", low=1)
+    rng = np.random.default_rng(_checked_seed(seed))
+    D = rng.standard_normal((n, J))
     norms = np.linalg.norm(D, axis=0)
     while np.any(norms == 0.0):
         for j in np.flatnonzero(norms == 0.0):
-            D[:, j] = rng.standard_normal(signal_dim)
+            D[:, j] = rng.standard_normal(n)
         norms = np.linalg.norm(D, axis=0)
     return D / norms
 
 
+def _checked_seed(seed):
+    """``seed`` itself if it is a numpy Generator, else through ``as_integer(seed, "seed", low=0)``."""
+    return seed if isinstance(seed, np.random.Generator) else as_integer(seed, "seed", low=0)
+
+
 def initial_dictionary(kind: str, signal_dim: int, num_atoms: int, seed=0) -> np.ndarray:
-    """Starting dictionary of the given ``kind``, one of :data:`INIT_KINDS`."""
+    """Starting dictionary of the given ``kind``, one of :data:`INIT_KINDS`;
+    ``seed`` is checked as for :func:`random_dictionary` whatever the kind."""
     if kind not in INIT_KINDS:
         raise ConfigError(f"unknown init {kind!r}; choose from {INIT_KINDS}")
     if kind == "dct":
+        _checked_seed(seed)  # though the DCT reads no seed
         return overcomplete_dct_dictionary(signal_dim, num_atoms)
     return random_dictionary(signal_dim, num_atoms, seed)

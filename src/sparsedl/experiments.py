@@ -16,7 +16,7 @@ import numpy as np
 
 from .denoise import DenoiseConfig, add_gaussian_noise, denoise_image, psnr, quantize_pixels
 from .dictionaries import initial_dictionary, overcomplete_dct_dictionary
-from .exceptions import ConfigError, as_real_array
+from .exceptions import ConfigError, as_integer, as_real_array, as_real_number
 from .io import read_csv_table, read_pgm, write_csv_table, write_trace_csv
 from .learner import LearnConfig, learn
 from .patches import _gather_patches, patch_grid_shape
@@ -88,9 +88,10 @@ def sample_patch_columns(image: np.ndarray, patch_size: int, count: int, seed: i
     img = as_real_array(image, "image")
     gr, gc = patch_grid_shape(img.shape, patch_size, 1)
     N = gr * gc
-    if not 1 <= count <= N:
-        raise ConfigError(f"patch count must lie in [1, {N}], got {count}")
-    rng = np.random.default_rng(seed)
+    count = as_integer(count, "patch count", low=1)
+    if count > N:
+        raise ConfigError(f"patch count must be at most {N}, got {count}")
+    rng = np.random.default_rng(as_integer(seed, "seed", low=0))
     return _gather_patches(img, patch_size, 1, rng.choice(N, size=count, replace=False))
 
 
@@ -133,7 +134,7 @@ def lambda_sweep(
     as a list of tuples.  Patches and initialization are shared across
     the grid so only lambda varies.
     """
-    lambdas = [float(v) for v in lambdas]
+    lambdas = [as_real_number(v, "lambda", low=0.0) for v in lambdas]
     if not lambdas:
         raise ConfigError("lambda grid must be non-empty")
     Y = sample_patch_columns(image, 8, num_patches, seed)
@@ -191,7 +192,8 @@ def denoise_table(clean_images, sigmas, out_csv, *, seed: int = 0, log=print, **
     unknown = sorted(set(settings) - set(_TABLE_SETTINGS))
     if unknown:
         raise ConfigError(f"denoise_table cannot set {', '.join(unknown)}; it sets {_TABLE_SETTINGS}")
-    sigmas = [float(s) for s in sigmas]
+    sigmas = [as_real_number(s, "sigma", low=0.0, exclusive=True) for s in sigmas]
+    seed = as_integer(seed, "seed", low=0)
     paths = list(clean_images)
     if not paths or not sigmas:
         raise ConfigError("denoise_table needs at least one image and one sigma")
@@ -205,8 +207,7 @@ def denoise_table(clean_images, sigmas, out_csv, *, seed: int = 0, log=print, **
             config = DenoiseConfig(sigma=sigma, seed=noise_seed, **settings)
             _, _, (noisy_psnr, odct_psnr, learned_psnr) = compare_with_dct(clean, noisy, config)
             rows.append((name, sigma, noisy_psnr, odct_psnr, learned_psnr))
-            key = (name.lower(), int(sigma)) if sigma == int(sigma) else None
-            ref = REFERENCE_PSNR.get(key) if key else None
+            ref = REFERENCE_PSNR.get((name.lower(), sigma))  # 20.0 finds the key 20
             if ref is not None:
                 log(
                     f"{name} sigma={sigma:g}: learned {learned_psnr:.2f} dB "
@@ -242,11 +243,10 @@ def scaling_bench(
     from other processes slows every size alike instead of one.
     Writes rows (num_signals, seconds_per_iteration).
     """
-    sizes = [int(s) for s in sizes]
-    if not sizes or min(sizes) < 1:
-        raise ConfigError("scaling_bench needs positive sizes")
-    if iterations < 1:
-        raise ConfigError("scaling_bench needs at least one timed iteration")
+    sizes = [as_integer(s, "size", low=1) for s in sizes]
+    if not sizes:
+        raise ConfigError("scaling_bench needs at least one size")
+    iterations = as_integer(iterations, "iterations", low=1)
     signals = [sample_patch_columns(image, 8, size, seed) for size in sizes]
     D0 = overcomplete_dct_dictionary(8 * 8, num_atoms)
     config = LearnConfig(num_atoms=num_atoms, iterations=1, lam=lam, init_dictionary=D0, seed=seed)

@@ -92,7 +92,7 @@ import numpy as np
 from scipy import sparse
 
 from .dictionaries import random_dictionary
-from .exceptions import ConfigError, InvariantError, as_integer, as_real_array
+from .exceptions import ConfigError, InvariantError, as_integer, as_real_array, as_real_number
 
 __all__ = [
     "LearnConfig",
@@ -136,11 +136,12 @@ def hard_threshold(b: np.ndarray, lam: float) -> np.ndarray:
 
     Entries with magnitude exactly equal to ``lam`` are kept (the
     minimizer is non-unique there; keeping the value makes the operator
-    deterministic).  Raises only on complex ``b``; NaN and infinities
-    are thresholded like any value.
+    deterministic).  ``lam`` must be a finite real number; NaN and
+    infinities in ``b`` are thresholded like any value, and complex ``b``
+    raises.
     """
     b = as_real_array(b, "threshold input")
-    return np.where(_survives(b, lam), b, 0.0)
+    return np.where(_survives(b, as_real_number(lam, "lam")), b, 0.0)
 
 
 def truncated_hard_threshold(b: np.ndarray, lam: float, code_bound: float) -> np.ndarray:
@@ -153,6 +154,8 @@ def truncated_hard_threshold(b: np.ndarray, lam: float, code_bound: float) -> np
     nonzeros that thresholding should have removed).  The clip leaves the
     threshold's zeros as they are; like :func:`hard_threshold`, NaN survives.
     """
+    lam = as_real_number(lam, "lam")
+    code_bound = as_real_number(code_bound, "code_bound")
     if not code_bound > lam:
         raise ConfigError(
             f"code_bound must exceed the sparsity weight (got bound={code_bound}, lam={lam})"
@@ -213,9 +216,11 @@ def _atom_term(d: np.ndarray, vals: np.ndarray, c_at_rows: np.ndarray) -> np.nda
 
 
 def _real_inputs(Y, D, C):
-    """``Y`` and ``D`` as real 2-D arrays, and ``C`` through :func:`_code_matrix`."""
+    """``Y`` and ``D`` as real 2-D arrays with as many rows, and ``C`` through :func:`_code_matrix`."""
     Y = as_real_array(Y, "training matrix", ndim=2)
     D = as_real_array(D, "dictionary", ndim=2)
+    if D.shape[0] != Y.shape[0]:
+        raise ConfigError(f"dictionary rows {D.shape[0]} do not match the signal length {Y.shape[0]}")
     return Y, D, _code_matrix(C, Y.shape[1], D.shape[1], "code matrix")
 
 
@@ -226,6 +231,14 @@ def _step_inputs(Y, D, C, j):
     if not 0 <= j < D.shape[1]:
         raise ConfigError(f"atom index {j} out of range for {D.shape[1]} atoms")
     return Y, D, C, j
+
+
+def _new_code(new_code, N: int) -> np.ndarray:
+    """``new_code`` as a real 1-D array of length ``N``."""
+    c = as_real_array(new_code, "new code", ndim=1)
+    if c.size != N:
+        raise ConfigError(f"new code length {c.size} does not match N={N}")
+    return c
 
 
 def _fit(Y: np.ndarray, D: np.ndarray, C: sparse.csc_array) -> float:
@@ -325,7 +338,7 @@ def atom_rhs(Y: np.ndarray, D: np.ndarray, C, j: int, new_code: np.ndarray) -> n
     formed and ``C`` is read as canonical CSC.
     """
     Y, D, C, j = _step_inputs(Y, D, C, j)
-    return _atom_rhs(Y, D, C, j, as_real_array(new_code, "new code"))
+    return _atom_rhs(Y, D, C, j, _new_code(new_code, Y.shape[1]))
 
 
 def _atom_rhs(Y: np.ndarray, D: np.ndarray, C: sparse.csc_array, j: int, c: np.ndarray) -> np.ndarray:
@@ -371,7 +384,7 @@ def atom_update_step(
     if policy not in EMPTY_CODE_POLICIES:
         raise ConfigError(f"unknown empty-code policy {policy!r}; choose from {EMPTY_CODE_POLICIES}")
     Y, D, C, j = _step_inputs(Y, D, C, j)
-    c = as_real_array(new_code, "new code")
+    c = _new_code(new_code, Y.shape[1])
     return _unit_atom(_atom_rhs(Y, D, C, j, c) if np.any(c) else None, D[:, j], j, policy, rng)
 
 
@@ -457,6 +470,7 @@ def objective(Y: np.ndarray, D: np.ndarray, C, lam: float) -> float:
     deciding whether an entry is zero.
     """
     Y, D, C = _real_inputs(Y, D, C)
+    lam = as_real_number(lam, "lam")
     return _fit(Y, D, C) + lam * lam * C.nnz
 
 
@@ -475,8 +489,7 @@ def sparsity_factor(C, signal_dim: int) -> float:
     The denominator uses the signal dimension n (not the atom count), so
     the value reads as average nonzeros per signal over n.
     """
-    if signal_dim < 1:
-        raise ConfigError("signal_dim must be positive")
+    signal_dim = as_integer(signal_dim, "signal_dim", low=1)
     if np.ndim(C) != 2:
         raise ConfigError(f"code matrix must be 2-D, got shape {np.shape(C)}")
     N, J = np.shape(C)
@@ -490,8 +503,12 @@ class LearnConfig:
     """Settings for :func:`learn`.
 
     ``code_bound=None`` resolves to ``||Y||_F`` at call time.
-    ``init_codes=None`` means all-zero initial codes.  ``seed`` drives
-    the random atom order and the ``random_unit`` policy only.
+    ``init_codes=None`` means all-zero initial codes.  ``seed``, a
+    non-negative integer, drives the random atom order and the
+    ``random_unit`` policy only.  :func:`learn` checks every setting
+    before any work starts, and all but two before it copies ``Y``:
+    ``code_bound > lam`` and the magnitude of ``init_codes`` need
+    ``||Y||_F``, so they are checked right after the copy.
     """
 
     num_atoms: int
@@ -616,15 +633,11 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
         raise ConfigError("overwrite_y needs the training matrix as a writeable, F-ordered float64 ndarray")
     n, N = Y.shape
 
-    J = as_integer(config.num_atoms, "num_atoms")
-    K = as_integer(config.iterations, "iterations")
-    if J < 1:
-        raise ConfigError("num_atoms must be at least 1")
-    if K < 0:
-        raise ConfigError("iterations must be nonnegative")
-    lam = float(config.lam)
-    if not (np.isfinite(lam) and lam >= 0.0):
-        raise ConfigError(f"lam must be finite and nonnegative, got {lam}")
+    J = as_integer(config.num_atoms, "num_atoms", low=1)
+    K = as_integer(config.iterations, "iterations", low=0)
+    lam = as_real_number(config.lam, "lam", low=0.0)
+    bound = None if config.code_bound is None else as_real_number(config.code_bound, "code_bound")
+    seed = as_integer(config.seed, "seed", low=0)
     if config.atom_order not in ATOM_ORDERS:
         raise ConfigError(f"unknown atom_order {config.atom_order!r}; choose from {ATOM_ORDERS}")
     policy = config.empty_code_policy
@@ -633,22 +646,22 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
     if config.init_dictionary is None:
         raise ConfigError("init_dictionary is required (see the dictionaries module)")
     D = _validated_dictionary(config.init_dictionary, n, J)
+    init = sparse.csc_array((N, J)) if config.init_codes is None else config.init_codes
+    C = _code_matrix(init, N, J, "init_codes")
 
     # The residual Y^T - C D^T, signal-major: row i is signal i.  Taken
     # over R, ||Y||_F sums in one order whatever Y's memory order.
     R = Y.T if overwrite_y else np.array(Y.T, order="C")
     ynorm = float(np.linalg.norm(R))
-    bound = ynorm if config.code_bound is None else float(config.code_bound)
-    if not (np.isfinite(bound) and bound > lam):
+    bound = ynorm if bound is None else bound
+    if not bound > lam:
         raise ConfigError(
-            f"code_bound must be finite and exceed lam (got bound={bound}, lam={lam}); "
+            f"code_bound must exceed lam (got bound={bound}, lam={lam}); "
             "pass an explicit code_bound for zero training data"
         )
-    init = sparse.csc_array((N, J)) if config.init_codes is None else config.init_codes
-    C = _code_matrix(init, N, J, "init_codes")
     if C.nnz and np.max(np.abs(C.data)) > bound:
         raise ConfigError(f"init_codes exceed the magnitude bound {bound}")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
 
     if C.nnz:
         _add_products(R, C, -D)

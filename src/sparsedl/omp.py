@@ -43,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .exceptions import ConfigError, as_real_array
+from .exceptions import ConfigError, as_real_array, as_real_number
 
 __all__ = ["omp_code", "omp_code_matrix", "REACHED_ERROR_GOAL", "REACHED_ATOM_CAP", "DEGENERATE"]
 
@@ -112,8 +112,7 @@ def omp_code_matrix(D: np.ndarray, Y: np.ndarray, error_goal: float):
     n, J = D.shape
     if Y.shape[0] != n:
         raise ConfigError(f"signal length {Y.shape[0]} does not match dictionary rows {n}")
-    if not (np.isfinite(error_goal) and error_goal >= 0.0):
-        raise ConfigError(f"error_goal must be finite and nonnegative, got {error_goal}")
+    error_goal = as_real_number(error_goal, "error_goal", low=0.0)
     cap = min(n, J)
     if not cap:
         raise ConfigError(f"dictionary must have rows and atoms, got shape {D.shape}")

@@ -31,12 +31,8 @@ def _check_geometry(image_shape, patch_size: int, stride: int):
     if len(image_shape) != 2:
         raise ConfigError(f"expected a 2-D image shape, got {tuple(image_shape)}")
     H, W = int(image_shape[0]), int(image_shape[1])
-    p = as_integer(patch_size, "patch_size")
-    s = as_integer(stride, "stride")
-    if p < 1:
-        raise ConfigError(f"patch_size must be positive, got {patch_size}")
-    if s < 1:
-        raise ConfigError(f"stride must be positive, got {stride}")
+    p = as_integer(patch_size, "patch_size", low=1)
+    s = as_integer(stride, "stride", low=1)
     if H < p or W < p:
         raise ConfigError(f"patch size {p} does not fit in image of shape {H} x {W}")
     return (H, W), p, s, tuple((size - p) // s + 1 for size in (H, W))

@@ -312,6 +312,24 @@ class TestDenoiseCommand:
         assert line in capsys.readouterr().out.splitlines()
 
 
+@pytest.mark.parametrize("command", ["learn", "denoise", "convergence-trace"])
+def test_negative_seed_is_config_error(tmp_path, train_file, image_files, capsys, command):
+    """A seed below 0 ends in exit 1 and an error line, as any bad setting does."""
+    clean, noisy = image_files
+    args = {
+        "learn": ["learn", "--data", train_file, "--atoms", 4, "--lambda", 0.5, "--iters", 1,
+                  "--out-dict", tmp_path / "d.txt", "--out-trace", tmp_path / "t.csv"],
+        "denoise": ["denoise", "--in", noisy, "--out", tmp_path / "o.pgm", "--sigma", 20,
+                    "--patch", 4, "--atoms", 16, "--iters", 1],
+        "convergence-trace": ["experiment", "convergence-trace", "--image", clean,
+                              "--out", tmp_path / "c.csv", "--patches", 100, "--atoms", 64, "--iters", 1],
+    }[command]
+    assert cli.main([str(arg) for arg in args] + ["--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be at least 0") and "Traceback" not in err
+    assert not any((tmp_path / name).exists() for name in ("d.txt", "t.csv", "o.pgm", "c.csv"))
+
+
 class TestExperimentCommands:
     def test_all_kinds_run_on_tiny_inputs(self, tmp_path, image_files):
         clean, _ = image_files

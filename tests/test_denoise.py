@@ -51,6 +51,12 @@ class TestNoise:
             add_gaussian_noise(np.zeros((2, 2)), -1.0)
         with pytest.raises(ConfigError, match="real"):
             add_gaussian_noise(np.zeros((2, 2)) + 1j, 1.0)
+        for sigma in (np.complex128(2 + 1j), "2", None, True):
+            with pytest.raises(ConfigError, match="sigma must be a real number"):
+                add_gaussian_noise(np.zeros((2, 2)), sigma)
+        for seed, match in ((-1, "seed must be at least 0"), (1.5, "seed must be an integer")):
+            with pytest.raises(ConfigError, match=match):
+                add_gaussian_noise(np.zeros((2, 2)), 1.0, seed)
 
 
 class TestPsnr:
@@ -229,6 +235,17 @@ class TestDenoiseImage:
             dict(num_atoms=16.0),
         ):
             with pytest.raises(ConfigError):
+                denoise_image(img, _tiny_config(**bad))
+        for bad, name in (
+            (dict(sigma="20"), "sigma"),
+            (dict(sigma=None), "sigma"),
+            (dict(error_gain="2"), "error_gain"),
+            (dict(prior_weight=1j), "prior_weight"),
+            (dict(iterations=True), "iterations"),
+            (dict(seed=-1), "seed"),
+            (dict(seed=-1, iterations=0), "seed"),
+        ):
+            with pytest.raises(ConfigError, match=f"{name} must be"):
                 denoise_image(img, _tiny_config(**bad))
 
     def test_estimates_overwrite_the_patch_buffer(self, small_image, monkeypatch):

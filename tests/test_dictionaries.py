@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsedl.dictionaries import overcomplete_dct_dictionary, random_dictionary
+from sparsedl.dictionaries import INIT_KINDS, initial_dictionary, overcomplete_dct_dictionary, random_dictionary
 from sparsedl.exceptions import ConfigError
 
 
@@ -39,6 +39,9 @@ class TestOvercompleteDct:
             overcomplete_dct_dictionary(63, 256)
         with pytest.raises(ConfigError):
             overcomplete_dct_dictionary(64, 200)
+        for dims in ((64.0, 256), (64, np.float64(256))):
+            with pytest.raises(ConfigError, match="must be an integer"):
+                overcomplete_dct_dictionary(*dims)
 
     def test_rejects_undercomplete(self):
         with pytest.raises(ConfigError):
@@ -63,6 +66,15 @@ class TestRandomDictionary:
         rng = np.random.default_rng(5)
         D = random_dictionary(5, 3, rng)
         assert np.allclose(np.linalg.norm(D, axis=0), 1.0)
+
+    def test_rejects_bad_seed(self):
+        """A seed is a non-negative integer or a Generator, for either kind of start."""
+        for seed, match in ((-1, "seed must be at least 0"), (1.5, "seed must be an integer"), (True, "integer")):
+            with pytest.raises(ConfigError, match=match):
+                random_dictionary(4, 3, seed)
+            for kind in INIT_KINDS:
+                with pytest.raises(ConfigError, match=match):
+                    initial_dictionary(kind, 4, 4, seed)
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ConfigError):

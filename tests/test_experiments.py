@@ -99,6 +99,10 @@ class TestPatchSampling:
             sample_patch_columns(texture, 8, 10**9)
         with pytest.raises(ConfigError, match="real"):
             sample_patch_columns(texture + 1j, 8, 10)
+        with pytest.raises(ConfigError, match="patch count must be an integer"):
+            sample_patch_columns(texture, 8, 10.0)
+        with pytest.raises(ConfigError, match="seed must be at least 0"):
+            sample_patch_columns(texture, 8, 10, seed=-1)
 
 
 class TestConvergenceTrace:
@@ -145,6 +149,8 @@ class TestLambdaSweep:
     def test_empty_grid_rejected(self, texture, tmp_path):
         with pytest.raises(ConfigError):
             lambda_sweep(texture, tmp_path / "s.csv", [], num_patches=100)
+        with pytest.raises(ConfigError, match="lambda must be a real number"):
+            lambda_sweep(texture, tmp_path / "s.csv", [40.0, "30"], num_patches=100)
 
 
 class TestDenoiseTable:
@@ -190,6 +196,12 @@ class TestDenoiseTable:
             denoise_table([], [20.0], tmp_path / "t.csv")
         with pytest.raises(ConfigError):
             denoise_table(["x.pgm"], [], tmp_path / "t.csv")
+        # rejected before "x.pgm" (which does not exist) is read
+        for sigma in ("20", 0.0, np.inf):
+            with pytest.raises(ConfigError, match="sigma must be"):
+                denoise_table(["x.pgm"], [sigma], tmp_path / "t.csv")
+        with pytest.raises(ConfigError, match="seed must be at least 0"):
+            denoise_table(["x.pgm"], [20.0], tmp_path / "t.csv", seed=-1)
 
     @pytest.mark.parametrize("field", ["patch_size", "lam_multiplier", "prior_weight", "init", "sigma"])
     def test_protocol_fields_are_fixed(self, tmp_path, field):
@@ -215,3 +227,8 @@ class TestScalingBench:
             scaling_bench(texture, tmp_path / "b.csv", sizes=())
         with pytest.raises(ConfigError):
             scaling_bench(texture, tmp_path / "b.csv", sizes=(100,), iterations=0)
+        with pytest.raises(ConfigError, match="iterations must be an integer"):
+            scaling_bench(texture, tmp_path / "b.csv", sizes=(100,), iterations=1.5)
+        for size in (150.0, "150", True):
+            with pytest.raises(ConfigError, match="size must be an integer"):
+                scaling_bench(texture, tmp_path / "b.csv", sizes=(100, size), num_atoms=64)

@@ -426,8 +426,27 @@ class TestLearn:
             {"atom_order": "backwards"},
             {"empty_code_policy": "drop"},
             {"init_dictionary": np.ones((64, 8))},
+            {"lam": "0.5"},
+            {"num_atoms": True, "init_dictionary": np.eye(64, 1)},
+            {"iterations": True},
+            {"seed": -1},
+            {"code_bound": "5"},
+            {"code_bound": np.nan},
+            {"init_codes": np.zeros((5, 16))},
         ],
-        ids=["no_dictionary", "atom_order", "empty_code_policy", "dictionary_shape"],
+        ids=[
+            "no_dictionary",
+            "atom_order",
+            "empty_code_policy",
+            "dictionary_shape",
+            "lam_string",
+            "num_atoms_bool",
+            "iterations_bool",
+            "seed_negative",
+            "code_bound_string",
+            "code_bound_nan",
+            "init_codes_shape",
+        ],
     )
     def test_bad_config_is_rejected_before_copying_y(self, settings):
         """A config error is raised before the N x n residual copy of Y is made."""
@@ -691,6 +710,15 @@ class TestLearn:
             learn(Y, _default_config(4.5, 1, 0.5, D0))
         with pytest.raises(ConfigError, match="iterations must be an integer"):
             learn(Y, _default_config(3, 1.7, 0.5, D0))
+        for settings, match in (
+            (dict(lam="0.5"), "lam must be a real number"),
+            (dict(lam=np.complex128(0.5)), "lam must be a real number"),
+            (dict(J=True, D0=D0[:, :1]), "num_atoms must be an integer"),
+            (dict(seed=-1), "seed must be at least 0"),
+            (dict(seed=1.5), "seed must be an integer"),
+        ):
+            with pytest.raises(ConfigError, match=match):
+                learn(Y, _default_config(**{**dict(J=3, K=1, lam=0.5, D0=D0), **settings}))
         with pytest.raises(ConfigError):
             learn(Y, _default_config(3, 1, -0.5, D0))
         with pytest.raises(ConfigError):
@@ -741,6 +769,36 @@ class TestLearn:
                     call()
         with pytest.raises(ConfigError, match="finite"):
             sparsity_factor(nan_codes, 4)
+        for signal_dim in (2.5, True):
+            with pytest.raises(ConfigError, match="signal_dim"):
+                sparsity_factor(C, signal_dim)
+        # Y, D and the new code must agree in shape with each other, not only with C.
+        D3 = _unit_columns(rng, 3, 3)
+        for call in (
+            lambda: code_rhs(Y, D3, C, 0),
+            lambda: sparse_code_step(Y, D3, C, 0, 0.5, 3.0),
+            lambda: atom_rhs(Y, D3, C, 0, np.ones(6)),
+            lambda: atom_update_step(Y, D3, C, 0, np.ones(6)),
+            lambda: objective(Y, D3, C, 0.5),
+            lambda: nsre(Y, D3, C),
+        ):
+            with pytest.raises(ConfigError, match="dictionary rows 3 do not match the signal length 4"):
+                call()
+        for new_code, match in ((np.ones(5), "new code length 5"), (np.ones((6, 1)), "new code must be 1-D")):
+            for step in (atom_rhs, atom_update_step):
+                with pytest.raises(ConfigError, match=match):
+                    step(Y, D0, C, 0, new_code)
+        for lam in (1j, "0.5", None, np.nan):
+            with pytest.raises(ConfigError, match="lam must be"):
+                objective(Y, D0, C, lam)
+            with pytest.raises(ConfigError, match="lam must be"):
+                hard_threshold(np.array([2.0, 0.1]), lam)
+        for lam in (1j, "0.5", None):
+            with pytest.raises(ConfigError, match="lam must be"):
+                truncated_hard_threshold(np.array([2.0, 0.1]), lam, 3.0)
+        for code_bound in ("3", 3j):
+            with pytest.raises(ConfigError, match="code_bound must be"):
+                truncated_hard_threshold(np.array([2.0, 0.1]), 0.5, code_bound)
         for Yc, Dc, Cc in ((Y + 1j, D0, C), (Y, D0 + 0j, C), (Y, D0, codes), (Y, D0, sparse.csc_array(codes))):
             with pytest.raises(ConfigError, match="real"):
                 objective(Yc, Dc, Cc, 0.5)

@@ -142,6 +142,9 @@ class TestOmpCode:
             omp_code(D, np.ones(5), 1.0)
         with pytest.raises(ConfigError):
             omp_code(D, y, -1.0)
+        for goal in (np.complex128(1 + 1j), "1", True):
+            with pytest.raises(ConfigError, match="error_goal must be a real number"):
+                omp_code_matrix(D, y[:, None], goal)
         # A 2-D patch: raveled in C order it would code as the transpose of
         # its column-major vector, [5, -1, -2, 0] instead of [5, -2, -1, 0].
         patch = np.array([[1.0, 2.0], [3.0, 4.0]])
