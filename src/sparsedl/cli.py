@@ -84,7 +84,6 @@ def _build_parser() -> _Parser:
     from .denoise import DenoiseConfig
     from .dictionaries import INIT_KINDS
     from .experiments import _TABLE_SETTINGS
-    from .learner import ATOM_ORDERS, EMPTY_CODE_POLICIES
 
     parser = _Parser(prog="sparsedl", description="Sparse dictionary learning tools.")
     sub = parser.add_subparsers(dest=argparse.SUPPRESS, required=True, metavar="command")
@@ -102,20 +101,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", type=float, required=True, help="sparsity weight")
     p.add_argument("--iters", dest="iterations", type=int, required=True, help="outer iterations")
     p.add_argument("--bound", dest="code_bound", type=float, help="code magnitude bound (default ||Y||_F)")
-    p.add_argument("--order", dest="atom_order", choices=ATOM_ORDERS, help="atom sweep order")
-    p.add_argument(
-        "--policy",
-        dest="empty_code_policy",
-        choices=EMPTY_CODE_POLICIES,
-        help="atom replacement when a code comes back empty",
-    )
     p.add_argument(
         "--init",
         choices=("auto",) + INIT_KINDS,
         default="auto",
         help="initial dictionary (auto: separable DCT when shapes allow, else random)",
     )
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="seed of the random initial dictionary (default 0)")
     p.add_argument("--out-dict", required=True, help="output dictionary (matrix text)")
     p.add_argument("--out-trace", required=True, help="output per-iteration trace (CSV)")
     p.add_argument("--out-codes", help="optional output codes (dense matrix text)")
@@ -201,16 +193,16 @@ def _cmd_learn(opts) -> int:
     from .learner import LearnConfig, learn
 
     data, out_dict, out_trace = opts.pop("data"), opts.pop("out_dict"), opts.pop("out_trace")
-    out_codes, init = opts.pop("out_codes", None), opts.pop("init")
+    out_codes, init, seed = opts.pop("out_codes", None), opts.pop("init"), opts.pop("seed", 0)
     config = LearnConfig(**opts)
     Y = io.read_matrix_text(data)
     kind = "dct" if init == "auto" else init
     try:
-        config.init_dictionary = initial_dictionary(kind, Y.shape[0], config.num_atoms, config.seed)
+        config.init_dictionary = initial_dictionary(kind, Y.shape[0], config.num_atoms, seed)
     except ConfigError:
         if init != "auto":
             raise
-        config.init_dictionary = initial_dictionary("random", Y.shape[0], config.num_atoms, config.seed)
+        config.init_dictionary = initial_dictionary("random", Y.shape[0], config.num_atoms, seed)
     D, C, trace = learn(Y, config)
     io.write_matrix_text(out_dict, D)
     io.write_trace_csv(out_trace, trace)

@@ -128,8 +128,8 @@ class DenoiseConfig:
     uses every patch.  Its default, 2**18 = 262,144, is above the 255,025
     patches of a 512 x 512 image, so it changes outputs only above the
     cap; ``None`` learns on every patch.  ``seed``, a non-negative
-    integer, draws that subsample and seeds the learner.  ``stride``
-    applies to both extraction and aggregation; 1 uses maximum overlap.
+    integer, draws that subsample.  ``stride`` applies to both
+    extraction and aggregation; 1 uses maximum overlap.
     Learning always starts from
     ``overcomplete_dct_dictionary(patch_size**2, num_atoms)``, so
     ``num_atoms`` must be a perfect square of at least ``patch_size**2``.
@@ -205,7 +205,6 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
                 iterations=K,
                 lam=_LAM_PER_SIGMA * sigma,
                 init_dictionary=D0,
-                seed=seed,
             ),
             overwrite_y=True,
         )

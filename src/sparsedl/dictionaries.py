@@ -59,12 +59,12 @@ def overcomplete_dct_dictionary(signal_dim: int, num_atoms: int) -> np.ndarray:
 def random_dictionary(signal_dim: int, num_atoms: int, seed=0) -> np.ndarray:
     """Dictionary with iid standard normal entries, columns normalized.
 
-    ``seed`` may be a non-negative int or a numpy Generator.  A zero-norm
-    column (probability zero, but possible in principle) is redrawn.
+    ``seed`` is a non-negative integer.  A zero-norm column (probability
+    zero, but possible in principle) is redrawn.
     """
     n = as_integer(signal_dim, "signal_dim", low=1)
     J = as_integer(num_atoms, "num_atoms", low=1)
-    rng = np.random.default_rng(_checked_seed(seed))
+    rng = np.random.default_rng(as_integer(seed, "seed", low=0))
     D = rng.standard_normal((n, J))
     norms = np.linalg.norm(D, axis=0)
     while np.any(norms == 0.0):
@@ -74,17 +74,12 @@ def random_dictionary(signal_dim: int, num_atoms: int, seed=0) -> np.ndarray:
     return D / norms
 
 
-def _checked_seed(seed):
-    """``seed`` itself if it is a numpy Generator, else through ``as_integer(seed, "seed", low=0)``."""
-    return seed if isinstance(seed, np.random.Generator) else as_integer(seed, "seed", low=0)
-
-
 def initial_dictionary(kind: str, signal_dim: int, num_atoms: int, seed=0) -> np.ndarray:
     """Starting dictionary of the given ``kind``, one of :data:`INIT_KINDS`;
     ``seed`` is checked as for :func:`random_dictionary` whatever the kind."""
     if kind not in INIT_KINDS:
         raise ConfigError(f"unknown init {kind!r}; choose from {INIT_KINDS}")
     if kind == "dct":
-        _checked_seed(seed)  # though the DCT reads no seed
+        as_integer(seed, "seed", low=0)  # though the DCT reads no seed
         return overcomplete_dct_dictionary(signal_dim, num_atoms)
     return random_dictionary(signal_dim, num_atoms, seed)

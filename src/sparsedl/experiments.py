@@ -111,7 +111,7 @@ def convergence_trace(
     D0 = initial_dictionary(init, Y.shape[0], num_atoms, seed)
     _, _, trace = learn(
         Y,
-        LearnConfig(num_atoms=num_atoms, iterations=iterations, lam=lam, init_dictionary=D0, seed=seed),
+        LearnConfig(num_atoms=num_atoms, iterations=iterations, lam=lam, init_dictionary=D0),
     )
     write_trace_csv(out_csv, trace)
     return trace
@@ -144,7 +144,7 @@ def lambda_sweep(
         start = time.perf_counter()
         _, _, trace = learn(
             Y,
-            LearnConfig(num_atoms=num_atoms, iterations=iterations, lam=lam, init_dictionary=D0, seed=seed),
+            LearnConfig(num_atoms=num_atoms, iterations=iterations, lam=lam, init_dictionary=D0),
         )
         seconds = time.perf_counter() - start
         rows.append((lam, float(trace.nsre[-1]), float(trace.sparsity_factor[-1]), seconds))
@@ -249,7 +249,7 @@ def scaling_bench(
     iterations = as_integer(iterations, "iterations", low=1)
     signals = [sample_patch_columns(image, 8, size, seed) for size in sizes]
     D0 = overcomplete_dct_dictionary(8 * 8, num_atoms)
-    config = LearnConfig(num_atoms=num_atoms, iterations=1, lam=lam, init_dictionary=D0, seed=seed)
+    config = LearnConfig(num_atoms=num_atoms, iterations=1, lam=lam, init_dictionary=D0)
     for Y in signals:
         learn(Y, config)  # warm-up, untimed
     best = [np.inf] * len(sizes)

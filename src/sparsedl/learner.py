@@ -25,9 +25,8 @@ Those lie in the visit's one row set, its *union*: the rows whose
 ``E_j^T d_j`` passes the threshold, where alone the new code can be
 stored, and the old code's rows.  An atom changes only at its own visit,
 so ``learn`` forms the correlations ``R^T d_j`` of the next 16
-(``_BLOCK``) unparked atoms of the visit order with one GEMM.  A visit
-then costs one screen of its correlation row plus work in proportion to
-its union:
+(``_BLOCK``) unparked atoms with one GEMM.  A visit then costs one
+screen of its correlation row plus work in proportion to its union:
 
 - it adds ``c_j`` to the row on the old code's rows, screens the row once
   into two reusable N-byte masks, marks the old code's rows in that
@@ -47,18 +46,17 @@ A union of all N rows is ``arange(N)``, so its chunks are slices of R and
 of the correlations, updated in place with no gather or scatter.
 
 An atom is *parked* while its code is empty and its column is exactly
-``e1``, where the ``unit_basis`` policy puts an atom whose code comes back
-empty.  Its ``E_j^T d_j`` is then exactly ``R[:, 0]``, so its visit takes
-no GEMM row and no correction.  ``learn`` keeps an N-byte record of the
-rows whose ``R[i, 0]`` passes the threshold, ``passing``, brought up to
-date on each visit's union rows after its atom step.  That record is a
-parked visit's screen, and with no old code its union, so a parked visit
-screens nothing.  While ``passing.any()`` is false, the common case, no
-row can pass: the visit calls the threshold on no values and the atom
-step on no rows, builds no union and leaves R alone, and only the
-policy's atom can change it (it stays ``e1`` under ``unit_basis`` and
-``keep_previous``).  Parking changes only at an
-atom's own visit, so each block is known exactly when it is formed.
+``e1``, where the atom step puts an atom whose code comes back empty, as
+the paper does.  Its ``E_j^T d_j`` is then exactly ``R[:, 0]``, so its
+visit takes no GEMM row and no correction.  ``learn`` keeps an N-byte
+record of the rows whose ``R[i, 0]`` passes the threshold, ``passing``,
+brought up to date on each visit's union rows after its atom step.  That
+record is a parked visit's screen, and with no old code its union, so a
+parked visit screens nothing.  While ``passing.any()`` is false, the
+common case, no row can pass: the visit calls the threshold on no values
+and the atom step on no rows, builds no union and leaves R alone, and the
+atom stays ``e1``.  Parking changes only at an atom's own visit, so each
+block is known exactly when it is formed.
 
 The codes are kept as per-atom ``(rows, values)`` pairs and assembled
 into one CSC array on return; the per-sweep objective is ``||R||_F^2 +
@@ -91,7 +89,6 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from .dictionaries import random_dictionary
 from .exceptions import ConfigError, InvariantError, as_integer, as_real_array, as_real_number
 
 __all__ = [
@@ -108,9 +105,6 @@ __all__ = [
     "nsre",
     "sparsity_factor",
 ]
-
-ATOM_ORDERS = ("cyclic", "random")
-EMPTY_CODE_POLICIES = ("unit_basis", "keep_previous", "random_unit")
 
 # Unit-norm slack accepted on input dictionaries before exact renormalization.
 _NORM_TOL = 1e-8
@@ -136,12 +130,12 @@ def hard_threshold(b: np.ndarray, lam: float) -> np.ndarray:
 
     Entries with magnitude exactly equal to ``lam`` are kept (the
     minimizer is non-unique there; keeping the value makes the operator
-    deterministic).  ``lam`` must be a finite real number; NaN and
-    infinities in ``b`` are thresholded like any value, and complex ``b``
-    raises.
+    deterministic).  ``lam`` must be a finite real number of at least 0;
+    NaN and infinities in ``b`` are thresholded like any value, and
+    complex ``b`` raises.
     """
     b = as_real_array(b, "threshold input")
-    return np.where(_survives(b, as_real_number(lam, "lam")), b, 0.0)
+    return np.where(_survives(b, as_real_number(lam, "lam", low=0.0)), b, 0.0)
 
 
 def truncated_hard_threshold(b: np.ndarray, lam: float, code_bound: float) -> np.ndarray:
@@ -154,7 +148,7 @@ def truncated_hard_threshold(b: np.ndarray, lam: float, code_bound: float) -> np
     nonzeros that thresholding should have removed).  The clip leaves the
     threshold's zeros as they are; like :func:`hard_threshold`, NaN survives.
     """
-    lam = as_real_number(lam, "lam")
+    lam = as_real_number(lam, "lam", low=0.0)
     code_bound = as_real_number(code_bound, "code_bound")
     if not code_bound > lam:
         raise ConfigError(
@@ -358,8 +352,6 @@ def atom_update_step(
     C,
     j: int,
     new_code: np.ndarray,
-    policy: str = "unit_basis",
-    rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
     """Exact single-atom update following a code update.
 
@@ -369,10 +361,9 @@ def atom_update_step(
     pre-commit state (column j of ``C`` is the code that ``new_code``
     replaces), matching the sweep order in :func:`learn`.
 
-    When ``new_code`` is identically zero any unit vector is optimal and
-    ``policy`` decides: ``"unit_basis"`` returns the first standard
-    basis vector, ``"keep_previous"`` returns the current atom,
-    ``"random_unit"`` draws a fresh unit vector from ``rng``.
+    When ``new_code`` is identically zero any unit vector is optimal, and
+    the step returns ``e1``, the first standard basis vector, as the
+    paper does.
 
     Raises
     ------
@@ -381,31 +372,16 @@ def atom_update_step(
         zero vector.  After an exact code update this cannot happen, so
         it is surfaced instead of silently normalized.
     """
-    if policy not in EMPTY_CODE_POLICIES:
-        raise ConfigError(f"unknown empty-code policy {policy!r}; choose from {EMPTY_CODE_POLICIES}")
     Y, D, C, j = _step_inputs(Y, D, C, j)
     c = _new_code(new_code, Y.shape[1])
-    return _unit_atom(_atom_rhs(Y, D, C, j, c) if np.any(c) else None, D[:, j], j, policy, rng)
+    return _unit_atom(_atom_rhs(Y, D, C, j, c) if np.any(c) else None, Y.shape[0], j)
 
 
-def _unit_atom(h: Optional[np.ndarray], d: np.ndarray, j: int, policy: str, rng) -> np.ndarray:
-    """The new atom j from ``h = E_j c``, or from the policy for an empty code.
-
-    ``h=None`` marks an empty new code: any unit vector is optimal, and
-    ``policy`` picks one: ``d`` (the current atom) for ``keep_previous``,
-    ``e1`` for ``unit_basis``, and for ``random_unit`` the one column of
-    ``random_dictionary(d.size, 1, rng)``, drawn from ``rng`` itself (which
-    must be given).  Otherwise the atom is ``h / ||h||``, and a zero ``h``
-    raises.
-    """
+def _unit_atom(h: Optional[np.ndarray], n: int, j: int) -> np.ndarray:
+    """The new atom j from ``h = E_j c``: ``h / ||h||``, where a zero ``h``
+    raises, or for an empty code (``h=None``) ``e1`` of length ``n``."""
     if h is None:
-        if policy == "keep_previous":
-            return d.copy()
-        if policy == "random_unit":
-            if rng is None:
-                raise ConfigError("policy 'random_unit' needs an rng")
-            return random_dictionary(d.size, 1, rng)[:, 0]
-        e1 = np.zeros(d.size)
+        e1 = np.zeros(n)
         e1[0] = 1.0
         return e1
     norm = np.sqrt(h.dot(h))  # np.linalg.norm's own sum for a 1-D vector
@@ -417,9 +393,7 @@ def _unit_atom(h: Optional[np.ndarray], d: np.ndarray, j: int, policy: str, rng)
     return h / norm
 
 
-def _atom_step(
-    R: np.ndarray, D: np.ndarray, j: int, rows: np.ndarray, w: np.ndarray, policy: str, rng
-) -> np.ndarray:
+def _atom_step(R: np.ndarray, D: np.ndarray, j: int, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Atom j's exact update on the signal-major residual ``R = Y^T - C D^T``.
 
     ``rows`` are sorted, distinct signals that hold every stored entry of
@@ -436,7 +410,7 @@ def _atom_step(
     """
     d = D[:, j]
     if not rows.size:
-        return _unit_atom(None, d, j, policy, rng)
+        return _unit_atom(None, d.size, j)
     # Sorted, distinct and N of them, the rows are arange(N).
     whole = rows.size == R.shape[0]
     spans = [slice(lo, lo + _GATHER) for lo in range(0, rows.size, _GATHER)]
@@ -451,7 +425,7 @@ def _atom_step(
         for s in spans:
             part = gather(s) if kept is None else kept
             h += part.T @ w[1, s]
-    d_new = _unit_atom(h, d, j, policy, rng)
+    d_new = _unit_atom(h, d.size, j)
     change = np.empty((2, d.size))
     change[0] = d
     np.negative(d_new, out=change[1])
@@ -503,12 +477,12 @@ class LearnConfig:
     """Settings for :func:`learn`.
 
     ``code_bound=None`` resolves to ``||Y||_F`` at call time.
-    ``init_codes=None`` means all-zero initial codes.  ``seed``, a
-    non-negative integer, drives the random atom order and the
-    ``random_unit`` policy only.  :func:`learn` checks every setting
-    before any work starts, and all but two before it copies ``Y``:
-    ``code_bound > lam`` and the magnitude of ``init_codes`` need
-    ``||Y||_F``, so they are checked right after the copy.
+    ``init_codes=None`` means all-zero initial codes.  There is one
+    sweep: atoms in index order, and ``e1`` for an atom whose code comes
+    back empty.  :func:`learn` checks every setting before any work
+    starts, and all but two before it copies ``Y``: ``code_bound > lam``
+    and the magnitude of ``init_codes`` need ``||Y||_F``, so they are
+    checked right after the copy.
     """
 
     num_atoms: int
@@ -517,9 +491,6 @@ class LearnConfig:
     init_dictionary: Optional[np.ndarray] = None
     code_bound: Optional[float] = None
     init_codes: object = None
-    atom_order: str = "cyclic"
-    empty_code_policy: str = "unit_basis"
-    seed: int = 0
 
 
 @dataclass
@@ -585,10 +556,10 @@ def _shift(corr: np.ndarray, g: np.ndarray, rows: np.ndarray, w: np.ndarray) -> 
 def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
     """Run the block coordinate descent learner.
 
-    Each of ``config.iterations`` sweeps visits every atom index j (in
-    cyclic or seeded-random order) and performs the code update followed
-    by the atom update, in that fixed order, always against the latest
-    values of all other blocks.
+    Each of ``config.iterations`` sweeps visits the atoms in index order,
+    j = 0, ..., J-1, and performs the code update followed by the atom
+    update, in that fixed order, always against the latest values of all
+    other blocks.
 
     Parameters
     ----------
@@ -637,12 +608,6 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
     K = as_integer(config.iterations, "iterations", low=0)
     lam = as_real_number(config.lam, "lam", low=0.0)
     bound = None if config.code_bound is None else as_real_number(config.code_bound, "code_bound")
-    seed = as_integer(config.seed, "seed", low=0)
-    if config.atom_order not in ATOM_ORDERS:
-        raise ConfigError(f"unknown atom_order {config.atom_order!r}; choose from {ATOM_ORDERS}")
-    policy = config.empty_code_policy
-    if policy not in EMPTY_CODE_POLICIES:
-        raise ConfigError(f"unknown empty_code_policy {policy!r}; choose from {EMPTY_CODE_POLICIES}")
     if config.init_dictionary is None:
         raise ConfigError("init_dictionary is required (see the dictionaries module)")
     D = _validated_dictionary(config.init_dictionary, n, J)
@@ -661,7 +626,6 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
         )
     if C.nnz and np.max(np.abs(C.data)) > bound:
         raise ConfigError(f"init_codes exceed the magnitude bound {bound}")
-    rng = np.random.default_rng(seed)
 
     if C.nnz:
         _add_products(R, C, -D)
@@ -697,7 +661,6 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
     # F-ordered one changes the bits of the product.
     pair = np.empty((n, 2))
     for t in range(K):
-        order = np.arange(J) if config.atom_order == "cyclic" else rng.permutation(J)
         D_prev = D.copy()
         delta_codes_sq = 0.0
 
@@ -707,22 +670,20 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
             # one GEMM gives every correlation R^T d_j of the next _BLOCK
             # unparked atoms; each visit then moves those of the later ones by
             # its own change to R.  The parked visits among them read R[:, 0].
-            free = np.flatnonzero(~parked[order[lo:]])
-            hi = lo + free[_BLOCK] if free.size > _BLOCK else J
-            visits = order[lo:hi]
-            block = visits[~parked[visits]]
+            free = lo + np.flatnonzero(~parked[lo:])
+            hi = free[_BLOCK] if free.size > _BLOCK else J
+            block = free[:_BLOCK]
             if block.size:
                 _correlations(R.T, D, block, out=corr[: block.size])
                 block_atoms = D[:, block].T
             k = 0  # rows of corr used so far
-            for j in visits:
+            for j in range(lo, hi):
                 old = codes[j]
                 if parked[j] and not passing.any():
                     # No row can pass, so the code stays empty and the atom step
-                    # has no rows: only the policy's atom can change.
+                    # has no rows: the atom stays e1.
                     truncated_hard_threshold(old[1], lam, bound)
-                    D[:, j] = d_new = _atom_step(R, D, j, old[0], np.empty((2, 0)), policy, rng)
-                    parked[j] = np.array_equal(d_new, e1)
+                    D[:, j] = _atom_step(R, D, j, old[0], np.empty((2, 0)))
                     continue
                 # The union: the rows that pass the threshold, where alone the
                 # new code can live, and the old code's rows.
@@ -741,7 +702,7 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
                 kept = np.flatnonzero(w[1])
                 codes[j] = (union[kept], w[1, kept])
                 try:
-                    d_new = _atom_step(R, D, j, union, w, policy, rng)
+                    d_new = _atom_step(R, D, j, union, w)
                 except InvariantError as exc:
                     raise InvariantError(f"iteration {t + 1}, {exc}") from exc
                 passing[union] = _survives(R[union, 0], lam)
@@ -755,7 +716,7 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
                 delta_codes_sq += float(np.sum((w[1] - w[0]) ** 2))
                 D[:, j] = d_new
                 nnz += kept.size - old[0].size
-                parked[j] = kept.size == 0 and np.array_equal(d_new, e1)
+                parked[j] = kept.size == 0  # an emptied atom is e1
             lo = hi
 
         # Exact updates cannot raise the objective, so a rise (or a NaN) is a fault.

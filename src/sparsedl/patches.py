@@ -30,7 +30,7 @@ def _check_geometry(image_shape, patch_size: int, stride: int):
     """Validated ``((H, W), p, s, (grid_rows, grid_cols))`` of a patch geometry."""
     if len(image_shape) != 2:
         raise ConfigError(f"expected a 2-D image shape, got {tuple(image_shape)}")
-    H, W = int(image_shape[0]), int(image_shape[1])
+    H, W = as_integer(image_shape[0], "image height"), as_integer(image_shape[1], "image width")
     p = as_integer(patch_size, "patch_size", low=1)
     s = as_integer(stride, "stride", low=1)
     if H < p or W < p:
@@ -130,18 +130,18 @@ def _windows(img: np.ndarray, p: int) -> np.ndarray:
 def aggregate_patches(patches: np.ndarray, image_shape, patch_size: int, stride: int = 1, *, out=None):
     """Scatter patches back onto the image grid.
 
-    Returns ``(total, cover)``: per-pixel sums of all patch values laid
-    over that pixel, and per-pixel overlap counts.  ``cover`` is zero on
-    pixels no grid patch touches (possible when the stride skips the
-    image border).
+    Returns ``total``, the per-pixel sums of all patch values laid over
+    that pixel; ``np.outer(*patch_cover(...))`` of the same geometry gives
+    the per-pixel overlap counts, zero on pixels no grid patch touches
+    (possible when the stride skips the image border).
 
     With ``out``, a writeable float64 ndarray of ``image_shape`` (any
     other raises ``ConfigError`` before a pixel is written), the patch
-    values are added into it and it is returned as ``total``.  Each pixel
-    takes its patches in grid order, ``_GRID_ROWS`` grid rows at a time,
-    so adding the grid band by band into the rows of ``out`` each band
-    covers, in ascending bands of whole ``_GRID_ROWS`` blocks, gives the
-    bits of one call on the whole grid.
+    values are added into it and it is returned.  Each pixel takes its
+    patches in grid order, ``_GRID_ROWS`` grid rows at a time, so adding
+    the grid band by band into the rows of ``out`` each band covers, in
+    ascending bands of whole ``_GRID_ROWS`` blocks, gives the bits of one
+    call on the whole grid.
     """
     P = as_real_array(patches, "patch matrix")
     (H, W), p, s, (gr, gc) = _check_geometry(image_shape, patch_size, stride)
@@ -160,4 +160,4 @@ def aggregate_patches(patches: np.ndarray, image_shape, patch_size: int, stride:
                 k = row + col * p  # column-major offset inside the patch
                 rows = slice(r0 * s + row, r1 * s + row, s)
                 total[rows, col : col + gc * s : s] += block[k].reshape(r1 - r0, gc)
-    return total, np.outer(*patch_cover(image_shape, p, s))
+    return total

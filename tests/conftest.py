@@ -29,6 +29,12 @@ def cli_env():
     return env
 
 
+def unit_columns(rng, n, J):
+    """An n x J dictionary of standard normal draws from ``rng``, columns normalized."""
+    D = rng.standard_normal((n, J))
+    return D / np.linalg.norm(D, axis=0)
+
+
 def dense_objective(Y, D, C, lam):
     """Objective evaluated from its definition, no identities."""
     C = np.asarray(C)
@@ -61,9 +67,9 @@ class HalfStepObjectives:
         self.visits = []
         step = sparsedl.learner._atom_step
 
-        def wrapper(R, D, j, rows, w, *args):
+        def wrapper(R, D, j, rows, w):
             self._check(R, D)
-            d_new = step(R, D, j, rows, w, *args)
+            d_new = step(R, D, j, rows, w)
             self._record(j, rows, w[1], d_new)
             return d_new
 
@@ -114,8 +120,8 @@ def reverse_atom_steps(monkeypatch, from_visit):
     step = sparsedl.learner._atom_step
     visits = itertools.count()
 
-    def reversed_step(R, D, j, rows, w, *args):
-        d = step(R, D, j, rows, w, *args)
+    def reversed_step(R, D, j, rows, w):
+        d = step(R, D, j, rows, w)
         if next(visits) < from_visit:
             return d
         R[rows] += 2.0 * np.outer(w[1], d)  # Y^T - C D^T with -d in place of d

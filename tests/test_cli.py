@@ -25,7 +25,7 @@ from sparsedl.io import (
     write_matrix_text,
     write_pgm,
 )
-from sparsedl.learner import LearnConfig, LearnTrace, learn
+from sparsedl.learner import LearnConfig, LearnTrace, atom_update_step, learn
 from sparsedl.omp import omp_code, omp_code_matrix
 
 
@@ -330,6 +330,17 @@ def test_negative_seed_is_config_error(tmp_path, train_file, image_files, capsys
     assert not any((tmp_path / name).exists() for name in ("d.txt", "t.csv", "o.pgm", "c.csv"))
 
 
+@pytest.mark.parametrize("flag", [["--order", "random"], ["--policy", "keep_previous"]], ids=["order", "policy"])
+def test_learn_takes_no_sweep_order_or_policy(tmp_path, train_file, capsys, flag):
+    """learn runs the one sweep, so an order or empty-code policy flag is a usage error."""
+    args = ["learn", "--data", train_file, "--atoms", 4, "--lambda", 0.5, "--iters", 1,
+            "--out-dict", tmp_path / "d.txt", "--out-trace", tmp_path / "t.csv", *flag]
+    assert cli.main([str(arg) for arg in args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sparsedl: error: unrecognized arguments: " + " ".join(flag)) and "usage:" in err
+    assert not (tmp_path / "d.txt").exists()
+
+
 class TestExperimentCommands:
     def test_all_kinds_run_on_tiny_inputs(self, tmp_path, image_files):
         clean, _ = image_files
@@ -455,7 +466,7 @@ class TestShellParity:
             if f.name not in ("num_atoms", "iterations", "lam", "init_dictionary"):
                 assert getattr(config, f.name) == f.default, f.name
         # 4 atoms cannot hold the 9-dimensional DCT: auto falls back to random at the default seed
-        assert np.array_equal(config.init_dictionary, random_dictionary(9, 4, LearnConfig.seed))
+        assert np.array_equal(config.init_dictionary, random_dictionary(9, 4, 0))
 
     def test_denoise(self, tmp_path, image_files, monkeypatch):
         seen = []
@@ -527,11 +538,12 @@ def test_settable_surface_is_pinned():
     ]
     assert [f.name for f in fields(LearnConfig)] == [
         "num_atoms", "iterations", "lam", "init_dictionary", "code_bound",
-        "init_codes", "atom_order", "empty_code_policy", "seed",
+        "init_codes",
     ]
-    functions = (learn, omp_code, omp_code_matrix, psnr, write_pgm)
+    functions = (learn, atom_update_step, omp_code, omp_code_matrix, psnr, write_pgm)
     assert {fn.__name__: list(inspect.signature(fn).parameters) for fn in functions} == {
         "learn": ["Y", "config", "overwrite_y"],
+        "atom_update_step": ["Y", "D", "C", "j", "new_code"],
         "omp_code": ["D", "y", "error_goal"],
         "omp_code_matrix": ["D", "Y", "error_goal"],
         "psnr": ["reference", "estimate"],

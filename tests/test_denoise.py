@@ -14,7 +14,7 @@ from sparsedl.denoise import (
 )
 from sparsedl.dictionaries import overcomplete_dct_dictionary
 from sparsedl.exceptions import ConfigError
-from sparsedl.patches import aggregate_patches, extract_patches, patch_grid_shape
+from sparsedl.patches import aggregate_patches, extract_patches, patch_cover
 
 
 class TestNoise:
@@ -146,8 +146,8 @@ class TestDenoiseImage:
         D = overcomplete_dct_dictionary(16, 16)
         codes, _ = omp_code_matrix(D, Y - means, result.error_goal)
         patches = np.asarray(codes @ D.T).T + means
-        total, cover = aggregate_patches(patches, noisy.shape, 4, 2)
-        want = (3.0 * noisy + total) / (3.0 + cover)
+        total = aggregate_patches(patches, noisy.shape, 4, 2)
+        want = (3.0 * noisy + total) / (3.0 + np.outer(*patch_cover(noisy.shape, 4, 2)))
         assert np.allclose(estimate, want, atol=1e-10)
 
     def test_zero_prior_requires_full_coverage(self):
@@ -161,8 +161,8 @@ class TestDenoiseImage:
 
     def test_coverage_is_checked_before_any_work(self, monkeypatch):
         """The prior_weight=0 coverage rule is decided from the shape, the
-        patch size and the stride alone, and agrees with the cover that
-        aggregate_patches counts."""
+        patch size and the stride alone, and agrees with the overlap counts
+        of the patch grid."""
 
         class Reached(Exception):
             pass
@@ -179,9 +179,7 @@ class TestDenoiseImage:
                 for p in (2, 3, 4):
                     for stride in range(1, 7):
                         config = _tiny_config(patch_size=p, stride=stride, prior_weight=0.0)
-                        gr, gc = patch_grid_shape((H, W), p, stride)
-                        _, cover = aggregate_patches(np.zeros((p * p, gr * gc)), (H, W), p, stride)
-                        gap = np.any(cover == 0.0)
+                        gap = np.any(np.outer(*patch_cover((H, W), p, stride)) == 0.0)
                         with pytest.raises(ConfigError if gap else Reached):
                             denoise_image(np.zeros((H, W)), config)
 

@@ -9,6 +9,7 @@ from conftest import (
     make_textured_scene,
     random_instance,
     reverse_atom_steps,
+    unit_columns,
 )
 from scipy import sparse
 
@@ -172,22 +173,11 @@ class TestStepOracles:
         assert np.allclose(d, h / np.linalg.norm(h), rtol=1e-12, atol=1e-14)
         assert abs(np.linalg.norm(d) - 1.0) < 1e-12
 
-    def test_atom_update_zero_code_policies(self):
+    def test_atom_update_zero_code_gives_e1(self):
         rng = np.random.default_rng(17)
         Y, D, C = random_instance(rng, 5, 8, 3)
-        zero = np.zeros(8)
-        e1 = atom_update_step(Y, D, C, 0, zero, policy="unit_basis")
+        e1 = atom_update_step(Y, D, C, 0, np.zeros(8))
         assert np.array_equal(e1, np.eye(5)[0])
-        kept = atom_update_step(Y, D, C, 0, zero, policy="keep_previous")
-        assert np.array_equal(kept, D[:, 0])
-        drawn = atom_update_step(Y, D, C, 0, zero, policy="random_unit", rng=np.random.default_rng(3))
-        again = atom_update_step(Y, D, C, 0, zero, policy="random_unit", rng=np.random.default_rng(3))
-        assert np.array_equal(drawn, again)
-        assert abs(np.linalg.norm(drawn) - 1.0) < 1e-12
-        with pytest.raises(ConfigError):
-            atom_update_step(Y, D, C, 0, zero, policy="random_unit")  # rng missing
-        with pytest.raises(ConfigError):
-            atom_update_step(Y, D, C, 0, zero, policy="nonsense")
 
     def test_atom_update_zero_product_is_invariant_error(self):
         # nonzero code whose residual/code product vanishes by construction
@@ -206,7 +196,7 @@ class TestAddProducts:
         bounds across the _GATHER chunks, gives bit-identical rows."""
         rng = np.random.default_rng(47)
         n, N, J = 64, 2 * sparsedl.learner._GATHER + 517, 256
-        D = _unit_columns(rng, n, J)
+        D = unit_columns(rng, n, J)
         C = sparse.random_array((N, J), density=0.02, format="csc", rng=rng)
         start = rng.standard_normal((N, n))
         whole = start.copy()
@@ -263,11 +253,6 @@ def _default_config(J, K, lam, D0, **kw):
     return LearnConfig(num_atoms=J, iterations=K, lam=lam, init_dictionary=D0, **kw)
 
 
-def _unit_columns(rng, n, J):
-    D = rng.standard_normal((n, J))
-    return D / np.linalg.norm(D, axis=0)
-
-
 # J=5 fits in one of the learner's blocks of correlations; the others put
 # one atom either side of a full block, fill one block exactly, and leave one
 # atom for a third block.  37 ends on a partial block.  The J=5 cases keep
@@ -277,40 +262,35 @@ _SWEEP_CASES = [(warm, J) for J in (5, _B - 1, _B, _B + 1, 2 * _B + 1, 37) for w
 _SWEEP_IDS = [("warm" if warm else "zero-init") + (f"-J{J}" if J != 5 else "") for warm, J in _SWEEP_CASES]
 
 
-def _reference_sweeps(Y, D0, C0, K, lam, bound, order, policy, seed):
+def _reference_sweeps(Y, D0, C0, K, lam, bound):
     """A literal sweep of the public single-column operations, K times.
 
-    Code step, then atom step, both against the pre-commit state, with one
-    generator seeded like ``learn``'s for the random order and the
-    ``random_unit`` draws.  Returns ``(D, C, visits with an empty code)``.
+    Code step, then atom step, both against the pre-commit state, atoms in
+    index order.  Returns ``(D, C, visits with an empty code)``.
     """
     J = D0.shape[1]
     D_ref = np.array(D0, dtype=float)
     C_ref = np.zeros((Y.shape[1], J)) if C0 is None else np.array(C0, dtype=float)
-    ref_rng = np.random.default_rng(seed)
     empty = 0
     for _ in range(K):
-        for j in np.arange(J) if order == "cyclic" else ref_rng.permutation(J):
+        for j in range(J):
             c = sparse_code_step(Y, D_ref, C_ref, j, lam, bound)
-            d = atom_update_step(Y, D_ref, C_ref, j, c, policy, ref_rng)
+            d = atom_update_step(Y, D_ref, C_ref, j, c)
             empty += not c.any()
             C_ref[:, j] = c
             D_ref[:, j] = d
     return D_ref, C_ref, empty
 
 
-def _assert_matches_reference(Y, D0, C0, K, lam, order="cyclic", policy="unit_basis", seed=0):
+def _assert_matches_reference(Y, D0, C0, K, lam):
     """Assert that ``learn`` ends on the reference sweeps at 1e-10.
 
     Returns ``learn``'s D, its C as a dense array and the reference's count
     of visits with an empty code.
     """
     bound = float(np.linalg.norm(Y))
-    D_ref, C_ref, empty = _reference_sweeps(Y, D0, C0, K, lam, bound, order, policy, seed)
-    config = _default_config(
-        D0.shape[1], K, lam, D0, atom_order=order, empty_code_policy=policy, seed=seed,
-        init_codes=None if C0 is None else sparse.csc_array(C0),
-    )
+    D_ref, C_ref, empty = _reference_sweeps(Y, D0, C0, K, lam, bound)
+    config = _default_config(D0.shape[1], K, lam, D0, init_codes=None if C0 is None else sparse.csc_array(C0))
     D, C, _ = learn(Y, config)
     C = C.toarray()
     assert np.allclose(D, D_ref, rtol=1e-10, atol=1e-12)
@@ -341,38 +321,35 @@ def _small_scene_patches(size=48):
 
 class TestLearn:
     @pytest.mark.parametrize("warm, J", _SWEEP_CASES, ids=_SWEEP_IDS)
-    @pytest.mark.parametrize("policy", ["unit_basis", "keep_previous", "random_unit"])
-    @pytest.mark.parametrize("order", ["cyclic", "random"])
-    def test_matches_reference_sweep_of_public_steps(self, order, policy, warm, J):
+    def test_matches_reference_sweep_of_public_steps(self, warm, J):
         """The fused implementation must equal a literal sweep of the
         public single-column operations (code step, then atom step, both
         against the pre-commit state).  Every other trial uses a lam high
-        enough that some codes come back empty, so the policy is used (and,
-        under unit_basis, atoms park on e1).  The reference steps form their
-        own correlations, so the cases with J above the learner's block of
-        _BLOCK unparked atoms check the blocked ones."""
+        enough that some codes come back empty, so atoms park on e1.  The
+        reference steps form their own correlations, so the cases with J
+        above the learner's block of _BLOCK unparked atoms check the
+        blocked ones."""
         rng = np.random.default_rng(30)
         empty = 0
         for trial in range(8):
             n, N, K = 6, 25, 3
             Y = rng.standard_normal((n, N)) * 2.0
-            D0 = _unit_columns(rng, n, J)
+            D0 = unit_columns(rng, n, J)
             lam = (0.6, 4.0)[trial % 2]
             C0 = rng.uniform(-1.0, 1.0, (N, J)) * (rng.random((N, J)) < 0.3) if warm else None
-            empty += _assert_matches_reference(Y, D0, C0, K, lam, order, policy, seed=trial)[2]
+            empty += _assert_matches_reference(Y, D0, C0, K, lam)[2]
         assert empty > 0
 
     @pytest.mark.parametrize("warm", [False, True], ids=["zero-init", "warm"])
-    @pytest.mark.parametrize("order", ["cyclic", "random"])
-    def test_training_matrix_buffer_contract(self, order, warm):
+    def test_training_matrix_buffer_contract(self, warm):
         """learn(Y) never writes Y; with overwrite_y it leaves the residual
         there; the memory order of Y and overwriting change no bit."""
         rng = np.random.default_rng(45)
         n, N, J = 6, 5000, 9  # N over one _GATHER, so some supports span two chunks
         Y0 = rng.standard_normal((n, N)) + 3.0 * rng.standard_normal((n, 1))
-        D0 = _unit_columns(rng, n, J)
+        D0 = unit_columns(rng, n, J)
         C0 = sparse.csc_array(rng.uniform(-1.0, 1.0, (N, J)) * (rng.random((N, J)) < 0.2)) if warm else None
-        config = _default_config(J, 3, 0.4, D0, atom_order=order, seed=3, init_codes=C0)
+        config = _default_config(J, 3, 0.4, D0, init_codes=C0)
 
         def run(Y, **kw):
             D, C, trace = learn(Y, config, **kw)
@@ -404,7 +381,7 @@ class TestLearn:
         rng = np.random.default_rng(46)
         n, N, J = 64, 20_000, 256
         Y = np.asfortranarray(50.0 + 10.0 * rng.standard_normal((n, N)))
-        D0 = _unit_columns(rng, n, J)
+        D0 = unit_columns(rng, n, J)
         D0[:, 0] = 1.0 / np.sqrt(n)
         config = _default_config(J, 1, 30.0, D0)
         residual = N * n * 8
@@ -423,26 +400,20 @@ class TestLearn:
         "settings",
         [
             {"init_dictionary": None},
-            {"atom_order": "backwards"},
-            {"empty_code_policy": "drop"},
             {"init_dictionary": np.ones((64, 8))},
             {"lam": "0.5"},
             {"num_atoms": True, "init_dictionary": np.eye(64, 1)},
             {"iterations": True},
-            {"seed": -1},
             {"code_bound": "5"},
             {"code_bound": np.nan},
             {"init_codes": np.zeros((5, 16))},
         ],
         ids=[
             "no_dictionary",
-            "atom_order",
-            "empty_code_policy",
             "dictionary_shape",
             "lam_string",
             "num_atoms_bool",
             "iterations_bool",
-            "seed_negative",
             "code_bound_string",
             "code_bound_nan",
             "init_codes_shape",
@@ -451,7 +422,7 @@ class TestLearn:
     def test_bad_config_is_rejected_before_copying_y(self, settings):
         """A config error is raised before the N x n residual copy of Y is made."""
         Y = np.ones((64, 20_000))
-        D0 = _unit_columns(np.random.default_rng(7), 64, 16)
+        D0 = unit_columns(np.random.default_rng(7), 64, 16)
         config = LearnConfig(**{**dict(num_atoms=16, iterations=1, lam=1.0, init_dictionary=D0), **settings})
         tracemalloc.start()
         try:
@@ -476,9 +447,9 @@ class TestLearn:
             inputs.append(np.array(b))
             return threshold(b, *args)
 
-        def step_spy(R, D, j, rows, w, *args):
+        def step_spy(R, D, j, rows, w):
             steps.append(w[0].copy())
-            return step(R, D, j, rows, w, *args)
+            return step(R, D, j, rows, w)
 
         monkeypatch.setattr(sparsedl.learner, "truncated_hard_threshold", threshold_spy)
         monkeypatch.setattr(sparsedl.learner, "_atom_step", step_spy)
@@ -495,7 +466,7 @@ class TestLearn:
     def test_trace_matches_recomputation(self):
         rng = np.random.default_rng(31)
         Y = rng.standard_normal((8, 30))
-        D0 = _unit_columns(rng, 8, 6)
+        D0 = unit_columns(rng, 8, 6)
         lam = 0.5
         D, C, trace = learn(Y, _default_config(6, 4, lam, D0))
         assert len(trace) == 4
@@ -519,7 +490,7 @@ class TestLearn:
     def test_delta_columns_measure_iterate_change(self):
         rng = np.random.default_rng(32)
         Y = rng.standard_normal((6, 18))
-        D0 = _unit_columns(rng, 6, 4)
+        D0 = unit_columns(rng, 6, 4)
         D1, C1, t1 = learn(Y, _default_config(4, 1, 0.4, D0))
         assert np.isclose(t1.delta_dict[0], np.linalg.norm(D1 - D0), rtol=1e-12)
         # from zero initial codes, the first code delta is ||C^1||_F
@@ -530,7 +501,7 @@ class TestLearn:
         u = rng.standard_normal(7)
         v = rng.standard_normal(40)
         Y = np.outer(u, v)
-        D0 = _unit_columns(rng, 7, 1)
+        D0 = unit_columns(rng, 7, 1)
         D, C, trace = learn(Y, _default_config(1, 2, 0.0, D0, code_bound=1e6))
         fit = np.linalg.norm(Y - D @ np.asarray(C.todense()).T) ** 2
         assert fit < 1e-20 * np.linalg.norm(Y) ** 2
@@ -542,7 +513,7 @@ class TestLearn:
         rng = np.random.default_rng(44)
         Y = rng.standard_normal((5, 30))
         Y[:, ::3] = 0.0
-        D0 = _unit_columns(rng, 5, 4)
+        D0 = unit_columns(rng, 5, 4)
         _, C, _ = learn(Y, _default_config(4, 2, 0.0, D0, code_bound=1e6))
         assert C.nnz > 0 and np.all(C.data != 0)
 
@@ -563,7 +534,7 @@ class TestLearn:
     def test_half_step_objectives_never_rise(self, monkeypatch):
         rng = np.random.default_rng(35)
         Y = rng.standard_normal((6, 20))
-        D0 = _unit_columns(rng, 6, 5)
+        D0 = unit_columns(rng, 6, 5)
         half_steps = HalfStepObjectives(monkeypatch, Y, D0, 0.5)
         D, C, _ = learn(Y, _default_config(5, 3, 0.5, D0))
         half_steps.assert_replays(D, C)
@@ -576,7 +547,7 @@ class TestLearn:
         # Inexact atom steps from the second sweep on: learn must stop there.
         rng = np.random.default_rng(38)
         Y = rng.standard_normal((6, 30))
-        D0 = _unit_columns(rng, 6, 5)
+        D0 = unit_columns(rng, 6, 5)
         reverse_atom_steps(monkeypatch, from_visit=5)
         with pytest.raises(InvariantError, match=r"objective rose or went non-finite at iteration 2: ") as err:
             learn(Y, _default_config(5, 3, 0.5, D0))
@@ -588,14 +559,14 @@ class TestLearn:
         # is rounding noise that may grow relative to itself.
         rng = np.random.default_rng(39)
         for _ in range(50):
-            Y = np.outer(_unit_columns(rng, 5, 1), rng.standard_normal(8) * 10 ** rng.uniform(-3, 3))
-            _, _, trace = learn(Y, _default_config(1, 4, 0.0, _unit_columns(rng, 5, 1), code_bound=1e9))
+            Y = np.outer(unit_columns(rng, 5, 1), rng.standard_normal(8) * 10 ** rng.uniform(-3, 3))
+            _, _, trace = learn(Y, _default_config(1, 4, 0.0, unit_columns(rng, 5, 1), code_bound=1e9))
             assert trace.objective[-1] < 1e-20 * np.linalg.norm(Y) ** 2
 
     def test_zero_iterations_returns_init(self):
         rng = np.random.default_rng(36)
         Y = rng.standard_normal((4, 9))
-        D0 = _unit_columns(rng, 4, 3)
+        D0 = unit_columns(rng, 4, 3)
         D, C, trace = learn(Y, _default_config(3, 0, 0.5, D0))
         assert np.allclose(D, D0)
         assert C.nnz == 0
@@ -604,7 +575,7 @@ class TestLearn:
     def test_warm_start_from_previous_codes(self):
         rng = np.random.default_rng(37)
         Y = rng.standard_normal((6, 22))
-        D0 = _unit_columns(rng, 6, 4)
+        D0 = unit_columns(rng, 6, 4)
         bound = float(np.linalg.norm(Y))
         D1, C1, t1 = learn(Y, _default_config(4, 2, 0.4, D0, code_bound=bound))
         D2, C2, t2 = learn(
@@ -621,7 +592,7 @@ class TestLearn:
     def test_init_codes_count_only_true_nonzeros(self):
         rng = np.random.default_rng(42)
         Y = rng.standard_normal((5, 12))
-        D0 = _unit_columns(rng, 5, 3)
+        D0 = unit_columns(rng, 5, 3)
         codes = np.zeros((12, 3))
         codes[[0, 4, 7], [0, 1, 2]] = [0.8, -1.2, 0.5]
         stored_zero = sparse.csc_array(
@@ -640,18 +611,18 @@ class TestLearn:
     def test_vanishing_product_names_iteration_and_atom(self, monkeypatch):
         rng = np.random.default_rng(43)
         Y = rng.standard_normal((4, 10))
-        D0 = _unit_columns(rng, 4, 3)
+        D0 = unit_columns(rng, 4, 3)
         step = sparsedl.learner._atom_step
 
-        def zero_product(R, D, j, rows, w, *args):
+        def zero_product(R, D, j, rows, w):
             # A zero residual and old code make E_j c vanish for any new code.
-            return step(np.zeros_like(R), D, j, rows, w * [[0.0], [1.0]], *args)
+            return step(np.zeros_like(R), D, j, rows, w * [[0.0], [1.0]])
 
         monkeypatch.setattr(sparsedl.learner, "_atom_step", zero_product)
         with pytest.raises(InvariantError, match=r"iteration 1, atom 0:"):
             learn(Y, _default_config(3, 2, 0.1, D0))
 
-    def test_zero_training_matrix_policies(self):
+    def test_zero_training_matrix(self):
         Y = np.zeros((3, 5))
         D0 = np.eye(3)
         with pytest.raises(ConfigError):
@@ -659,33 +630,12 @@ class TestLearn:
         D, C, trace = learn(Y, _default_config(3, 1, 0.5, D0, code_bound=1.0))
         assert C.nnz == 0
         assert np.isnan(trace.nsre[0]) and trace.objective[0] == 0.0
-        assert np.allclose(D, np.column_stack([np.eye(3)[0]] * 3))  # unit_basis policy
-        D_keep, _, _ = learn(
-            Y, _default_config(3, 1, 0.5, D0, code_bound=1.0, empty_code_policy="keep_previous")
-        )
-        assert np.allclose(D_keep, D0)
-        D_rand, _, _ = learn(
-            Y, _default_config(3, 1, 0.5, D0, code_bound=1.0, empty_code_policy="random_unit", seed=5)
-        )
-        D_rand2, _, _ = learn(
-            Y, _default_config(3, 1, 0.5, D0, code_bound=1.0, empty_code_policy="random_unit", seed=5)
-        )
-        assert np.allclose(D_rand, D_rand2)
-        assert np.allclose(np.linalg.norm(D_rand, axis=0), 1.0)
-
-    def test_random_order_is_seeded_and_monotone(self):
-        rng = np.random.default_rng(38)
-        Y = rng.standard_normal((6, 20))
-        D0 = _unit_columns(rng, 6, 5)
-        a = learn(Y, _default_config(5, 3, 0.5, D0, atom_order="random", seed=9))
-        b = learn(Y, _default_config(5, 3, 0.5, D0, atom_order="random", seed=9))
-        assert np.allclose(a[0], b[0])
-        assert np.all(np.diff(a[2].objective) <= 1e-9 * np.abs(a[2].objective[:-1]))
+        assert np.array_equal(D, np.column_stack([np.eye(3)[0]] * 3))  # every emptied atom is e1
 
     def test_codes_respect_bound_exactly(self):
         rng = np.random.default_rng(39)
         Y = 5.0 * rng.standard_normal((4, 30))
-        D0 = _unit_columns(rng, 4, 3)
+        D0 = unit_columns(rng, 4, 3)
         bound = 2.0
         _, C, _ = learn(Y, _default_config(3, 3, 0.5, D0, code_bound=bound))
         assert C.nnz > 0
@@ -695,7 +645,7 @@ class TestLearn:
     def test_validation_errors(self):
         rng = np.random.default_rng(40)
         Y = rng.standard_normal((4, 6))
-        D0 = _unit_columns(rng, 4, 3)
+        D0 = unit_columns(rng, 4, 3)
         with pytest.raises(ConfigError):
             learn(np.full((4, 6), np.nan), _default_config(3, 1, 0.5, D0))
         with pytest.raises(ConfigError):
@@ -714,8 +664,6 @@ class TestLearn:
             (dict(lam="0.5"), "lam must be a real number"),
             (dict(lam=np.complex128(0.5)), "lam must be a real number"),
             (dict(J=True, D0=D0[:, :1]), "num_atoms must be an integer"),
-            (dict(seed=-1), "seed must be at least 0"),
-            (dict(seed=1.5), "seed must be an integer"),
         ):
             with pytest.raises(ConfigError, match=match):
                 learn(Y, _default_config(**{**dict(J=3, K=1, lam=0.5, D0=D0), **settings}))
@@ -729,10 +677,6 @@ class TestLearn:
             learn(Y, _default_config(3, 1, 0.5, 2.0 * D0))  # columns not unit
         with pytest.raises(ConfigError):
             learn(Y, _default_config(3, 1, 0.5, D0[:, :2]))  # shape mismatch
-        with pytest.raises(ConfigError):
-            learn(Y, _default_config(3, 1, 0.5, D0, atom_order="shuffled"))
-        with pytest.raises(ConfigError):
-            learn(Y, _default_config(3, 1, 0.5, D0, empty_code_policy="zero"))
         with pytest.raises(ConfigError):
             learn(Y, _default_config(3, 1, 0.5, D0, init_codes=np.zeros((5, 3))))
         big = np.zeros((6, 3))
@@ -773,7 +717,7 @@ class TestLearn:
             with pytest.raises(ConfigError, match="signal_dim"):
                 sparsity_factor(C, signal_dim)
         # Y, D and the new code must agree in shape with each other, not only with C.
-        D3 = _unit_columns(rng, 3, 3)
+        D3 = unit_columns(rng, 3, 3)
         for call in (
             lambda: code_rhs(Y, D3, C, 0),
             lambda: sparse_code_step(Y, D3, C, 0, 0.5, 3.0),
@@ -793,9 +737,15 @@ class TestLearn:
                 objective(Y, D0, C, lam)
             with pytest.raises(ConfigError, match="lam must be"):
                 hard_threshold(np.array([2.0, 0.1]), lam)
-        for lam in (1j, "0.5", None):
-            with pytest.raises(ConfigError, match="lam must be"):
-                truncated_hard_threshold(np.array([2.0, 0.1]), lam, 3.0)
+        # A negative lam would keep every entry, so no step would minimize the objective.
+        for lam in (1j, "0.5", None, -1.0):
+            for call in (
+                lambda: truncated_hard_threshold(np.array([2.0, 0.1]), lam, 3.0),
+                lambda: hard_threshold(np.array([2.0, 0.1]), lam),
+                lambda: sparse_code_step(Y, D0, C, 0, lam, 3.0),
+            ):
+                with pytest.raises(ConfigError, match="lam must be"):
+                    call()
         for code_bound in ("3", 3j):
             with pytest.raises(ConfigError, match="code_bound must be"):
                 truncated_hard_threshold(np.array([2.0, 0.1]), 0.5, code_bound)
@@ -915,9 +865,9 @@ class TestParkedAtoms:
             events.append(("union",))
             return union(*args)
 
-        def step_spy(R, D, j, rows, w, *args):
+        def step_spy(R, D, j, rows, w):
             events.append(("step", int(j), rows.size))
-            return step(R, D, j, rows, w, *args)
+            return step(R, D, j, rows, w)
 
         monkeypatch.setattr(sparsedl.learner, "_union", union_spy)
         monkeypatch.setattr(sparsedl.learner, "_atom_step", step_spy)
@@ -935,8 +885,8 @@ class TestParkedAtoms:
         returned = {}
         step = sparsedl.learner._atom_step
 
-        def flip_spy(R, D, j, rows, w, *args):
-            d_new = step(R, D, j, rows, w, *args)
+        def flip_spy(R, D, j, rows, w):
+            d_new = step(R, D, j, rows, w)
             returned[int(j)] = d_new = -d_new if not rows.size else d_new
             return d_new
 
@@ -946,34 +896,12 @@ class TestParkedAtoms:
         for j, d in returned.items():
             assert np.array_equal(D[:, j], d)
 
-    @pytest.mark.parametrize("order", ["cyclic", "random"])
-    def test_parked_atoms_draw_under_random_unit(self, order):
-        """Under random_unit a parked atom whose code stays empty still draws a
-        new atom, so every later draw lines up with the reference's."""
-        rng = np.random.default_rng(47)
-        n, N, J = 6, 40, sparsedl.learner._BLOCK + 3
-        Y = rng.standard_normal((n, N))
-        D0 = _unit_columns(rng, n, J)
-        D0[:, ::3] = np.eye(n)[0][:, None]
-        lam = 1.1 * np.abs(Y[0]).max()  # no row can pass for an atom on e1
-        C0 = rng.uniform(-1.0, 1.0, (N, J)) * (rng.random((N, J)) < 0.2)
-        C0[:, ::3] = 0.0
-        D, C, _ = _assert_matches_reference(Y, D0, C0, 1, lam, order, "random_unit", seed=5)
-        drew = [j for j in range(0, J, 3) if not C[:, j].any()]
-        assert drew and all(not np.array_equal(D[:, j], np.eye(n)[0]) for j in drew)
-        _assert_matches_reference(Y, D0, C0, 3, lam, order, "random_unit", seed=5)
-
-    @pytest.mark.parametrize(
-        "policy, order",
-        [("unit_basis", "cyclic"), ("unit_basis", "random"), ("keep_previous", "cyclic"), ("keep_previous", "random")],
-    )
-    def test_gemms_take_each_unparked_atom_once(self, monkeypatch, policy, order):
+    def test_gemms_take_each_unparked_atom_once(self, monkeypatch):
         """Per sweep, the block GEMMs receive exactly the atoms that are not
         parked at their visit, each once, and every GEMM but a sweep's last
         takes _BLOCK of them; the threshold and the atom step run once per
-        visit.  On the DCT dictionary, which has no e1, keep_previous never
-        parks, so its GEMMs take all J atoms in full blocks, as without
-        parking; at the denoiser's lam, unit_basis parks atoms every sweep."""
+        visit.  The DCT dictionary has no e1, so no atom starts parked; at
+        the denoiser's lam, atoms park every sweep from the second on."""
         Y = _small_scene_patches()
         n, J, K = 64, 64, 4
         D0 = overcomplete_dct_dictionary(n, J)
@@ -997,15 +925,15 @@ class TestParkedAtoms:
             events.append(("threshold",))
             return threshold(*args)
 
-        def step_spy(R, D, j, rows, w, *args):
+        def step_spy(R, D, j, rows, w):
             events.append(("step", int(j), parked(D, j)))
             empty[j] = not w[1].any()
-            return step(R, D, j, rows, w, *args)
+            return step(R, D, j, rows, w)
 
         monkeypatch.setattr(sparsedl.learner, "_correlations", gemm_spy)
         monkeypatch.setattr(sparsedl.learner, "truncated_hard_threshold", threshold_spy)
         monkeypatch.setattr(sparsedl.learner, "_atom_step", step_spy)
-        learn(Y, _default_config(J, K, 100.0, D0, atom_order=order, empty_code_policy=policy, seed=2))
+        learn(Y, _default_config(J, K, 100.0, D0))
 
         assert [e[0] for e in events if e[0] != "gemm"] == ["threshold", "step"] * (K * J)
         B = sparsedl.learner._BLOCK
@@ -1024,10 +952,7 @@ class TestParkedAtoms:
             assert sorted(j for atoms in gemms[t] for j in atoms) == sorted(unparked[t])
             u = len(unparked[t])
             assert [len(atoms) for atoms in gemms[t]] == [B] * (u // B) + ([u % B] if u % B else [])
-        if policy == "keep_previous":
-            assert not parked_visits.any()
-        else:
-            assert np.all(parked_visits[1:] > 0) and all(len(g) > 1 for g in gemms)
+        assert not parked_visits[0] and np.all(parked_visits[1:] > 0) and all(len(g) > 1 for g in gemms)
 
 
 def _atom_step_by_fancy_indexing(R, D, j, rows, w):
@@ -1060,7 +985,7 @@ class TestVisitDataPaths:
         rng = np.random.default_rng(seed)
         N = self.N if N is None else N
         R = rng.standard_normal((N, 6))
-        D = _unit_columns(rng, 6, 3)
+        D = unit_columns(rng, 6, 3)
         rows = np.sort(rng.choice(N, size, replace=False))
         w = rng.standard_normal((2, size)) * (rng.random((2, size)) < 0.7)
         w[1, 0] = 1.5  # a nonempty new code
@@ -1074,16 +999,16 @@ class TestVisitDataPaths:
     def test_atom_step_equals_fancy_indexing(self, size, N):
         R, D, rows, w = self._case(size, N)
         R_ref = R.copy()
-        d_new = sparsedl.learner._atom_step(R, D, 1, rows, w, "unit_basis", None)
+        d_new = sparsedl.learner._atom_step(R, D, 1, rows, w)
         d_ref = _atom_step_by_fancy_indexing(R_ref, D, 1, rows, w)
         assert np.array_equal(d_new, d_ref) and np.array_equal(R, R_ref)
 
     @pytest.mark.parametrize("size", [1, G - 1, G + 50, N], ids=["one", "under-gather", "over-gather", "all"])
-    def test_atom_step_for_an_emptied_code_takes_the_policy_atom(self, size):
+    def test_atom_step_for_an_emptied_code_takes_e1(self, size):
         R, D, rows, w = self._case(size, seed=1)
         w[1] = 0.0
         R_ref = R.copy()
-        d_new = sparsedl.learner._atom_step(R, D, 0, rows, w, "unit_basis", None)
+        d_new = sparsedl.learner._atom_step(R, D, 0, rows, w)
         for lo in range(0, size, self.G):
             s = slice(lo, lo + self.G)
             R_ref[rows[s]] += w[:, s].T @ np.stack((D[:, 0], -d_new))
@@ -1120,9 +1045,9 @@ def _record_step_unions(monkeypatch):
     calls = []
     step = sparsedl.learner._atom_step
 
-    def spy(R, D, j, rows, w, *args):
+    def spy(R, D, j, rows, w):
         calls.append((rows.copy(), w.copy()))
-        return step(R, D, j, rows, w, *args)
+        return step(R, D, j, rows, w)
 
     monkeypatch.setattr(sparsedl.learner, "_atom_step", spy)
     return calls
@@ -1159,7 +1084,7 @@ class TestWholeUnions:
         n, N, J, K = 5, 30, 4, 3
         Y = rng.standard_normal((n, N))
         Y[:, 3] = 0.0
-        D0 = _unit_columns(rng, n, J)
+        D0 = unit_columns(rng, n, J)
         _assert_matches_reference(Y, D0, None, K, 0.0)
         calls = _record_step_unions(monkeypatch)
         half_steps = HalfStepObjectives(monkeypatch, Y, D0, 0.0)

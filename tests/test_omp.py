@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import make_textured_scene
+from conftest import make_textured_scene, unit_columns
 from scipy import sparse
 
 from sparsedl.denoise import DenoiseConfig, add_gaussian_noise
@@ -63,7 +63,7 @@ class TestOmpCode:
         rng = np.random.default_rng(1)
         for _ in range(60):
             n, J = int(rng.integers(4, 12)), int(rng.integers(4, 20))
-            D = random_dictionary(n, J, rng)
+            D = unit_columns(rng, n, J)
             y = rng.standard_normal(n) * 3.0
             goal = float(rng.uniform(0.01, 2.0))
             code, status = omp_code(D, y, goal)
@@ -76,7 +76,7 @@ class TestOmpCode:
 
     def test_coefficients_are_least_squares_on_support(self):
         rng = np.random.default_rng(2)
-        D = random_dictionary(8, 12, rng)
+        D = unit_columns(rng, 8, 12)
         y = rng.standard_normal(8)
         code, _ = omp_code(D, y, 1e-12)
         sel = np.flatnonzero(code)
@@ -129,7 +129,7 @@ class TestOmpCode:
         """Two atoms in nine dimensions: a generic signal takes both and
         stops at the cap of min(n, J) atoms, short of a zero goal."""
         rng = np.random.default_rng(4)
-        D = random_dictionary(9, 2, rng)
+        D = unit_columns(rng, 9, 2)
         y = rng.standard_normal(9)
         code, status = omp_code(D, y, 0.0)
         assert np.count_nonzero(code) == 2
@@ -161,7 +161,7 @@ class TestOmpCode:
 class TestOmpCodeMatrix:
     def test_matches_per_signal_calls(self):
         rng = np.random.default_rng(5)
-        D = random_dictionary(6, 9, rng)
+        D = unit_columns(rng, 6, 9)
         Y = rng.standard_normal((6, 11))
         C, statuses = omp_code_matrix(D, Y, 0.3)
         assert isinstance(C, sparse.csc_array)
@@ -180,7 +180,7 @@ class TestOmpCodeMatrix:
         Y = rng.standard_normal((16, 1500))
         Y[:, :500] = 0.0  # codes to zero at once
         # two atoms in 16 dimensions stop most signals at the atom cap
-        for Dg, goal in ((D, 1.0), (random_dictionary(16, 2, rng), 1.0), (D, 0.0)):
+        for Dg, goal in ((D, 1.0), (unit_columns(rng, 16, 2), 1.0), (D, 0.0)):
             _, statuses = omp_code_matrix(Dg, Y, goal)
             assert len(statuses) == 1500
             assert len({id(s) for s in statuses}) <= 3
@@ -228,7 +228,7 @@ class TestAgainstTextbookOmp:
         for _ in range(200):
             n = int(rng.integers(3, 17))
             J = int(rng.integers(2, 3 * n + 1))
-            D = random_dictionary(n, J, rng)
+            D = unit_columns(rng, n, J)
             Y = rng.standard_normal((n, 6))
             goal = float(rng.uniform(0.02, 0.6)) * n
             seen.update(_assert_matches_textbook(D, Y, goal)[0])  # J < n can stop at the cap
@@ -271,7 +271,7 @@ class TestBatchIndependence:
         """Permuting, subsetting or splitting the columns of Y, across band
         edges, gives bit-identical rows and statuses."""
         rng = np.random.default_rng(22)
-        D = random_dictionary(8, 20, rng)
+        D = unit_columns(rng, 8, 20)
         N = _BAND + 300
         Y = rng.standard_normal((8, N)) * rng.uniform(0.3, 3.0, N)
         C, statuses = omp_code_matrix(D, Y, 2.0)
@@ -349,7 +349,7 @@ class TestBandKernel:
         multiple of 8, which BLAS rounds by the row count unless padded.
         11 atoms stop many signals at the atom cap."""
         rng = np.random.default_rng(25)
-        D = random_dictionary(64, J, rng)
+        D = unit_columns(rng, 64, J)
         N = _BAND + 1
         Y = rng.standard_normal((64, N)) * rng.uniform(0.5, 1.0, N)
         C, statuses = omp_code_matrix(D, Y, 24.0)
@@ -363,7 +363,7 @@ class TestBandKernel:
         """Copies of atoms, placed anywhere after their first occurrence,
         change no code or status; picks land on the first occurrence."""
         rng = np.random.default_rng(26)
-        D = random_dictionary(10, 21, rng)
+        D = unit_columns(rng, 10, 21)
         D[:, 0] = 0.0
         D[0, 0] = 1.0  # e1, where the learner parks atoms with empty codes
         order = list(range(21))
@@ -384,7 +384,7 @@ class TestBandKernel:
         """Most signals take 8 or more atoms, so the active set shrinks over
         many steps of every band."""
         rng = np.random.default_rng(27)
-        D = random_dictionary(16, 40, rng)
+        D = unit_columns(rng, 16, 40)
         N = _BAND + 400
         Y = rng.standard_normal((16, N))
         statuses, codes = _assert_matches_textbook(D, Y, 0.5)

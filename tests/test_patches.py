@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from sparsedl.exceptions import ConfigError
-from sparsedl.patches import _GRID_ROWS, _gather_patches, aggregate_patches, extract_patches, patch_grid_shape
+from sparsedl.patches import (
+    _GRID_ROWS,
+    _gather_patches,
+    aggregate_patches,
+    extract_patches,
+    patch_cover,
+    patch_grid_shape,
+)
 
 
 def _extract_by_loops(img, p, s):
@@ -35,6 +42,7 @@ class TestGrid:
         assert patch_grid_shape((8, 8), 8, 1) == (1, 1)
         # stride skipping the tail: positions 0 and 4 only
         assert patch_grid_shape((9, 9), 3, 4) == (2, 2)
+        assert patch_grid_shape((np.int64(16), 16), 4, 1) == (13, 13)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -51,6 +59,12 @@ class TestGrid:
             extract_patches(np.zeros((8, 8)), 4, 1.5)
         with pytest.raises(ConfigError, match="real"):
             extract_patches(np.zeros((16, 16)) + 1j, 4)
+        # A float entry is not cut to an int: (16.9, 16) is no 16 x 16 image.
+        for shape, name in (((16.9, 16), "height"), ((16, 16.0), "width"), ((16, True), "width")):
+            with pytest.raises(ConfigError, match=f"image {name} must be an integer"):
+                patch_grid_shape(shape, 4, 1)
+            with pytest.raises(ConfigError, match=f"image {name} must be an integer"):
+                aggregate_patches(np.zeros((16, 169)), shape, 4, 1)
 
 
 class TestExtract:
@@ -125,10 +139,9 @@ class TestAggregate:
             n = p * p
             gr, gc = patch_grid_shape(shape, p, s)
             P = rng.standard_normal((n, gr * gc))
-            got_total, got_cover = aggregate_patches(P, shape, p, s)
             want_total, want_cover = _aggregate_by_loops(P, shape, p, s)
-            assert np.allclose(got_total, want_total, atol=1e-12)
-            assert np.array_equal(got_cover, want_cover)
+            assert np.allclose(aggregate_patches(P, shape, p, s), want_total, atol=1e-12)
+            assert np.array_equal(np.outer(*patch_cover(shape, p, s)), want_cover)
 
     def test_memory_order_does_not_change_the_sums(self):
         """denoise_image passes F-ordered patches; C-ordered ones give the same bits."""
@@ -138,7 +151,7 @@ class TestAggregate:
             P = rng.standard_normal((gr * gc, p * p)).T
             got_f = aggregate_patches(P, shape, p, s)
             got_c = aggregate_patches(np.ascontiguousarray(P), shape, p, s)
-            assert np.array_equal(got_f[0], got_c[0]) and np.array_equal(got_f[1], got_c[1])
+            assert np.array_equal(got_f, got_c)
 
     def test_bands_into_out_give_the_bits_of_one_call(self):
         """Adding bands of whole _GRID_ROWS blocks of grid rows, in order, into
@@ -148,13 +161,13 @@ class TestAggregate:
             band = blocks * _GRID_ROWS
             gr, gc = patch_grid_shape(shape, p, s)
             P = rng.standard_normal((gr * gc, p * p)).T
-            whole, _ = aggregate_patches(P, shape, p, s)
+            whole = aggregate_patches(P, shape, p, s)
             total = np.zeros(shape)
             for g0 in range(0, gr, band):
                 g1 = min(gr, g0 + band)
                 y0, y1 = g0 * s, (g1 - 1) * s + p
                 band_patches = P[:, g0 * gc : g1 * gc]
-                got, _ = aggregate_patches(band_patches, (y1 - y0, shape[1]), p, s, out=total[y0:y1])
+                got = aggregate_patches(band_patches, (y1 - y0, shape[1]), p, s, out=total[y0:y1])
                 assert np.shares_memory(got, total)
             assert np.array_equal(total, whole)
         frozen = np.zeros(shape)
@@ -168,14 +181,16 @@ class TestAggregate:
         img = rng.random((16, 20)) * 255
         for s in (1, 2, 4):
             P = extract_patches(img, 4, s)
-            total, cover = aggregate_patches(P, img.shape, 4, s)
+            total = aggregate_patches(P, img.shape, 4, s)
+            cover = np.outer(*patch_cover(img.shape, 4, s))
             assert np.all(cover > 0)  # stride divides the span here
             assert np.allclose(total / cover, img, atol=1e-10)
 
     def test_sparse_grid_leaves_gaps_uncovered(self):
         img = np.ones((9, 9))
         P = extract_patches(img, 3, 4)  # grid positions 0 and 4 per axis
-        _, cover = aggregate_patches(P, img.shape, 3, 4)
+        cover = np.outer(*patch_cover(img.shape, 3, 4))
+        assert np.array_equal(aggregate_patches(P, img.shape, 3, 4), cover)  # patches of ones sum to the counts
         hit = np.zeros(9, dtype=bool)
         hit[0:3] = hit[4:7] = True  # row/col 3 falls between patches, 7-8 past the tail
         assert np.array_equal(cover > 0, np.outer(hit, hit))
