@@ -438,13 +438,13 @@ def _atom_step(R: np.ndarray, D: np.ndarray, j: int, rows: np.ndarray, w: np.nda
 
 
 def objective(Y: np.ndarray, D: np.ndarray, C, lam: float) -> float:
-    """Value of the learning objective: fit term plus ``lam^2 * nnz(C)``.
+    """Value of the learning objective: fit term plus ``lam^2 * nnz(C)``, ``lam >= 0``.
 
     The nonzero count is structural/exact; no tolerance is applied when
     deciding whether an entry is zero.
     """
     Y, D, C = _real_inputs(Y, D, C)
-    lam = as_real_number(lam, "lam")
+    lam = as_real_number(lam, "lam", low=0.0)
     return _fit(Y, D, C) + lam * lam * C.nnz
 
 

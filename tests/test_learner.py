@@ -218,6 +218,15 @@ class TestMetrics:
         for codes in (C, sparse.csc_array(C), _non_canonical(C)):
             assert np.isclose(objective(Y, D, codes, lam), want, rtol=1e-12)
 
+    def test_objective_rejects_negative_lam(self):
+        """lam enters squared, so a negative one would give the objective
+        at |lam|; objective takes lam >= 0 like the steps and learn."""
+        I3 = np.eye(3)
+        assert objective(I3, I3, I3 / 2, 0.0) == pytest.approx(0.75)
+        assert objective(I3, I3, I3 / 2, 1.0) == pytest.approx(3.75)
+        with pytest.raises(ConfigError, match="lam must be"):
+            objective(I3, I3, I3 / 2, -1.0)
+
     def test_objective_counts_structural_zeros_exactly(self):
         Y = np.zeros((2, 3))
         D = np.eye(2)
@@ -260,6 +269,15 @@ def _default_config(J, K, lam, D0, **kw):
 _B = sparsedl.learner._BLOCK
 _SWEEP_CASES = [(warm, J) for J in (5, _B - 1, _B, _B + 1, 2 * _B + 1, 37) for warm in (False, True)]
 _SWEEP_IDS = [("warm" if warm else "zero-init") + (f"-J{J}" if J != 5 else "") for warm, J in _SWEEP_CASES]
+# What each trial of the reference sweep draws on top of its case.  "mixed"
+# alternates a lam that keeps most codes with one high enough that some come
+# back empty, so atoms park on e1; "clipping" sets code_bound just above lam,
+# so the truncation binds; "lam-zero" keeps every code, so no atom parks;
+# "most-parked" empties most codes, so several atoms sit on e1 at once;
+# "zero-signals" zeros about a third of the signals; "e1-atoms" starts the
+# first and last atoms on e1, parked from the start under a zero init and
+# unparked under a warm one.
+_SWEEP_REGIMES = ["mixed", "clipping", "lam-zero", "most-parked", "zero-signals", "e1-atoms"]
 
 
 def _reference_sweeps(Y, D0, C0, K, lam, bound):
@@ -282,15 +300,17 @@ def _reference_sweeps(Y, D0, C0, K, lam, bound):
     return D_ref, C_ref, empty
 
 
-def _assert_matches_reference(Y, D0, C0, K, lam):
+def _assert_matches_reference(Y, D0, C0, K, lam, bound=None):
     """Assert that ``learn`` ends on the reference sweeps at 1e-10.
 
-    Returns ``learn``'s D, its C as a dense array and the reference's count
-    of visits with an empty code.
+    ``bound=None`` is ``learn``'s default, ``||Y||_F``.  Returns ``learn``'s
+    D, its C as a dense array and the reference's count of visits with an
+    empty code.
     """
-    bound = float(np.linalg.norm(Y))
-    D_ref, C_ref, empty = _reference_sweeps(Y, D0, C0, K, lam, bound)
-    config = _default_config(D0.shape[1], K, lam, D0, init_codes=None if C0 is None else sparse.csc_array(C0))
+    D_ref, C_ref, empty = _reference_sweeps(Y, D0, C0, K, lam, float(np.linalg.norm(Y)) if bound is None else bound)
+    config = _default_config(
+        D0.shape[1], K, lam, D0, code_bound=bound, init_codes=None if C0 is None else sparse.csc_array(C0)
+    )
     D, C, _ = learn(Y, config)
     C = C.toarray()
     assert np.allclose(D, D_ref, rtol=1e-10, atol=1e-12)
@@ -320,47 +340,77 @@ def _small_scene_patches(size=48):
 
 
 class TestLearn:
+    @pytest.mark.parametrize("regime", _SWEEP_REGIMES)
     @pytest.mark.parametrize("warm, J", _SWEEP_CASES, ids=_SWEEP_IDS)
-    def test_matches_reference_sweep_of_public_steps(self, warm, J):
+    def test_matches_reference_sweep_of_public_steps(self, warm, J, regime):
         """The fused implementation must equal a literal sweep of the
         public single-column operations (code step, then atom step, both
-        against the pre-commit state).  Every other trial uses a lam high
-        enough that some codes come back empty, so atoms park on e1.  The
-        reference steps form their own correlations, so the cases with J
-        above the learner's block of _BLOCK unparked atoms check the
+        against the pre-commit state), in each regime of _SWEEP_REGIMES.
+        The reference steps form their own correlations, so the cases with
+        J above the learner's block of _BLOCK unparked atoms check the
         blocked ones."""
         rng = np.random.default_rng(30)
-        empty = 0
-        for trial in range(8):
-            n, N, K = 6, 25, 3
+        n, N, K, trials = 6, 25, 3, 8
+        empty = clipped = 0
+        for trial in range(trials):
             Y = rng.standard_normal((n, N)) * 2.0
             D0 = unit_columns(rng, n, J)
             lam = (0.6, 4.0)[trial % 2]
             C0 = rng.uniform(-1.0, 1.0, (N, J)) * (rng.random((N, J)) < 0.3) if warm else None
-            empty += _assert_matches_reference(Y, D0, C0, K, lam)[2]
-        assert empty > 0
+            bound = None
+            if regime == "clipping":
+                bound = lam + 0.5
+            elif regime == "lam-zero":
+                lam = 0.0
+            elif regime == "most-parked":
+                lam = 4.5
+            elif regime == "zero-signals":
+                zero = rng.random(N) < 0.3
+                Y[:, zero] = 0.0
+            elif regime == "e1-atoms":
+                D0[:, [0, -1]] = np.eye(n)[:, [0]]
+            _, C, visits = _assert_matches_reference(Y, D0, C0, K, lam, bound)
+            empty += visits
+            if bound is not None:
+                clipped += np.count_nonzero(np.abs(C) == bound)
+            if regime == "zero-signals" and not warm:
+                assert not C[zero].any()  # a zero signal's residual row stays zero
+        if regime == "lam-zero":
+            assert empty == 0
+        elif regime == "most-parked":
+            assert empty > trials * K * J // 2
+        else:
+            assert empty > 0
+        if regime == "clipping":
+            assert clipped > 0
 
+    @pytest.mark.parametrize("lam", [0.4, 5.0], ids=["wide-codes", "parking"])
     @pytest.mark.parametrize("warm", [False, True], ids=["zero-init", "warm"])
-    def test_training_matrix_buffer_contract(self, warm):
+    def test_training_matrix_buffer_contract(self, warm, lam):
         """learn(Y) never writes Y; with overwrite_y it leaves the residual
-        there; the memory order of Y and overwriting change no bit."""
+        there; the memory order of Y and overwriting change no bit.  At the
+        low lam some codes span two _GATHER chunks; at the high one atoms
+        park every sweep, so parked visits read R[:, 0] from the buffer."""
         rng = np.random.default_rng(45)
         n, N, J = 6, 5000, 9  # N over one _GATHER, so some supports span two chunks
         Y0 = rng.standard_normal((n, N)) + 3.0 * rng.standard_normal((n, 1))
         D0 = unit_columns(rng, n, J)
         C0 = sparse.csc_array(rng.uniform(-1.0, 1.0, (N, J)) * (rng.random((N, J)) < 0.2)) if warm else None
-        config = _default_config(J, 3, 0.4, D0, init_codes=C0)
+        config = _default_config(J, 3, lam, D0, init_codes=C0)
 
         def run(Y, **kw):
             D, C, trace = learn(Y, config, **kw)
-            return D, C.toarray(), trace.objective, trace.nsre, trace.delta_codes
+            return D, C.toarray(), trace.objective, trace.nsre, trace.delta_codes, trace.empty_atoms
 
         want = run(Y0.copy())
         for Y in (Y0.copy(), np.asfortranarray(Y0)):
             assert all(np.array_equal(a, b) for a, b in zip(run(Y), want))
             assert np.array_equal(Y, Y0)
         assert np.abs(want[1]).max() > 0.0
-        assert any(np.count_nonzero(want[1][:, j]) > sparsedl.learner._GATHER for j in range(J))
+        if lam < 1.0:
+            assert any(np.count_nonzero(want[1][:, j]) > sparsedl.learner._GATHER for j in range(J))
+        else:
+            assert want[5].min() > 0
         residual = Y0 - want[0] @ want[1].T
         Y = np.asfortranarray(Y0)
         got = run(Y, overwrite_y=True)
@@ -896,14 +946,45 @@ class TestParkedAtoms:
         for j, d in returned.items():
             assert np.array_equal(D[:, j], d)
 
-    def test_gemms_take_each_unparked_atom_once(self, monkeypatch):
+    @pytest.mark.parametrize("J", sorted({J for _, J in _SWEEP_CASES}))
+    def test_an_emptied_visit_leaves_its_atom_on_e1(self, monkeypatch, J):
+        """``learn`` parks an atom as soon as its visit empties its code,
+        trusting the atom step to have put it exactly on e1.  Every visit
+        whose new code is empty must return e1 bit for bit, and the atoms
+        of the last sweep's empty codes, which the trace counts, sit on e1."""
+        rng = np.random.default_rng(48)
+        n, N, K = 6, 25, 3
+        Y = rng.standard_normal((n, N)) * 2.0
+        D0 = unit_columns(rng, n, J)
+        e1 = np.eye(n)[0]
+        returned = []
+        step = sparsedl.learner._atom_step
+
+        def step_spy(R, D, j, rows, w):
+            d_new = step(R, D, j, rows, w)
+            returned.append((not w[1].any(), d_new.copy()))
+            return d_new
+
+        monkeypatch.setattr(sparsedl.learner, "_atom_step", step_spy)
+        D, C, trace = learn(Y, _default_config(J, K, 4.5, D0))
+        assert len(returned) == K * J
+        emptied = [d for empty, d in returned if empty]
+        assert emptied and all(np.array_equal(d, e1) for d in emptied)
+        empty_codes = np.flatnonzero(~C.toarray().any(axis=0))
+        assert trace.empty_atoms[-1] == empty_codes.size > 0
+        assert all(np.array_equal(D[:, j], e1) for j in empty_codes)
+
+    @pytest.mark.parametrize("J", [64, 81, 100, 144])
+    def test_gemms_take_each_unparked_atom_once(self, monkeypatch, J):
         """Per sweep, the block GEMMs receive exactly the atoms that are not
         parked at their visit, each once, and every GEMM but a sweep's last
         takes _BLOCK of them; the threshold and the atom step run once per
         visit.  The DCT dictionary has no e1, so no atom starts parked; at
-        the denoiser's lam, atoms park every sweep from the second on."""
+        the denoiser's lam, atoms park every sweep from the second on.  In the
+        first sweep, where no atom is parked, the dictionary sizes fill whole
+        blocks (64, 144) or end on a partial one (81, 100)."""
         Y = _small_scene_patches()
-        n, J, K = 64, 64, 4
+        n, K = 64, 4
         D0 = overcomplete_dct_dictionary(n, J)
         assert not any(np.array_equal(D0[:, j], np.eye(n)[0]) for j in range(J))
         empty = np.ones(J, dtype=bool)
