@@ -97,10 +97,11 @@ def psnr(reference: np.ndarray, estimate: np.ndarray) -> float:
     """Peak signal-to-noise ratio ``20 log10(255 / rmse)`` in dB, for
     8-bit gray levels.
 
-    Returns ``inf`` for identical inputs.
+    Returns ``inf`` for identical inputs; NaN or an infinity in either
+    raises :class:`ConfigError`.
     """
-    a = as_real_array(reference, "reference")
-    b = as_real_array(estimate, "estimate")
+    a = as_real_array(reference, "reference", finite=True)
+    b = as_real_array(estimate, "estimate", finite=True)
     if a.shape != b.shape:
         raise ConfigError(f"shape mismatch {a.shape} vs {b.shape}")
     if a.size == 0:
@@ -112,8 +113,8 @@ def psnr(reference: np.ndarray, estimate: np.ndarray) -> float:
 
 
 def quantize_pixels(image: np.ndarray) -> np.ndarray:
-    """Round and clip a float image to uint8 pixels in [0, 255]."""
-    return np.clip(np.rint(as_real_array(image, "image")), 0.0, 255.0).astype(np.uint8)
+    """Round and clip a finite float image to uint8 pixels in [0, 255]."""
+    return np.clip(np.rint(as_real_array(image, "image", finite=True)), 0.0, 255.0).astype(np.uint8)
 
 
 @dataclass

@@ -71,9 +71,9 @@ codes and gathers of at most _GATHER x n.  The public single-column steps
 
 Zeros in ``C`` are structural: an entry is zero iff it was never
 assigned a nonzero value, and nnz counts are exact with no tolerance.
-Every function that takes codes (``init_codes`` in ``learn``) reads them,
-dense or sparse, once through one gate as real, finite canonical CSC:
-duplicates summed, stored zeros dropped.
+``learn`` starts from zero codes.  Every function that takes codes reads
+them, dense or sparse, once through one gate as real, finite canonical
+CSC: duplicates summed, stored zeros dropped.
 All arithmetic is float64.  For a fixed BLAS thread count and the fixed
 block and chunk constants (``_BLOCK``, ``_GATHER``), a run is
 reproducible bit for bit, whether or not it overwrites ``Y`` and
@@ -154,7 +154,8 @@ def truncated_hard_threshold(b: np.ndarray, lam: float, code_bound: float) -> np
         raise ConfigError(
             f"code_bound must exceed the sparsity weight (got bound={code_bound}, lam={lam})"
         )
-    out = hard_threshold(b, lam)
+    b = as_real_array(b, "threshold input")
+    out = np.where(_survives(b, lam), b, 0.0)
     return np.clip(out, -code_bound, code_bound, out=out)
 
 
@@ -171,21 +172,21 @@ def _survives(b: np.ndarray, lam: float, out=None) -> np.ndarray:
     return np.logical_not(keep, out=keep)
 
 
-def _code_matrix(C, N: int, J: int, name: str) -> sparse.csc_array:
+def _code_matrix(C, N: int, J: int) -> sparse.csc_array:
     """``C``, dense or scipy-sparse, as canonical CSC: a real, finite
     float64 copy of shape (N, J) with duplicates summed and stored zeros
     (-0.0 too) dropped, so each column's rows are sorted and distinct and
     ``nnz`` counts the structural nonzeros.  Anything else raises
-    :class:`ConfigError` naming ``name``."""
+    :class:`ConfigError`."""
     if np.shape(C) != (N, J):
-        raise ConfigError(f"{name} shape {np.shape(C)} does not match (N, J)=({N}, {J})")
+        raise ConfigError(f"code matrix shape {np.shape(C)} does not match (N, J)=({N}, {J})")
     if np.iscomplexobj(C):
-        raise ConfigError(f"{name} must be real")
+        raise ConfigError("code matrix must be real")
     C = sparse.csc_array(C, dtype=float, copy=True)
     C.sum_duplicates()
     C.eliminate_zeros()
     if not np.all(np.isfinite(C.data)):
-        raise ConfigError(f"{name} must be finite")
+        raise ConfigError("code matrix must be finite")
     return C
 
 
@@ -215,7 +216,7 @@ def _real_inputs(Y, D, C):
     D = as_real_array(D, "dictionary", ndim=2)
     if D.shape[0] != Y.shape[0]:
         raise ConfigError(f"dictionary rows {D.shape[0]} do not match the signal length {Y.shape[0]}")
-    return Y, D, _code_matrix(C, Y.shape[1], D.shape[1], "code matrix")
+    return Y, D, _code_matrix(C, Y.shape[1], D.shape[1])
 
 
 def _step_inputs(Y, D, C, j):
@@ -469,20 +470,19 @@ def sparsity_factor(C, signal_dim: int) -> float:
     N, J = np.shape(C)
     if N < 1:
         raise ConfigError("code matrix has no signals")
-    return _code_matrix(C, N, J, "code matrix").nnz / (signal_dim * N)
+    return _code_matrix(C, N, J).nnz / (signal_dim * N)
 
 
 @dataclass
 class LearnConfig:
     """Settings for :func:`learn`.
 
-    ``code_bound=None`` resolves to ``||Y||_F`` at call time.
-    ``init_codes=None`` means all-zero initial codes.  There is one
-    sweep: atoms in index order, and ``e1`` for an atom whose code comes
-    back empty.  :func:`learn` checks every setting before any work
-    starts, and all but two before it copies ``Y``: ``code_bound > lam``
-    and the magnitude of ``init_codes`` need ``||Y||_F``, so they are
-    checked right after the copy.
+    ``code_bound=None`` resolves to ``||Y||_F`` at call time.  Learning
+    starts from all-zero codes.  There is one sweep: atoms in index
+    order, and ``e1`` for an atom whose code comes back empty.
+    :func:`learn` checks every setting before any work starts, and all
+    but one before it copies ``Y``: ``code_bound > lam`` needs
+    ``||Y||_F``, so it is checked right after the copy.
     """
 
     num_atoms: int
@@ -490,7 +490,6 @@ class LearnConfig:
     lam: float
     init_dictionary: Optional[np.ndarray] = None
     code_bound: Optional[float] = None
-    init_codes: object = None
 
 
 @dataclass
@@ -611,11 +610,10 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
     if config.init_dictionary is None:
         raise ConfigError("init_dictionary is required (see the dictionaries module)")
     D = _validated_dictionary(config.init_dictionary, n, J)
-    init = sparse.csc_array((N, J)) if config.init_codes is None else config.init_codes
-    C = _code_matrix(init, N, J, "init_codes")
 
-    # The residual Y^T - C D^T, signal-major: row i is signal i.  Taken
-    # over R, ||Y||_F sums in one order whatever Y's memory order.
+    # The residual Y^T - C D^T, signal-major: row i is signal i.  The codes
+    # start at zero, so it starts as Y^T.  Taken over R, ||Y||_F sums in one
+    # order whatever Y's memory order.
     R = Y.T if overwrite_y else np.array(Y.T, order="C")
     ynorm = float(np.linalg.norm(R))
     bound = ynorm if bound is None else bound
@@ -624,14 +622,9 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
             f"code_bound must exceed lam (got bound={bound}, lam={lam}); "
             "pass an explicit code_bound for zero training data"
         )
-    if C.nnz and np.max(np.abs(C.data)) > bound:
-        raise ConfigError(f"init_codes exceed the magnitude bound {bound}")
 
-    if C.nnz:
-        _add_products(R, C, -D)
-    codes = [_code_entries(C, j) for j in range(J)]
-    nnz = C.nnz
-    del C
+    codes = [(np.empty(0, dtype=np.intp), np.empty(0))] * J
+    nnz = 0
 
     trace = LearnTrace(
         objective=np.empty(K),
@@ -641,7 +634,7 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
         delta_codes=np.empty(K),
         empty_atoms=np.empty(K, dtype=np.intp),
     )
-    prev = float(np.vdot(R, R)) + lam * lam * nnz
+    prev = float(np.vdot(R, R))  # the objective of zero codes
     rounding = np.finfo(float).eps * ynorm * ynorm
 
     # Atom j is parked while its code is empty and its column is e1: its
@@ -651,7 +644,7 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
     # record of passing rows.
     e1 = np.zeros(n)
     e1[0] = 1.0
-    parked = np.array([rows.size == 0 and np.array_equal(D[:, j], e1) for j, (rows, _) in enumerate(codes)])
+    parked = np.array([np.array_equal(D[:, j], e1) for j in range(J)])  # every code starts empty
     passing = _survives(R[:, 0], lam)
     # One buffer serves every block and two N-byte masks every screen, so a
     # visit allocates in proportion to its union, not to N.

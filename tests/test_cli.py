@@ -538,7 +538,6 @@ def test_settable_surface_is_pinned():
     ]
     assert [f.name for f in fields(LearnConfig)] == [
         "num_atoms", "iterations", "lam", "init_dictionary", "code_bound",
-        "init_codes",
     ]
     functions = (learn, atom_update_step, omp_code, omp_code_matrix, psnr, write_pgm)
     assert {fn.__name__: list(inspect.signature(fn).parameters) for fn in functions} == {

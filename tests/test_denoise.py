@@ -78,6 +78,18 @@ class TestPsnr:
             with pytest.raises(ConfigError, match="real"):
                 psnr(a, b)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        """A NaN or infinite pixel has no error to measure: psnr raises
+        instead of returning nan or -inf."""
+        clean = np.zeros((2, 2))
+        dirty = clean.copy()
+        dirty[0, 1] = bad
+        with pytest.raises(ConfigError, match="estimate must be finite"):
+            psnr(clean, dirty)
+        with pytest.raises(ConfigError, match="reference must be finite"):
+            psnr(dirty, clean)
+
 
 class TestQuantize:
     def test_clip_and_round(self):
@@ -86,6 +98,13 @@ class TestQuantize:
         assert quantize_pixels(x).dtype == np.uint8
         with pytest.raises(ConfigError, match="real"):
             quantize_pixels(x + 1j)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        """A NaN pixel has no uint8 value, and an infinite one is no gray
+        level to round: both raise instead of being cast or clipped."""
+        with pytest.raises(ConfigError, match="image must be finite"):
+            quantize_pixels([[bad, 1.0]])
 
 
 def _tiny_config(**kw):

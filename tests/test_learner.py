@@ -265,7 +265,9 @@ def _default_config(J, K, lam, D0, **kw):
 # J=5 fits in one of the learner's blocks of correlations; the others put
 # one atom either side of a full block, fill one block exactly, and leave one
 # atom for a third block.  37 ends on a partial block.  The J=5 cases keep
-# their original ids.
+# their original ids.  A "warm" case restarts, from zero codes, on the
+# dictionary that two sweeps of learn made from the drawn one, so atoms that
+# learn emptied start on e1, parked, next to atoms it adapted.
 _B = sparsedl.learner._BLOCK
 _SWEEP_CASES = [(warm, J) for J in (5, _B - 1, _B, _B + 1, 2 * _B + 1, 37) for warm in (False, True)]
 _SWEEP_IDS = [("warm" if warm else "zero-init") + (f"-J{J}" if J != 5 else "") for warm, J in _SWEEP_CASES]
@@ -275,20 +277,20 @@ _SWEEP_IDS = [("warm" if warm else "zero-init") + (f"-J{J}" if J != 5 else "") f
 # so the truncation binds; "lam-zero" keeps every code, so no atom parks;
 # "most-parked" empties most codes, so several atoms sit on e1 at once;
 # "zero-signals" zeros about a third of the signals; "e1-atoms" starts the
-# first and last atoms on e1, parked from the start under a zero init and
-# unparked under a warm one.
+# first and last atoms on e1, so they are parked from the start.
 _SWEEP_REGIMES = ["mixed", "clipping", "lam-zero", "most-parked", "zero-signals", "e1-atoms"]
 
 
-def _reference_sweeps(Y, D0, C0, K, lam, bound):
-    """A literal sweep of the public single-column operations, K times.
+def _reference_sweeps(Y, D0, K, lam, bound):
+    """A literal sweep of the public single-column operations, K times,
+    from zero codes.
 
     Code step, then atom step, both against the pre-commit state, atoms in
     index order.  Returns ``(D, C, visits with an empty code)``.
     """
     J = D0.shape[1]
     D_ref = np.array(D0, dtype=float)
-    C_ref = np.zeros((Y.shape[1], J)) if C0 is None else np.array(C0, dtype=float)
+    C_ref = np.zeros((Y.shape[1], J))
     empty = 0
     for _ in range(K):
         for j in range(J):
@@ -300,18 +302,15 @@ def _reference_sweeps(Y, D0, C0, K, lam, bound):
     return D_ref, C_ref, empty
 
 
-def _assert_matches_reference(Y, D0, C0, K, lam, bound=None):
+def _assert_matches_reference(Y, D0, K, lam, bound=None):
     """Assert that ``learn`` ends on the reference sweeps at 1e-10.
 
     ``bound=None`` is ``learn``'s default, ``||Y||_F``.  Returns ``learn``'s
     D, its C as a dense array and the reference's count of visits with an
     empty code.
     """
-    D_ref, C_ref, empty = _reference_sweeps(Y, D0, C0, K, lam, float(np.linalg.norm(Y)) if bound is None else bound)
-    config = _default_config(
-        D0.shape[1], K, lam, D0, code_bound=bound, init_codes=None if C0 is None else sparse.csc_array(C0)
-    )
-    D, C, _ = learn(Y, config)
+    D_ref, C_ref, empty = _reference_sweeps(Y, D0, K, lam, float(np.linalg.norm(Y)) if bound is None else bound)
+    D, C, _ = learn(Y, _default_config(D0.shape[1], K, lam, D0, code_bound=bound))
     C = C.toarray()
     assert np.allclose(D, D_ref, rtol=1e-10, atol=1e-12)
     assert np.allclose(C, C_ref, rtol=1e-10, atol=1e-12)
@@ -356,7 +355,6 @@ class TestLearn:
             Y = rng.standard_normal((n, N)) * 2.0
             D0 = unit_columns(rng, n, J)
             lam = (0.6, 4.0)[trial % 2]
-            C0 = rng.uniform(-1.0, 1.0, (N, J)) * (rng.random((N, J)) < 0.3) if warm else None
             bound = None
             if regime == "clipping":
                 bound = lam + 0.5
@@ -367,13 +365,15 @@ class TestLearn:
             elif regime == "zero-signals":
                 zero = rng.random(N) < 0.3
                 Y[:, zero] = 0.0
-            elif regime == "e1-atoms":
+            if warm:
+                D0 = learn(Y, _default_config(J, 2, lam, D0, code_bound=bound))[0]
+            if regime == "e1-atoms":
                 D0[:, [0, -1]] = np.eye(n)[:, [0]]
-            _, C, visits = _assert_matches_reference(Y, D0, C0, K, lam, bound)
+            _, C, visits = _assert_matches_reference(Y, D0, K, lam, bound)
             empty += visits
             if bound is not None:
                 clipped += np.count_nonzero(np.abs(C) == bound)
-            if regime == "zero-signals" and not warm:
+            if regime == "zero-signals":
                 assert not C[zero].any()  # a zero signal's residual row stays zero
         if regime == "lam-zero":
             assert empty == 0
@@ -390,13 +390,15 @@ class TestLearn:
         """learn(Y) never writes Y; with overwrite_y it leaves the residual
         there; the memory order of Y and overwriting change no bit.  At the
         low lam some codes span two _GATHER chunks; at the high one atoms
-        park every sweep, so parked visits read R[:, 0] from the buffer."""
+        park every sweep, so parked visits read R[:, 0] from the buffer.  A
+        warm run restarts on the dictionary of a two-sweep run."""
         rng = np.random.default_rng(45)
         n, N, J = 6, 5000, 9  # N over one _GATHER, so some supports span two chunks
         Y0 = rng.standard_normal((n, N)) + 3.0 * rng.standard_normal((n, 1))
         D0 = unit_columns(rng, n, J)
-        C0 = sparse.csc_array(rng.uniform(-1.0, 1.0, (N, J)) * (rng.random((N, J)) < 0.2)) if warm else None
-        config = _default_config(J, 3, lam, D0, init_codes=C0)
+        if warm:
+            D0 = learn(Y0, _default_config(J, 2, lam, D0))[0]
+        config = _default_config(J, 3, lam, D0)
 
         def run(Y, **kw):
             D, C, trace = learn(Y, config, **kw)
@@ -456,7 +458,6 @@ class TestLearn:
             {"iterations": True},
             {"code_bound": "5"},
             {"code_bound": np.nan},
-            {"init_codes": np.zeros((5, 16))},
         ],
         ids=[
             "no_dictionary",
@@ -466,7 +467,6 @@ class TestLearn:
             "iterations_bool",
             "code_bound_string",
             "code_bound_nan",
-            "init_codes_shape",
         ],
     )
     def test_bad_config_is_rejected_before_copying_y(self, settings):
@@ -622,42 +622,6 @@ class TestLearn:
         assert C.nnz == 0
         assert len(trace) == 0
 
-    def test_warm_start_from_previous_codes(self):
-        rng = np.random.default_rng(37)
-        Y = rng.standard_normal((6, 22))
-        D0 = unit_columns(rng, 6, 4)
-        bound = float(np.linalg.norm(Y))
-        D1, C1, t1 = learn(Y, _default_config(4, 2, 0.4, D0, code_bound=bound))
-        D2, C2, t2 = learn(
-            Y, _default_config(4, 2, 0.4, D1, code_bound=bound, init_codes=C1)
-        )
-        assert t2.objective[0] <= t1.objective[-1] + 1e-9 * abs(t1.objective[-1])
-        # dense init codes behave identically
-        D3, C3, _ = learn(
-            Y,
-            _default_config(4, 2, 0.4, D1, code_bound=bound, init_codes=np.asarray(C1.todense())),
-        )
-        assert np.allclose(D3, D2) and np.allclose(C3.todense(), C2.todense())
-
-    def test_init_codes_count_only_true_nonzeros(self):
-        rng = np.random.default_rng(42)
-        Y = rng.standard_normal((5, 12))
-        D0 = unit_columns(rng, 5, 3)
-        codes = np.zeros((12, 3))
-        codes[[0, 4, 7], [0, 1, 2]] = [0.8, -1.2, 0.5]
-        stored_zero = sparse.csc_array(
-            ([0.8, 0.0, -1.2, 0.5], [0, 3, 4, 7], [0, 2, 3, 4]), shape=(12, 3)
-        )
-        assert stored_zero.nnz == 4
-        negative_zero = codes.copy()
-        negative_zero[2, 1] = -0.0
-        for init in (stored_zero, negative_zero):
-            _, C0, _ = learn(Y, _default_config(3, 0, 0.5, D0, init_codes=init))
-            assert C0.nnz == 3
-            _, C1, t1 = learn(Y, _default_config(3, 1, 0.5, D0, init_codes=init))
-            assert C1.nnz == np.count_nonzero(C1.toarray())
-            assert t1.sparsity_factor[0] == C1.nnz / (5 * 12)
-
     def test_vanishing_product_names_iteration_and_atom(self, monkeypatch):
         rng = np.random.default_rng(43)
         Y = rng.standard_normal((4, 10))
@@ -727,19 +691,10 @@ class TestLearn:
             learn(Y, _default_config(3, 1, 0.5, 2.0 * D0))  # columns not unit
         with pytest.raises(ConfigError):
             learn(Y, _default_config(3, 1, 0.5, D0[:, :2]))  # shape mismatch
-        with pytest.raises(ConfigError):
-            learn(Y, _default_config(3, 1, 0.5, D0, init_codes=np.zeros((5, 3))))
-        big = np.zeros((6, 3))
-        big[0, 0] = 1e9
-        with pytest.raises(ConfigError):
-            learn(Y, _default_config(3, 1, 0.5, D0, init_codes=big))
         with pytest.raises(ConfigError, match="real"):
             learn(Y, _default_config(3, 1, 0.5, D0 + 0j))
         codes = np.zeros((6, 3), dtype=complex)
         codes[0, 0] = 1.0 + 1j
-        for init_codes in (codes, sparse.csc_array(codes)):
-            with pytest.raises(ConfigError, match="real"):
-                learn(Y, _default_config(3, 1, 0.5, D0, init_codes=init_codes))
         C = np.zeros((6, 3))
         nan_codes = C.copy()
         nan_codes[2, 1] = np.nan
@@ -834,33 +789,69 @@ class TestParkedAtoms:
     threshold, instead of a row of a block GEMM.  These cases are built so
     that the row count changes inside a block."""
 
-    # Signals are columns; atom 1 is e1 with an empty code, so it starts parked.
+    # Signals are columns; atom 1 is e1, so it starts parked.
     D0 = np.column_stack(([1.0, 1.0, 0.0, 0.0], np.eye(4)[0], [0.6, 0.0, 0.8, 0.0])) / [np.sqrt(2.0), 1.0, 1.0]
 
+    # Signal 0 is the one row whose first entry passes lam = 0.5, and atom 0
+    # takes it in sweep 1; atom 2 correlates below lam with every signal, so
+    # its first visit empties its code and puts it on e1.
+    Y_ONE_HOT_ROW = np.array([[2.0, 0.0, 0.1], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 2.0]])
+
+    @staticmethod
+    def _lifted_row_family(monkeypatch, trials=40, lam=0.5, K=3):
+        """Yield ``(Y, D0, lam, K, run)`` for seeded small instances with
+        atom 1 on e1, where ``run()`` calls ``learn`` and returns whether a
+        parked visit took a row that did not pass when its block's GEMM was
+        formed: a row that an earlier visit of the block lifted over lam.
+        J = 3 is one block per sweep, formed at the sweep's first visit."""
+        rng = np.random.default_rng(49)
+        n, N, J = 4, 6, 3
+        e1 = np.eye(n)[0]
+        correlations = sparsedl.learner._correlations
+        step = sparsedl.learner._atom_step
+        state = {}
+
+        def gemm_spy(R, D, atoms, out=None):
+            state["passing"] = np.abs(R[0]) >= lam  # R here is R^T, so R[0] is R[:, 0]
+            state["sweep"] = state["visits"] // J
+            return correlations(R, D, atoms, out)
+
+        def step_spy(R, D, j, rows, w):
+            same_block = state["sweep"] == state["visits"] // J
+            if same_block and np.array_equal(D[:, j], e1) and not w[0].any():  # parked
+                state["lifted"] |= bool(np.any(w[1][~state["passing"][rows]]))
+            state["visits"] += 1
+            return step(R, D, j, rows, w)
+
+        monkeypatch.setattr(sparsedl.learner, "_correlations", gemm_spy)
+        monkeypatch.setattr(sparsedl.learner, "_atom_step", step_spy)
+        for _ in range(trials):
+            Y = rng.standard_normal((n, N))
+            D0 = unit_columns(rng, n, J)
+            D0[:, 1] = e1
+
+            def run(Y=Y, D0=D0):
+                state.update(visits=0, sweep=-1, lifted=False)
+                learn(Y, _default_config(J, K, lam, D0))
+                return state["lifted"]
+
+            yield Y, D0, lam, K, run
+
     def test_parked_visit_takes_a_row_an_earlier_visit_lifted(self, monkeypatch):
-        """Atom 0's warm code holds signal 0 with R[0, 0] = 0; its visit drops
-        it, so R[0, 0] = 1 >= lam.  Atom 1, parked and in the same block as
-        atoms 0 and 2, must take signal 0 and come out unparked."""
-        Y = np.array([[1.0, 2.0, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 3.0], [0.0, 0.0, 1.0]])
-        C0 = np.zeros((3, 3))
-        C0[:, 0] = [np.sqrt(2.0), 2.0 * np.sqrt(2.0), 0.0]
-        lam = 0.5
-        R0 = Y - self.D0 @ C0.T
-        assert np.all(np.abs(R0[0]) < lam)  # no row can pass for atom 1 at the start
-        D, C, _ = _assert_matches_reference(Y, self.D0, C0, 1, lam)
-        assert C[0, 1] != 0.0 and not np.array_equal(D[:, 1], np.eye(4)[0])
-        _assert_matches_reference(Y, self.D0, C0, 3, lam)
-        gemms = _record_gemm_atoms(monkeypatch)
-        learn(Y, _default_config(3, 1, lam, self.D0, init_codes=C0))
-        assert gemms == [[0, 2]]
+        """A parked atom's screen is the record of passing rows, brought up to
+        date by each visit of its block.  Over a seeded family, parked visits
+        take rows that an earlier visit of the block lifted over lam, and
+        learn still ends on the reference sweeps."""
+        lifted = 0
+        for Y, D0, lam, K, run in self._lifted_row_family(monkeypatch):
+            lifted += run()
+            _assert_matches_reference(Y, D0, K, lam)
+        assert lifted > 0
 
     def test_only_gemm_rows_are_screened(self, monkeypatch):
-        """In the lifted-row case, atom 1's parked visit reads its screen off
-        the record of hot rows: the screens into the reusable masks (the
+        """In the lifted-row family, parked visits read their screen off the
+        record of passing rows: the screens into the reusable masks (the
         _survives calls with out=) are the rows of the block GEMMs."""
-        Y = np.array([[1.0, 2.0, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 3.0], [0.0, 0.0, 1.0]])
-        C0 = np.zeros((3, 3))
-        C0[:, 0] = [np.sqrt(2.0), 2.0 * np.sqrt(2.0), 0.0]
         gemms = _record_gemm_atoms(monkeypatch)
         screens = []
         survives = sparsedl.learner._survives
@@ -871,22 +862,22 @@ class TestParkedAtoms:
             return survives(b, lam, out)
 
         monkeypatch.setattr(sparsedl.learner, "_survives", spy)
-        D, C, _ = learn(Y, _default_config(3, 1, 0.5, self.D0, init_codes=C0))
-        assert C.toarray()[0, 1] != 0.0  # atom 1 took the lifted row
-        assert gemms == [[0, 2]] and len(screens) == sum(map(len, gemms))
+        lifted = 0
+        for *_, run in self._lifted_row_family(monkeypatch):
+            gemms.clear()
+            screens.clear()
+            lifted += run()
+            assert len(screens) == sum(map(len, gemms)) > 0
+        assert lifted > 0
 
     def test_parked_visit_after_the_last_hot_row_stays_empty(self, monkeypatch):
         """Signal 0 is the one row with |R[i, 0]| >= lam; atom 0's visit takes
         it into its code.  Atom 1's parked visit must then threshold no rows
-        and stay parked, sweep after sweep."""
-        Y = np.array([[2.0, 1.8, 0.1], [2.0, 0.0, 0.0], [0.0, 2.4, 0.0], [0.0, 1.0, 2.0]])
-        C0 = np.zeros((3, 3))
-        C0[1, 2] = 3.0
-        lam = 0.5
-        R0 = Y - self.D0 @ C0.T
-        assert np.count_nonzero(np.abs(R0[0]) >= lam) == 1
-        D, C, _ = _assert_matches_reference(Y, self.D0, C0, 3, lam)
-        assert not C[:, 1].any() and np.array_equal(D[:, 1], np.eye(4)[0])
+        and stay parked, sweep after sweep; atom 2 parks after sweep 1."""
+        Y, lam = self.Y_ONE_HOT_ROW, 0.5
+        assert np.count_nonzero(np.abs(Y[0]) >= lam) == 1
+        D, C, _ = _assert_matches_reference(Y, self.D0, 3, lam)
+        assert not C[:, 1:].any() and np.array_equal(D[:, 1], np.eye(4)[0])
         gemms = _record_gemm_atoms(monkeypatch)
         sizes = []
         threshold = sparsedl.learner.truncated_hard_threshold
@@ -896,17 +887,14 @@ class TestParkedAtoms:
             return threshold(b, *args)
 
         monkeypatch.setattr(sparsedl.learner, "truncated_hard_threshold", spy)
-        learn(Y, _default_config(3, 3, lam, self.D0, init_codes=C0))
-        assert gemms == [[0, 2]] * 3
+        learn(Y, _default_config(3, 3, lam, self.D0))
+        assert gemms == [[0, 2], [0], [0]]
         assert sizes[1::3] == [0, 0, 0]  # atom 1's visits threshold no rows
 
     def test_parked_visit_without_a_hot_row_builds_no_union(self, monkeypatch):
-        """With no hot row left, atom 1's parked visits still threshold and
-        take the atom step, on no rows, but gather nothing: no union of old
-        and new code is built for them."""
-        Y = np.array([[2.0, 1.8, 0.1], [2.0, 0.0, 0.0], [0.0, 2.4, 0.0], [0.0, 1.0, 2.0]])
-        C0 = np.zeros((3, 3))
-        C0[1, 2] = 3.0
+        """With no hot row left, parked visits still threshold and take the
+        atom step, on no rows, but gather nothing: no union of old and new
+        code is built for atom 1, nor for atom 2 once it parks."""
         events = []
         union = sparsedl.learner._union
         step = sparsedl.learner._atom_step
@@ -921,17 +909,16 @@ class TestParkedAtoms:
 
         monkeypatch.setattr(sparsedl.learner, "_union", union_spy)
         monkeypatch.setattr(sparsedl.learner, "_atom_step", step_spy)
-        learn(Y, _default_config(3, 3, 0.5, self.D0, init_codes=C0))
-        assert [e[:2] for e in events] == [("union",), ("step", 0), ("step", 1), ("union",), ("step", 2)] * 3
-        assert [e[2] for e in events if e[:2] == ("step", 1)] == [0, 0, 0]
+        learn(self.Y_ONE_HOT_ROW, _default_config(3, 3, 0.5, self.D0))
+        sweep_1 = [("union",), ("step", 0), ("step", 1), ("union",), ("step", 2)]
+        parked_2 = [("union",), ("step", 0), ("step", 1), ("step", 2)]
+        assert [e[:2] for e in events] == sweep_1 + parked_2 * 2
+        assert [e[2] for e in events if e[0] == "step" and e[1] > 0] == [0] * 6  # atoms 1 and 2 take no rows
 
     def test_parked_visit_keeps_the_atom_its_step_returns(self, monkeypatch):
         """A parked visit with no hot row takes its atom from the atom step,
         like every other visit: a wrapped step that answers -e1 on no rows
         moves atom 1 there."""
-        Y = np.array([[2.0, 1.8, 0.1], [2.0, 0.0, 0.0], [0.0, 2.4, 0.0], [0.0, 1.0, 2.0]])
-        C0 = np.zeros((3, 3))
-        C0[1, 2] = 3.0
         returned = {}
         step = sparsedl.learner._atom_step
 
@@ -941,7 +928,7 @@ class TestParkedAtoms:
             return d_new
 
         monkeypatch.setattr(sparsedl.learner, "_atom_step", flip_spy)
-        D, C, _ = learn(Y, _default_config(3, 3, 0.5, self.D0, init_codes=C0))
+        D, C, _ = learn(self.Y_ONE_HOT_ROW, _default_config(3, 3, 0.5, self.D0))
         assert C[:, [1]].nnz == 0 and np.array_equal(returned[1], -np.eye(4)[0])
         for j, d in returned.items():
             assert np.array_equal(D[:, j], d)
@@ -1148,7 +1135,7 @@ class TestWholeUnions:
         J, K, lam = 25, 2, 20.0
         assert N > sparsedl.learner._GATHER
         D0 = overcomplete_dct_dictionary(n, J)
-        _assert_matches_reference(Y, D0, None, K, lam)
+        _assert_matches_reference(Y, D0, K, lam)
         calls = _record_step_unions(monkeypatch)
         half_steps = HalfStepObjectives(monkeypatch, Y, D0, lam)
         D, C, _ = learn(Y, _default_config(J, K, lam, D0))
@@ -1166,7 +1153,7 @@ class TestWholeUnions:
         Y = rng.standard_normal((n, N))
         Y[:, 3] = 0.0
         D0 = unit_columns(rng, n, J)
-        _assert_matches_reference(Y, D0, None, K, 0.0)
+        _assert_matches_reference(Y, D0, K, 0.0)
         calls = _record_step_unions(monkeypatch)
         half_steps = HalfStepObjectives(monkeypatch, Y, D0, 0.0)
         D, C, _ = learn(Y, _default_config(J, K, 0.0, D0))
