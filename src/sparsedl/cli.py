@@ -100,7 +100,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--atoms", dest="num_atoms", type=int, required=True, help="dictionary size J")
     p.add_argument("--lambda", dest="lam", type=float, required=True, help="sparsity weight")
     p.add_argument("--iters", dest="iterations", type=int, required=True, help="outer iterations")
-    p.add_argument("--bound", dest="code_bound", type=float, help="code magnitude bound (default ||Y||_F)")
+    p.add_argument(
+        "--bound", dest="code_bound", type=float,
+        help="code magnitude bound, above lambda (default: the larger of ||Y||_F and the next float above lambda)",
+    )
     p.add_argument(
         "--init",
         choices=("auto",) + INIT_KINDS,

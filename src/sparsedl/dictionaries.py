@@ -36,13 +36,11 @@ def overcomplete_dct_dictionary(signal_dim: int, num_atoms: int) -> np.ndarray:
     ndarray, shape (signal_dim, num_atoms)
     """
     p = math.isqrt(as_integer(signal_dim, "signal_dim", low=1))
-    q = math.isqrt(as_integer(num_atoms, "num_atoms", low=1))
     if p * p != signal_dim:
         raise ConfigError(f"signal_dim must be a perfect square, got {signal_dim}")
+    q = math.isqrt(as_integer(num_atoms, "num_atoms", low=signal_dim))
     if q * q != num_atoms:
         raise ConfigError(f"num_atoms must be a perfect square, got {num_atoms}")
-    if num_atoms < signal_dim:
-        raise ConfigError(f"need num_atoms >= signal_dim, got {num_atoms} < {signal_dim}")
     i = np.arange(p)[:, None]
     k = np.arange(q)[None, :]
     A = np.cos(np.pi * i * k / q)

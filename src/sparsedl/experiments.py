@@ -107,6 +107,7 @@ def convergence_trace(
     init: str = "dct",
 ):
     """Learn on randomly sampled patches and write the per-iteration trace."""
+    iterations = as_integer(iterations, "iterations", low=1)
     Y = sample_patch_columns(image, 8, num_patches, seed)
     D0 = initial_dictionary(init, Y.shape[0], num_atoms, seed)
     _, _, trace = learn(
@@ -137,6 +138,7 @@ def lambda_sweep(
     lambdas = [as_real_number(v, "lambda", low=0.0) for v in lambdas]
     if not lambdas:
         raise ConfigError("lambda grid must be non-empty")
+    iterations = as_integer(iterations, "iterations", low=1)
     Y = sample_patch_columns(image, 8, num_patches, seed)
     D0 = initial_dictionary(init, Y.shape[0], num_atoms, seed)
     rows = []

@@ -83,6 +83,7 @@ data and ``_BLOCK`` alone, so the bits still depend only on these.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -149,11 +150,7 @@ def truncated_hard_threshold(b: np.ndarray, lam: float, code_bound: float) -> np
     threshold's zeros as they are; like :func:`hard_threshold`, NaN survives.
     """
     lam = as_real_number(lam, "lam", low=0.0)
-    code_bound = as_real_number(code_bound, "code_bound")
-    if not code_bound > lam:
-        raise ConfigError(
-            f"code_bound must exceed the sparsity weight (got bound={code_bound}, lam={lam})"
-        )
+    code_bound = as_real_number(code_bound, "code_bound", low=lam, exclusive=True)
     b = as_real_array(b, "threshold input")
     out = np.where(_survives(b, lam), b, 0.0)
     return np.clip(out, -code_bound, code_bound, out=out)
@@ -477,12 +474,15 @@ def sparsity_factor(C, signal_dim: int) -> float:
 class LearnConfig:
     """Settings for :func:`learn`.
 
-    ``code_bound=None`` resolves to ``||Y||_F`` at call time.  Learning
-    starts from all-zero codes.  There is one sweep: atoms in index
-    order, and ``e1`` for an atom whose code comes back empty.
-    :func:`learn` checks every setting before any work starts, and all
-    but one before it copies ``Y``: ``code_bound > lam`` needs
-    ``||Y||_F``, so it is checked right after the copy.
+    An explicit ``code_bound`` must be above ``lam``.  ``code_bound=None``
+    resolves at call time to the larger of ``||Y||_F`` and the next float
+    above ``lam``.  The second wins only when ``||Y||_F <= lam``; the
+    objective then starts at or below ``lam^2`` and never rises, so at most
+    one code entry is ever stored, of magnitude at most ``lam``, and every
+    bound above ``lam`` gives the same run.  Learning starts from all-zero
+    codes.  There is one sweep: atoms in index order, and ``e1`` for an
+    atom whose code comes back empty.  :func:`learn` checks every setting
+    before it copies ``Y``.
     """
 
     num_atoms: int
@@ -564,9 +564,7 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
     ----------
     Y : ndarray, shape (n, N)
         Training matrix, one signal per column.  Must be finite.  An
-        all-zero matrix is allowed (an explicit ``code_bound`` is then
-        required, since the default ``||Y||_F`` would be zero).  Not
-        written unless ``overwrite_y``.
+        all-zero matrix is allowed.  Not written unless ``overwrite_y``.
     config : LearnConfig
     overwrite_y : bool
         Carry the residual in ``Y``'s memory instead of a private N x n
@@ -606,7 +604,9 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
     J = as_integer(config.num_atoms, "num_atoms", low=1)
     K = as_integer(config.iterations, "iterations", low=0)
     lam = as_real_number(config.lam, "lam", low=0.0)
-    bound = None if config.code_bound is None else as_real_number(config.code_bound, "code_bound")
+    bound = config.code_bound
+    if bound is not None:
+        bound = as_real_number(bound, "code_bound", low=lam, exclusive=True)
     if config.init_dictionary is None:
         raise ConfigError("init_dictionary is required (see the dictionaries module)")
     D = _validated_dictionary(config.init_dictionary, n, J)
@@ -616,12 +616,8 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
     # order whatever Y's memory order.
     R = Y.T if overwrite_y else np.array(Y.T, order="C")
     ynorm = float(np.linalg.norm(R))
-    bound = ynorm if bound is None else bound
-    if not bound > lam:
-        raise ConfigError(
-            f"code_bound must exceed lam (got bound={bound}, lam={lam}); "
-            "pass an explicit code_bound for zero training data"
-        )
+    if bound is None:  # with ||Y||_F <= lam, every bound above lam gives the same run
+        bound = max(ynorm, math.nextafter(lam, math.inf))
 
     codes = [(np.empty(0, dtype=np.intp), np.empty(0))] * J
     nnz = 0

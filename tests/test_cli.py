@@ -87,6 +87,16 @@ class TestLearnCommand:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_zero_matrix_needs_no_bound(self, tmp_path):
+        data = tmp_path / "zeros.txt"
+        write_matrix_text(data, np.zeros((4, 10)))
+        proc = run_cli(
+            "learn", "--data", data, "--atoms", 4, "--lambda", 0.5, "--iters", 2,
+            "--out-dict", tmp_path / "d.txt", "--out-trace", tmp_path / "t.csv",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert np.array_equal(read_trace_csv(tmp_path / "t.csv").objective, [0.0, 0.0])
+
     def test_missing_required_flag_is_usage_error(self):
         proc = run_cli("learn", "--atoms", 4)
         assert proc.returncode == 1
@@ -195,6 +205,16 @@ class TestDenoiseCommand:
         assert proc.returncode == 0, proc.stderr
         _, rows = read_csv_table(report)
         assert [row[0] for row in rows] == ["café.pgm"]
+
+    def test_flat_image_is_returned(self, tmp_path):
+        flat = np.full((32, 32), 120, dtype=np.uint8)
+        source, out = tmp_path / "flat.pgm", tmp_path / "den.pgm"
+        write_pgm(source, flat)
+        proc = run_cli(
+            "denoise", "--in", source, "--out", out, "--sigma", 5, "--patch", 4, "--atoms", 16, "--iters", 1,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert np.array_equal(read_pgm(out), flat)
 
     def test_report_without_clean_is_usage_error(self, tmp_path, image_files):
         _, noisy = image_files
@@ -380,6 +400,24 @@ class TestExperimentCommands:
 
     def test_missing_kind_is_usage_error(self):
         assert run_cli("experiment").returncode == 1
+
+    @pytest.mark.parametrize(
+        "kind, flags",
+        [("convergence-trace", ()), ("lambda-sweep", ("--lambdas", "60,25"))],
+    )
+    def test_zero_iterations_is_config_error(self, tmp_path, image_files, kind, flags):
+        """Zero sweeps leave no final row to report: the run stops before
+        any patch is sampled and writes no CSV."""
+        clean, _ = image_files
+        out = tmp_path / "out.csv"
+        proc = run_cli(
+            "experiment", kind, "--image", clean, "--out", out, *flags,
+            "--patches", 200, "--atoms", 64, "--iters", 0,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert lines == ["error: iterations must be at least 1, got 0"]
+        assert not out.exists()
 
     def test_bad_lambda_list_is_usage_error(self, tmp_path, image_files):
         clean, _ = image_files

@@ -220,6 +220,14 @@ class TestDenoiseImage:
         denoise_image(img, _tiny_config(iterations=iterations))
         assert calls == [(16, 16)]
 
+    def test_flat_image_is_returned(self):
+        """A flat image has all-zero mean-removed patches, which learn with
+        the default code bound."""
+        flat = np.full((32, 32), 120.0)
+        estimate, result = denoise_image(flat, DenoiseConfig(sigma=5.0, patch_size=4, num_atoms=16, iterations=1))
+        assert np.array_equal(estimate, flat)
+        assert len(result.trace) == 1
+
     def test_near_clean_input_stays_close(self):
         img = np.full((16, 16), 120.0)
         estimate, _ = denoise_image(img + 0.01, _tiny_config(sigma=0.5, iterations=0))

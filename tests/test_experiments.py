@@ -146,6 +146,14 @@ class TestLambdaSweep:
         assert len(data) == 2
         assert float(data[0][1]) == pytest.approx(rows[0][1])
 
+    def test_lambda_above_the_data_norm_stores_nothing(self, texture, tmp_path):
+        """Above ||Y||_F no correlation passes the threshold, so the codes
+        stay empty: the error is all of Y."""
+        high = 2.0 * np.linalg.norm(sample_patch_columns(texture, 8, 200, seed=0))
+        rows = lambda_sweep(texture, tmp_path / "s.csv", [60.0, high], num_patches=200, num_atoms=64, iterations=1)
+        assert rows[1][:3] == (high, 1.0, 0.0)
+        assert rows[0][1] < 1.0
+
     def test_empty_grid_rejected(self, texture, tmp_path):
         with pytest.raises(ConfigError):
             lambda_sweep(texture, tmp_path / "s.csv", [], num_patches=100)

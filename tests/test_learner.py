@@ -458,6 +458,7 @@ class TestLearn:
             {"iterations": True},
             {"code_bound": "5"},
             {"code_bound": np.nan},
+            {"code_bound": 0.5},
         ],
         ids=[
             "no_dictionary",
@@ -467,6 +468,7 @@ class TestLearn:
             "iterations_bool",
             "code_bound_string",
             "code_bound_nan",
+            "code_bound_not_above_lam",
         ],
     )
     def test_bad_config_is_rejected_before_copying_y(self, settings):
@@ -637,14 +639,31 @@ class TestLearn:
             learn(Y, _default_config(3, 2, 0.1, D0))
 
     def test_zero_training_matrix(self):
+        """The default bound, ||Y||_F = 0 at or below lam, gives the bits of
+        any explicit bound above lam."""
         Y = np.zeros((3, 5))
         D0 = np.eye(3)
-        with pytest.raises(ConfigError):
-            learn(Y, _default_config(3, 1, 0.5, D0))  # default bound ||Y||_F = 0
-        D, C, trace = learn(Y, _default_config(3, 1, 0.5, D0, code_bound=1.0))
+
+        def run(**kw):
+            D, C, trace = learn(Y, _default_config(3, 1, 0.5, D0, **kw))
+            return D, C, trace, [D, C.indptr, C.indices, C.data, *vars(trace).values()]
+
+        D, C, trace, got = run()
+        want = run(code_bound=1.0)[3]
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
         assert C.nnz == 0
         assert np.isnan(trace.nsre[0]) and trace.objective[0] == 0.0
         assert np.array_equal(D, np.column_stack([np.eye(3)[0]] * 3))  # every emptied atom is e1
+
+    def test_default_bound_at_a_norm_of_lam(self):
+        """With ||Y||_F = lam one code entry, of magnitude lam, can be stored;
+        the default bound keeps it, as every bound above lam does."""
+        Y = np.zeros((3, 5))
+        Y[0, 2] = 0.5
+        runs = [learn(Y, _default_config(3, 2, 0.5, np.eye(3), **kw)) for kw in ({}, {"code_bound": 1e6})]
+        for D, C, trace in runs:
+            assert np.array_equal(D, runs[0][0]) and np.array_equal(trace.objective, [0.25, 0.25])
+            assert C.nnz == 1 and C[2, 0] == 0.5
 
     def test_codes_respect_bound_exactly(self):
         rng = np.random.default_rng(39)
