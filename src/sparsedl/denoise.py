@@ -44,7 +44,7 @@ import numpy as np
 
 from .dictionaries import overcomplete_dct_dictionary
 from .exceptions import ConfigError, as_integer, as_real_array, as_real_number
-from .learner import LearnConfig, LearnTrace, _add_products, learn
+from .learner import LearnConfig, LearnTrace, learn
 from .omp import omp_code_matrix
 from .patches import (
     _GRID_ROWS,
@@ -230,8 +230,7 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
         codes, stops = omp_code_matrix(D, P, error_goal)
         statuses.update(stops)
         # the estimates overwrite the patches: each patch's mean plus D c
-        P.T[...] = mu[:, None]
-        _add_products(P.T, codes, D)
+        np.add(mu[:, None], codes @ D.T, out=P.T)
         aggregate_patches(P, (y1 - y0, noisy.shape[1]), p, s, out=total[y0:y1])
     cover = np.outer(*patch_cover(noisy.shape, p, s))
     estimate = (prior * noisy + total) / (prior + cover)

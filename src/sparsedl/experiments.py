@@ -1,8 +1,6 @@
 """Experiment harnesses behind the command line: each runs a protocol
-and writes a CSV with a header row.
-
-Every CSV written here round-trips through :func:`read_csv_table`, which
-this module re-exports from :mod:`sparsedl.io`.  Timings use
+and writes a CSV with a header row, which
+:func:`sparsedl.io.read_csv_table` reads back.  Timings use
 ``time.perf_counter`` and are wall-clock.
 """
 
@@ -17,15 +15,13 @@ import numpy as np
 from .denoise import DenoiseConfig, add_gaussian_noise, denoise_image, psnr, quantize_pixels
 from .dictionaries import initial_dictionary, overcomplete_dct_dictionary
 from .exceptions import ConfigError, as_integer, as_real_array, as_real_number
-from .io import read_csv_table, read_pgm, write_csv_table, write_trace_csv
+from .io import read_pgm, write_csv_table, write_trace_csv
 from .learner import LearnConfig, learn
 from .patches import _gather_patches, patch_grid_shape
 
 __all__ = [
     "REFERENCE_PSNR",
     "DENOISE_COLUMNS",
-    "read_csv_table",
-    "write_csv_table",
     "sample_patch_columns",
     "compare_with_dct",
     "denoise_csv_row",
@@ -179,7 +175,7 @@ def denoise_csv_row(name: str, sigma: float, psnrs):
     return (name, format(sigma, "g"), *(format(v, ".4f") for v in psnrs))
 
 
-def denoise_table(clean_images, sigmas, out_csv, *, seed: int = 0, log=print, **settings):
+def denoise_table(clean_images, sigmas, out_csv, *, seed: int = 0, **settings):
     """Noise/denoise grid over clean images and sigma values.
 
     ``clean_images`` holds PGM paths; each image is noised per sigma
@@ -188,8 +184,9 @@ def denoise_table(clean_images, sigmas, out_csv, *, seed: int = 0, log=print, **
     :class:`DenoiseConfig` of that sigma and that seed.  ``settings`` may
     set its ``stride``, ``num_atoms``, ``iterations``,
     ``max_train_patches`` and ``error_gain``; every other field keeps its
-    default.  Writes :data:`DENOISE_COLUMNS` rows and prints a delta line
-    whenever (image stem, sigma) appears in REFERENCE_PSNR.
+    default.  Writes :data:`DENOISE_COLUMNS` rows and prints one line per
+    pair: its deltas against REFERENCE_PSNR where (image stem, sigma)
+    appears there, else its three PSNRs.
     """
     unknown = sorted(set(settings) - set(_TABLE_SETTINGS))
     if unknown:
@@ -211,13 +208,13 @@ def denoise_table(clean_images, sigmas, out_csv, *, seed: int = 0, log=print, **
             rows.append((name, sigma, noisy_psnr, odct_psnr, learned_psnr))
             ref = REFERENCE_PSNR.get((name.lower(), sigma))  # 20.0 finds the key 20
             if ref is not None:
-                log(
+                print(
                     f"{name} sigma={sigma:g}: learned {learned_psnr:.2f} dB "
                     f"(reference {ref[2]:.2f}, delta {learned_psnr - ref[2]:+.2f}); "
                     f"dct {odct_psnr:.2f} dB (reference {ref[1]:.2f}, delta {odct_psnr - ref[1]:+.2f})"
                 )
             else:
-                log(
+                print(
                     f"{name} sigma={sigma:g}: noisy {noisy_psnr:.2f} dB, "
                     f"dct {odct_psnr:.2f} dB, learned {learned_psnr:.2f} dB"
                 )

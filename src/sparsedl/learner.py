@@ -244,13 +244,6 @@ def _fit(Y: np.ndarray, D: np.ndarray, C: sparse.csc_array) -> float:
     return fit
 
 
-def _add_products(rows: np.ndarray, C, D: np.ndarray) -> None:
-    """``rows += C D^T`` for a sparse ``C`` on a signal-major N x n buffer, ``_GATHER`` rows at a time."""
-    by_signal = C.tocsr()
-    for lo in range(0, rows.shape[0], _GATHER):
-        rows[lo : lo + _GATHER] += by_signal[lo : lo + _GATHER] @ D.T
-
-
 def code_rhs(Y: np.ndarray, D: np.ndarray, C, j: int) -> np.ndarray:
     """Correlation vector driving the code update for atom ``j``.
 
@@ -443,7 +436,7 @@ def objective(Y: np.ndarray, D: np.ndarray, C, lam: float) -> float:
     """
     Y, D, C = _real_inputs(Y, D, C)
     lam = as_real_number(lam, "lam", low=0.0)
-    return _fit(Y, D, C) + lam * lam * C.nnz
+    return _fit(Y, D, C) + (lam * lam * C.nnz if C.nnz else 0.0)
 
 
 def nsre(Y: np.ndarray, D: np.ndarray, C) -> float:
@@ -474,15 +467,15 @@ def sparsity_factor(C, signal_dim: int) -> float:
 class LearnConfig:
     """Settings for :func:`learn`.
 
-    An explicit ``code_bound`` must be above ``lam``.  ``code_bound=None``
-    resolves at call time to the larger of ``||Y||_F`` and the next float
-    above ``lam``.  The second wins only when ``||Y||_F <= lam``; the
-    objective then starts at or below ``lam^2`` and never rises, so at most
-    one code entry is ever stored, of magnitude at most ``lam``, and every
-    bound above ``lam`` gives the same run.  Learning starts from all-zero
-    codes.  There is one sweep: atoms in index order, and ``e1`` for an
-    atom whose code comes back empty.  :func:`learn` checks every setting
-    before it copies ``Y``.
+    An explicit ``code_bound`` must be above ``lam``, so ``lam`` must be
+    below the largest float.  ``code_bound=None`` resolves at call time to
+    the larger of ``||Y||_F`` and the next float above ``lam``.  The second
+    wins only when ``||Y||_F <= lam``; the objective then starts at or
+    below ``lam^2`` and never rises, so at most one code entry is ever
+    stored, of magnitude at most ``lam``, and every bound above ``lam``
+    gives the same run.  Learning starts from all-zero codes.  There is one
+    sweep: atoms in index order, and ``e1`` for an atom whose code comes
+    back empty.  :func:`learn` checks every setting before it copies ``Y``.
     """
 
     num_atoms: int
@@ -587,7 +580,8 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
     Raises
     ------
     ConfigError
-        On invalid settings (including ``code_bound <= lam``).
+        On invalid settings (including ``code_bound <= lam``, and ``lam``
+        at the largest float, above which no bound lies).
     InvariantError
         If the objective turns non-finite or rises over a sweep, or an
         atom update sees a vanishing residual/code product for a nonzero
@@ -604,6 +598,8 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
     J = as_integer(config.num_atoms, "num_atoms", low=1)
     K = as_integer(config.iterations, "iterations", low=0)
     lam = as_real_number(config.lam, "lam", low=0.0)
+    if lam == np.finfo(float).max:  # no finite code_bound lies above it
+        raise ConfigError(f"lam must be below the largest float, got {lam!r}")
     bound = config.code_bound
     if bound is not None:
         bound = as_real_number(bound, "code_bound", low=lam, exclusive=True)
@@ -640,7 +636,7 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
     # record of passing rows.
     e1 = np.zeros(n)
     e1[0] = 1.0
-    parked = np.array([np.array_equal(D[:, j], e1) for j in range(J)])  # every code starts empty
+    parked = (D == e1[:, None]).all(axis=0)  # every code starts empty
     passing = _survives(R[:, 0], lam)
     # One buffer serves every block and two N-byte masks every screen, so a
     # visit allocates in proportion to its union, not to N.
@@ -708,9 +704,10 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
                 parked[j] = kept.size == 0  # an emptied atom is e1
             lo = hi
 
-        # Exact updates cannot raise the objective, so a rise (or a NaN) is a fault.
+        # Exact updates cannot raise the objective, so a rise (or a NaN) is a
+        # fault.  No stored code costs exactly 0, even where lam^2 overflows.
         fit = float(np.vdot(R, R))
-        obj = fit + lam * lam * nnz
+        obj = fit + (lam * lam * nnz if nnz else 0.0)
         if not obj - prev <= max(_RISE_TOL * prev, rounding):
             raise InvariantError(f"objective rose or went non-finite at iteration {t + 1}: {prev!r} -> {obj!r}")
         trace.objective[t] = prev = obj
@@ -718,7 +715,7 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
         trace.sparsity_factor[t] = nnz / (n * N)
         trace.delta_dict[t] = float(np.linalg.norm(D - D_prev))
         trace.delta_codes[t] = np.sqrt(delta_codes_sq)
-        trace.empty_atoms[t] = sum(rows.size == 0 for rows, _ in codes)
+        trace.empty_atoms[t] = int(parked.sum())  # every atom was visited: parked iff its code is empty
 
     # Before the result is allocated, so as not to pin them in the heap; e is
     # the last visit's view of R or corr (unbound if there was no visit).

@@ -22,8 +22,8 @@ from sparsedl.denoise import (
     quantize_pixels,
 )
 from sparsedl.dictionaries import overcomplete_dct_dictionary
-from sparsedl.experiments import lambda_sweep, read_csv_table, sample_patch_columns, scaling_bench
-from sparsedl.io import write_pgm
+from sparsedl.experiments import lambda_sweep, sample_patch_columns, scaling_bench
+from sparsedl.io import read_csv_table, write_pgm
 from sparsedl.learner import LearnConfig, atom_update_step, code_rhs, atom_rhs, learn, sparse_code_step
 
 

@@ -312,6 +312,27 @@ class TestDenoiseImage:
         assert len(buffers) > 1
         assert all(np.shares_memory(b, buffers[0]) for b in buffers)
 
+    @pytest.mark.parametrize("iterations", [0, 2])
+    def test_bands_do_not_change_the_bits(self, small_image, monkeypatch, iterations):
+        """On a 31 x 31 patch grid, bands of one, two and four blocks of
+        grid rows give the same estimates, bit for bit."""
+        extract = sparsedl.denoise.extract_patches
+        calls = []
+
+        def counted_extract(*args, **kwargs):
+            calls[-1] += 1
+            return extract(*args, **kwargs)
+
+        monkeypatch.setattr(sparsedl.denoise, "extract_patches", counted_extract)
+        noisy = add_gaussian_noise(small_image[:96, :96].astype(float), 20.0, seed=6)
+        estimates = []
+        for band_patches in (sparsedl.denoise._BAND_PATCHES, 700, 100):
+            monkeypatch.setattr(sparsedl.denoise, "_BAND_PATCHES", band_patches)
+            calls.append(0)
+            estimates.append(denoise_image(noisy, _tiny_config(stride=3, iterations=iterations))[0])
+        assert calls == [1, 2, 4]
+        assert all(np.array_equal(e, estimates[0]) for e in estimates[1:])
+
     @pytest.mark.parametrize("subsample", [None, 100])
     def test_learns_inside_the_patch_buffer(self, small_image, monkeypatch, subsample):
         """learn works in place in a training set gathered from the image

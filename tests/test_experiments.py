@@ -9,12 +9,10 @@ from sparsedl.experiments import (
     convergence_trace,
     denoise_table,
     lambda_sweep,
-    read_csv_table,
     sample_patch_columns,
     scaling_bench,
-    write_csv_table,
 )
-from sparsedl.io import read_trace_csv, write_pgm
+from sparsedl.io import read_csv_table, read_trace_csv, write_csv_table, write_pgm
 from sparsedl.patches import extract_patches
 
 
@@ -162,11 +160,10 @@ class TestLambdaSweep:
 
 
 class TestDenoiseTable:
-    def test_grid_with_reference_deltas(self, texture, tmp_path):
+    def test_grid_with_reference_deltas(self, texture, tmp_path, capsys):
         clean = tmp_path / "barbara.pgm"  # name present in the reference table
         write_pgm(clean, texture.astype(np.uint8))
         out = tmp_path / "table.csv"
-        logged = []
         rows = denoise_table(
             [clean],
             [20.0],
@@ -176,8 +173,8 @@ class TestDenoiseTable:
             iterations=1,
             max_train_patches=300,
             seed=0,
-            log=logged.append,
         )
+        logged = capsys.readouterr().out.splitlines()
         assert len(rows) == 1
         name, sigma, noisy_db, odct_db, learned_db = rows[0]
         assert name == "barbara" and sigma == 20.0
@@ -189,14 +186,14 @@ class TestDenoiseTable:
         assert header == ["image", "sigma", "noisy_psnr", "odct_psnr", "learned_psnr"]
         assert data[0][0] == "barbara"
 
-    def test_unknown_image_logs_plain_line(self, texture, tmp_path):
+    def test_unknown_image_logs_plain_line(self, texture, tmp_path, capsys):
         clean = tmp_path / "yard.pgm"
         write_pgm(clean, texture.astype(np.uint8))
-        logged = []
         denoise_table(
             [clean], [12.5], tmp_path / "t.csv", stride=4, num_atoms=64,
-            iterations=0, seed=0, log=logged.append,
+            iterations=0, seed=0,
         )
+        logged = capsys.readouterr().out.splitlines()
         assert "reference" not in logged[0]
 
     def test_needs_images_and_sigmas(self, tmp_path):

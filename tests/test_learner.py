@@ -190,25 +190,6 @@ class TestStepOracles:
             atom_update_step(Y, D, C, 0, c_new)
 
 
-class TestAddProducts:
-    def test_rows_do_not_depend_on_the_chunk(self):
-        """``rows += C D^T`` on the whole buffer, or split at uneven row
-        bounds across the _GATHER chunks, gives bit-identical rows."""
-        rng = np.random.default_rng(47)
-        n, N, J = 64, 2 * sparsedl.learner._GATHER + 517, 256
-        D = unit_columns(rng, n, J)
-        C = sparse.random_array((N, J), density=0.02, format="csc", rng=rng)
-        start = rng.standard_normal((N, n))
-        whole = start.copy()
-        sparsedl.learner._add_products(whole, C, D)
-        by_signal = C.tocsr()
-        split = start.copy()
-        bounds = [0, 1, 3000, sparsedl.learner._GATHER + 1, N - 1, N]
-        for lo, hi in zip(bounds, bounds[1:]):
-            sparsedl.learner._add_products(split[lo:hi], by_signal[lo:hi], D)
-        assert np.array_equal(split, whole)
-
-
 class TestMetrics:
     def test_objective_matches_dense(self):
         rng = np.random.default_rng(20)
@@ -226,6 +207,10 @@ class TestMetrics:
         assert objective(I3, I3, I3 / 2, 1.0) == pytest.approx(3.75)
         with pytest.raises(ConfigError, match="lam must be"):
             objective(I3, I3, I3 / 2, -1.0)
+
+    def test_objective_of_no_codes_at_a_huge_lam(self):
+        """lam^2 overflows at 1e200, and no stored code costs exactly 0, not inf * 0."""
+        assert objective(np.ones((4, 6)), np.eye(4), np.zeros((6, 4)), 1e200) == 24.0
 
     def test_objective_counts_structural_zeros_exactly(self):
         Y = np.zeros((2, 3))
@@ -654,6 +639,17 @@ class TestLearn:
         assert C.nnz == 0
         assert np.isnan(trace.nsre[0]) and trace.objective[0] == 0.0
         assert np.array_equal(D, np.column_stack([np.eye(3)[0]] * 3))  # every emptied atom is e1
+
+    def test_huge_lam_stores_no_code_and_keeps_the_objective(self):
+        """At lam 1e200, lam^2 overflows; with no code stored the objective is the fit."""
+        _, C, trace = learn(np.ones((4, 6)), LearnConfig(4, 1, 1e200, np.eye(4)))
+        assert C.nnz == 0 and trace.objective.tolist() == [24.0]
+
+    def test_largest_lam_is_config_error(self):
+        """No finite code_bound lies above the largest float, so that lam is
+        rejected by name even when the caller sets no bound."""
+        with pytest.raises(ConfigError, match="^lam must be below the largest float"):
+            learn(np.ones((4, 6)), LearnConfig(4, 1, np.finfo(float).max, np.eye(4)))
 
     def test_default_bound_at_a_norm_of_lam(self):
         """With ||Y||_F = lam one code entry, of magnitude lam, can be stored;
