@@ -36,6 +36,7 @@ dictionary, which is the baseline the reports compare against.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
@@ -123,7 +124,8 @@ class DenoiseConfig:
 
     Learning runs at the sparsity weight ``lam = 5 * sigma``.
     ``prior_weight=None`` resolves to ``20 / sigma``.  ``error_gain``
-    must exceed 1 (the OMP goal must sit above the noise floor).
+    must exceed 1 (the OMP goal must sit above the noise floor), and that
+    goal, ``patch_size**2 * error_gain**2 * sigma**2``, must not overflow.
     ``max_train_patches`` caps the learning set: an image with more
     patches learns on a seeded subsample of that many, and coding always
     uses every patch.  Its default, 2**18 = 262,144, is above the 255,025
@@ -182,6 +184,12 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
     seed = as_integer(config.seed, "seed", low=0)
     _, p, s, (gr, gc) = _check_geometry(noisy.shape, config.patch_size, config.stride)
     n = p * p
+    try:
+        error_goal = n * gain**2 * sigma**2
+    except OverflowError:  # of a power; the products give inf instead
+        error_goal = math.inf
+    if math.isinf(error_goal):
+        raise ConfigError(f"the OMP goal of sigma {sigma} and error_gain {gain} overflows a float")
     if prior == 0.0:
         # a pixel lies under some patch iff both of its axis counts are positive
         if not all(cover.all() for cover in patch_cover(noisy.shape, p, s)):
@@ -211,7 +219,6 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
         )
         del train  # learn left its residual here; coding takes the patches anew
 
-    error_goal = n * gain**2 * sigma**2
     total = np.zeros(noisy.shape)
     statuses = Counter()
     # Each band is whole _GRID_ROWS blocks of grid rows, taken in ascending order, so

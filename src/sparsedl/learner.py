@@ -95,7 +95,6 @@ from .exceptions import ConfigError, InvariantError, as_integer, as_real_array, 
 __all__ = [
     "LearnConfig",
     "LearnTrace",
-    "hard_threshold",
     "truncated_hard_threshold",
     "code_rhs",
     "sparse_code_step",
@@ -126,28 +125,17 @@ _GATHER = 4096
 _RISE_TOL = 1e-9
 
 
-def hard_threshold(b: np.ndarray, lam: float) -> np.ndarray:
-    """Zero every entry of ``b`` whose magnitude is below ``lam``.
-
-    Entries with magnitude exactly equal to ``lam`` are kept (the
-    minimizer is non-unique there; keeping the value makes the operator
-    deterministic).  ``lam`` must be a finite real number of at least 0;
-    NaN and infinities in ``b`` are thresholded like any value, and
-    complex ``b`` raises.
-    """
-    b = as_real_array(b, "threshold input")
-    return np.where(_survives(b, as_real_number(lam, "lam", low=0.0)), b, 0.0)
-
-
 def truncated_hard_threshold(b: np.ndarray, lam: float, code_bound: float) -> np.ndarray:
     """Hard-threshold ``b`` at ``lam``, then clip magnitudes to ``code_bound``.
 
     This is the exact minimizer of the single-column code update: entry i
     of the result is 0 when ``|b_i| < lam``, ``b_i`` when
     ``lam <= |b_i| <= code_bound``, and ``sign(b_i) * code_bound`` above.
-    Requires ``code_bound > lam`` (otherwise clipping could produce
-    nonzeros that thresholding should have removed).  The clip leaves the
-    threshold's zeros as they are; like :func:`hard_threshold`, NaN survives.
+    A magnitude exactly ``lam`` is kept (the minimizer is non-unique
+    there; keeping it makes the operator deterministic).  Requires
+    ``code_bound > lam`` (otherwise clipping could produce nonzeros that
+    thresholding should have removed).  NaN in ``b`` survives, an
+    infinity clips to the bound, and complex ``b`` raises.
     """
     lam = as_real_number(lam, "lam", low=0.0)
     code_bound = as_real_number(code_bound, "code_bound", low=lam, exclusive=True)
@@ -581,7 +569,8 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
     ------
     ConfigError
         On invalid settings (including ``code_bound <= lam``, and ``lam``
-        at the largest float, above which no bound lies).
+        at the largest float, above which no bound lies), or a training
+        matrix whose squared norm overflows.
     InvariantError
         If the objective turns non-finite or rises over a sweep, or an
         atom update sees a vanishing residual/code product for a nonzero
@@ -611,7 +600,10 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
     # start at zero, so it starts as Y^T.  Taken over R, ||Y||_F sums in one
     # order whatever Y's memory order.
     R = Y.T if overwrite_y else np.array(Y.T, order="C")
-    ynorm = float(np.linalg.norm(R))
+    prev = float(np.vdot(R, R))  # ||Y||_F^2, the objective of zero codes
+    if not math.isfinite(prev):
+        raise ConfigError("training matrix is too large: its squared norm overflows a float")
+    ynorm = math.sqrt(prev)
     if bound is None:  # with ||Y||_F <= lam, every bound above lam gives the same run
         bound = max(ynorm, math.nextafter(lam, math.inf))
 
@@ -626,7 +618,6 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
         delta_codes=np.empty(K),
         empty_atoms=np.empty(K, dtype=np.intp),
     )
-    prev = float(np.vdot(R, R))  # the objective of zero codes
     rounding = np.finfo(float).eps * ynorm * ynorm
 
     # Atom j is parked while its code is empty and its column is e1: its

@@ -106,6 +106,7 @@ def omp_code_matrix(D: np.ndarray, Y: np.ndarray, error_goal: float):
     ``REACHED_ATOM_CAP``, ``DEGENERATE``), not one new string per signal.
     Each row and status equals the :func:`omp_code` call on that column
     alone, bit for bit, so coding the columns in any split gives the same.
+    A signal whose squared norm overflows raises :class:`ConfigError`.
     """
     D = as_real_array(D, "dictionary", ndim=2, finite=True)
     Y = as_real_array(Y, "signal matrix", ndim=2, finite=True)
@@ -154,7 +155,10 @@ def _code_band(D, G, Yb, goal, cap):
     # Signal-major: a band of extract_patches' F-ordered matrix is already
     # C-contiguous here, so only other layouts are copied.
     Yt = np.ascontiguousarray(Yb.T)
-    rsq = np.matmul(Yt[:, None, :], Yt[:, :, None])[:, 0, 0]
+    with np.errstate(over="ignore"):  # raised below instead
+        rsq = np.matmul(Yt[:, None, :], Yt[:, :, None])[:, 0, 0]
+    if np.isinf(rsq).any():
+        raise ConfigError("signal matrix is too large: a signal's squared norm overflows a float")
     # rsq - sum z_k^2 is good to a few ulps of |y|^2 per term, so a goal within that counts
     # as met; otherwise exactly representable signals go on to pick atoms from rounding noise.
     limit = goal + (n + cap) * np.finfo(float).eps * rsq

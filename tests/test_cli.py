@@ -304,6 +304,28 @@ class TestDenoiseCommand:
         assert code == exit_code
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--sigma", "1e200", "--iters", "0", "--atoms", "64"], ["--sigma", "20", "--omp-gain", "1e300"],
+         ["--sigma", "1e100", "--omp-gain", "1e100"]],
+        ids=["sigma", "gain", "product"],
+    )
+    def test_overflowing_error_goal_is_config_error(self, tmp_path, image_files, monkeypatch, capsys, flags):
+        """An OMP goal past the float range ends in exit 1 and one error
+        line, before a dictionary is built or learning runs."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the goal must be checked before any work")
+
+        for name in ("overcomplete_dct_dictionary", "extract_patches", "learn"):
+            monkeypatch.setattr(sparsedl.denoise, name, unreachable)
+        _, noisy = image_files
+        out = tmp_path / "den.pgm"
+        assert cli.main(["denoise", "--in", str(noisy), "--out", str(out), *flags]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: the OMP goal of sigma")
+        assert not out.exists()
+
     def test_report_row_is_the_shared_comparison(self, tmp_path, image_files, monkeypatch, capsys):
         compare = sparsedl.experiments.compare_with_dct
         seen = []

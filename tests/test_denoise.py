@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import weakref
 
@@ -201,6 +202,30 @@ class TestDenoiseImage:
                         gap = np.any(np.outer(*patch_cover((H, W), p, stride)) == 0.0)
                         with pytest.raises(ConfigError if gap else Reached):
                             denoise_image(np.zeros((H, W)), config)
+
+    @pytest.mark.parametrize(
+        "sigma, error_gain", [(1e200, 1.15), (20.0, 1e300), (1e100, 1e100)], ids=["sigma", "gain", "product"]
+    )
+    def test_overflowing_error_goal_is_checked_before_any_work(self, monkeypatch, sigma, error_gain):
+        """The OMP goal n * error_gain^2 * sigma^2 must be a float: one that
+        overflows, in a power or in the product, is rejected with the other
+        settings, before a dictionary is built or learning runs."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the goal must be checked before any work")
+
+        for name in ("overcomplete_dct_dictionary", "extract_patches", "learn"):
+            monkeypatch.setattr(sparsedl.denoise, name, unreachable)
+        with pytest.raises(ConfigError, match="^" + re.escape(f"the OMP goal of sigma {sigma} and error_gain {error_gain} overflows")):
+            denoise_image(np.zeros((16, 16)), _tiny_config(sigma=sigma, error_gain=error_gain))
+
+    @pytest.mark.parametrize("iterations", [0, 2])
+    def test_overflowing_image_is_config_error(self, iterations):
+        """Patches whose squared norms overflow are rejected, by OMP on the
+        DCT pass and by learn otherwise, not denoised into a finite image."""
+        img = add_gaussian_noise(np.full((16, 16), 100.0), 20.0, seed=1) * 1e160
+        with pytest.raises(ConfigError, match="is too large"):
+            denoise_image(img, _tiny_config(iterations=iterations))
 
     def test_oversize_patch_is_a_geometry_error(self):
         with pytest.raises(ConfigError, match="does not fit"):

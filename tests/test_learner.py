@@ -22,7 +22,6 @@ from sparsedl.learner import (
     atom_rhs,
     atom_update_step,
     code_rhs,
-    hard_threshold,
     learn,
     nsre,
     objective,
@@ -34,18 +33,19 @@ from sparsedl.patches import extract_patches
 
 
 class TestThresholding:
-    def test_hard_threshold_semantics(self):
+    def test_threshold_semantics_under_the_bound(self):
         b = np.array([0.5, -1.0, 1.0, 1.5, -2.5, 0.0, -0.999999])
-        out = hard_threshold(b, 1.0)
+        out = truncated_hard_threshold(b, 1.0, 10.0)
         assert np.array_equal(out, [0.0, -1.0, 1.0, 1.5, -2.5, 0.0, 0.0])
 
     def test_threshold_keeps_exact_boundary(self):
         # magnitude exactly lam is kept, not zeroed
-        assert hard_threshold(np.array([2.0, -2.0]), 2.0).tolist() == [2.0, -2.0]
+        assert truncated_hard_threshold(np.array([2.0, -2.0]), 2.0, 3.0).tolist() == [2.0, -2.0]
 
-    def test_hard_threshold_is_total(self):
-        out = hard_threshold(np.array([np.nan, np.inf, -np.inf]), 1.0)
-        assert np.isnan(out[0]) and out[1] == np.inf and out[2] == -np.inf
+    def test_threshold_is_total(self):
+        """NaN survives the threshold; an infinity clips to the bound."""
+        out = truncated_hard_threshold(np.array([np.nan, np.inf, -np.inf]), 1.0, 3.0)
+        assert np.isnan(out[0]) and out[1] == 3.0 and out[2] == -3.0
 
     def test_truncated_threshold_semantics(self):
         b = np.array([0.5, -1.0, 1.5, -2.5, 3.0])
@@ -67,8 +67,9 @@ class TestThresholding:
 
     @pytest.mark.parametrize("lam", [0.0, 1e-300, 0.7, 2.5])
     def test_truncated_threshold_equals_clipped_hard_threshold(self, lam):
-        """Clipping only the survivors gives exactly the clip of the
-        whole hard-thresholded vector, at every boundary value."""
+        """The threshold equals the clip of the whole hard-thresholded
+        vector, formed from ``|b| >= lam``, at every boundary value (NaN,
+        which the oracle would zero, is left out of the draws)."""
         rng = np.random.default_rng(18)
         bound = 3.0
         tiny = np.finfo(float).smallest_subnormal
@@ -76,9 +77,9 @@ class TestThresholding:
         for _ in range(20):
             b = np.concatenate((rng.standard_normal(200) * 2.0, rng.choice(salt, 100)))
             rng.shuffle(b)
-            t = hard_threshold(b, lam)
-            want = np.sign(t) * np.minimum(np.abs(t), bound)
-            assert np.array_equal(truncated_hard_threshold(b, lam, bound), want, equal_nan=True)
+            b = b[~np.isnan(b)]
+            want = np.clip(np.where(np.abs(b) >= lam, b, 0.0), -bound, bound)
+            assert np.array_equal(truncated_hard_threshold(b, lam, bound), want)
 
 
 def _non_canonical(C):
@@ -651,6 +652,15 @@ class TestLearn:
         with pytest.raises(ConfigError, match="^lam must be below the largest float"):
             learn(np.ones((4, 6)), LearnConfig(4, 1, np.finfo(float).max, np.eye(4)))
 
+    @pytest.mark.parametrize("code_bound", [None, 1e300], ids=["default-bound", "explicit-bound"])
+    def test_overflowing_training_matrix_is_config_error(self, code_bound):
+        """A finite Y whose ||Y||_F^2 overflows is rejected by name, with no
+        warning and before the residual is written, whatever the bound."""
+        Y = np.full((4, 6), 1e160, order="F")
+        with pytest.raises(ConfigError, match="^training matrix is too large"):
+            learn(Y, LearnConfig(4, 1, 1.0, np.eye(4), code_bound=code_bound), overwrite_y=True)
+        assert np.all(Y == 1e160)
+
     def test_default_bound_at_a_norm_of_lam(self):
         """With ||Y||_F = lam one code entry, of magnitude lam, can be stored;
         the default bound keeps it, as every bound above lam does."""
@@ -756,12 +766,11 @@ class TestLearn:
             with pytest.raises(ConfigError, match="lam must be"):
                 objective(Y, D0, C, lam)
             with pytest.raises(ConfigError, match="lam must be"):
-                hard_threshold(np.array([2.0, 0.1]), lam)
+                truncated_hard_threshold(np.array([2.0, 0.1]), lam, 3.0)
         # A negative lam would keep every entry, so no step would minimize the objective.
         for lam in (1j, "0.5", None, -1.0):
             for call in (
                 lambda: truncated_hard_threshold(np.array([2.0, 0.1]), lam, 3.0),
-                lambda: hard_threshold(np.array([2.0, 0.1]), lam),
                 lambda: sparse_code_step(Y, D0, C, 0, lam, 3.0),
             ):
                 with pytest.raises(ConfigError, match="lam must be"):
@@ -776,7 +785,6 @@ class TestLearn:
                 nsre(Yc, Dc, Cc)
         complex_code = np.array([1.0 + 1j, 0.0, 0.0, 0.0, 0.0, 0.0])
         for call in (
-            lambda: hard_threshold(np.array([2 + 1j, 0.1]), 0.5),
             lambda: truncated_hard_threshold(np.array([2 + 1j, 0.1]), 0.5, 3.0),
             lambda: code_rhs(Y + 1j, D0, C, 0),
             lambda: code_rhs(Y, D0, sparse.csc_array(codes), 0),

@@ -25,3 +25,29 @@ def test_private_imports_across_modules_are_pinned():
         ("denoise", "patches", "_gather_patches"),
         ("experiments", "patches", "_gather_patches"),
     }
+
+
+def test_each_public_name_has_one_home():
+    """The package re-exports nothing: ``__init__.py`` imports no submodule
+    and defines no function, and every name a module lists in its
+    ``__all__`` is bound at its top level by ``def``, ``class`` or an
+    assignment, never by an import."""
+    init = ast.parse((SOURCES / "__init__.py").read_text(encoding="utf-8"))
+    for node in ast.walk(init):
+        assert not (isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("sparsedl")))
+        assert not (isinstance(node, ast.Import) and any(a.name.startswith("sparsedl") for a in node.names))
+        assert not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    for path in sorted(SOURCES.glob("*.py")):
+        defined, imported, exported = set(), set(), set()
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+                defined |= names
+                if "__all__" in names:
+                    exported = set(ast.literal_eval(node.value))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        assert exported <= defined - imported, (path.stem, exported - (defined - imported))

@@ -220,6 +220,14 @@ class TestOmpCodeMatrix:
         with pytest.raises(ConfigError):
             omp_code_matrix(D, Y, goal)
 
+    def test_overflowing_signal_is_config_error(self):
+        """A finite signal whose squared norm overflows is rejected, with no
+        warning, instead of being coded as zero with the goal met."""
+        Y = np.ones((16, 3))
+        Y[:, 1] = 1e160
+        with pytest.raises(ConfigError, match="^signal matrix is too large"):
+            omp_code_matrix(overcomplete_dct_dictionary(16, 16), Y, 0.1)
+
 
 class TestAgainstTextbookOmp:
     def test_random_dictionaries(self):
