@@ -36,7 +36,6 @@ dictionary, which is the baseline the reports compare against.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
@@ -44,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .dictionaries import overcomplete_dct_dictionary
-from .exceptions import ConfigError, as_integer, as_real_array, as_real_number
+from .exceptions import ConfigError, as_finite, as_integer, as_real_array, as_real_number
 from .learner import LearnConfig, LearnTrace, learn
 from .omp import omp_code_matrix
 from .patches import (
@@ -84,22 +83,28 @@ def add_gaussian_noise(image: np.ndarray, sigma: float, seed: int = 0) -> np.nda
     Box-Muller transform, ``sqrt(-2 ln u1) * cos(2 pi u2)`` with
     ``u1 = 1 - uniform`` kept away from zero.  The exact stream (not
     just the distribution) is pinned so seeded runs reproduce bit for
-    bit.  The result is float and NOT clipped to [0, 255].
+    bit.  The result is float and NOT clipped to [0, 255].  The image must
+    be finite, and so is the result: a noisy pixel past the float range
+    raises :class:`ConfigError` naming ``sigma``.
     """
-    img = as_real_array(image, "image")
+    img = as_real_array(image, "image", finite=True)
     sigma = as_real_number(sigma, "sigma", low=0.0)
     rng = np.random.default_rng(as_integer(seed, "seed", low=0))
     u1 = 1.0 - rng.random(img.shape)
     u2 = rng.random(img.shape)
-    return img + sigma * np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    return as_finite(
+        lambda: img + sigma * np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2),
+        f"the image plus noise of sigma {sigma}",
+    )
 
 
 def psnr(reference: np.ndarray, estimate: np.ndarray) -> float:
     """Peak signal-to-noise ratio ``20 log10(255 / rmse)`` in dB, for
     8-bit gray levels.
 
-    Returns ``inf`` for identical inputs; NaN or an infinity in either
-    raises :class:`ConfigError`.
+    Returns ``inf`` for identical inputs and a finite float otherwise;
+    NaN or an infinity in either input, or a mean squared error past the
+    float range, raises :class:`ConfigError`.
     """
     a = as_real_array(reference, "reference", finite=True)
     b = as_real_array(estimate, "estimate", finite=True)
@@ -107,7 +112,7 @@ def psnr(reference: np.ndarray, estimate: np.ndarray) -> float:
         raise ConfigError(f"shape mismatch {a.shape} vs {b.shape}")
     if a.size == 0:
         raise ConfigError("cannot compare empty arrays")
-    mse = float(np.mean((a - b) ** 2))
+    mse = as_finite(lambda: np.mean((a - b) ** 2), "the mean squared error of estimate and reference")
     if mse == 0.0:
         return float("inf")
     return float(20.0 * np.log10(255.0 / np.sqrt(mse)))
@@ -123,7 +128,9 @@ class DenoiseConfig:
     """Settings for :func:`denoise_image`.
 
     Learning runs at the sparsity weight ``lam = 5 * sigma``.
-    ``prior_weight=None`` resolves to ``20 / sigma``.  ``error_gain``
+    ``prior_weight=None`` resolves to ``20 / sigma``, which must be a
+    float, and the weight times the image's largest pixel magnitude must
+    be one too, so the estimate is a finite image.  ``error_gain``
     must exceed 1 (the OMP goal must sit above the noise floor), and that
     goal, ``patch_size**2 * error_gain**2 * sigma**2``, must not overflow.
     ``max_train_patches`` caps the learning set: an image with more
@@ -177,19 +184,21 @@ def denoise_image(noisy_image: np.ndarray, config: DenoiseConfig):
     sigma = as_real_number(config.sigma, "sigma", low=0.0, exclusive=True)
     gain = as_real_number(config.error_gain, "error_gain", low=1.0, exclusive=True)
     prior = config.prior_weight
-    prior = 20.0 / sigma if prior is None else as_real_number(prior, "prior_weight", low=0.0)
+    if prior is None:
+        named = f"the default prior_weight 20 / sigma of sigma {sigma}"
+        prior = as_finite(20.0 / sigma, named)
+    else:
+        prior = as_real_number(prior, "prior_weight", low=0.0)
+        named = f"prior_weight {prior}"
     K = as_integer(config.iterations, "iterations", low=0)
     m = config.max_train_patches
     m = None if m is None else as_integer(m, "max_train_patches", low=1)
     seed = as_integer(config.seed, "seed", low=0)
     _, p, s, (gr, gc) = _check_geometry(noisy.shape, config.patch_size, config.stride)
     n = p * p
-    try:
-        error_goal = n * gain**2 * sigma**2
-    except OverflowError:  # of a power; the products give inf instead
-        error_goal = math.inf
-    if math.isinf(error_goal):
-        raise ConfigError(f"the OMP goal of sigma {sigma} and error_gain {gain} overflows a float")
+    error_goal = as_finite(lambda: n * gain**2 * sigma**2, f"the OMP goal of sigma {sigma} and error_gain {gain}")
+    peak = float(np.abs(noisy).max())
+    as_finite(prior * peak, f"{named} times the image's largest pixel magnitude {peak:g}")
     if prior == 0.0:
         # a pixel lies under some patch iff both of its axis counts are positive
         if not all(cover.all() for cover in patch_cover(noisy.shape, p, s)):

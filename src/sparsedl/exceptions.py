@@ -1,8 +1,14 @@
-"""Exception types shared across the package, and the three input checks
+"""Exception types shared across the package, the three input checks
 that raise one: :func:`as_integer` for counts, sizes and seeds,
 :func:`as_real_number` for real settings such as weights and noise levels,
-and :func:`as_real_array` for arrays.  The two scalar checks take an
-optional lower bound.
+and :func:`as_real_array` for arrays, and one gate for derived values,
+:func:`as_finite`.  The two scalar checks take an optional lower bound.
+
+The package's one rule on the float range lives here: a value derived
+from finite input (a squared norm, a goal, a weight, a result) is finite,
+or it raises :class:`ConfigError`.  No other module tests for an infinity
+or a NaN, or catches :class:`OverflowError`; the file reader alone turns
+a non-finite entry into a :class:`FormatError`.
 
 The CLI maps these onto its exit-code contract: configuration/usage
 problems exit 1, file-format and I/O problems exit 2, numeric or
@@ -73,3 +79,27 @@ def as_real_array(value, name: str, ndim: int | None = None, finite: bool = Fals
     if finite and not np.isfinite(array).all():
         raise ConfigError(f"{name} must be finite")
     return array
+
+
+def as_finite(value, what: str):
+    """``value`` as a float, or as the ndarray it is, when every entry is
+    finite; otherwise :class:`ConfigError` ``"{what} overflows a float"``.
+
+    ``value`` may instead be a function of no arguments that computes it.
+    The gate then calls it with NumPy's overflow and invalid-value
+    warnings off and reads a Python :class:`OverflowError` (``x**2`` raises
+    one) as an infinity, so an overflow anywhere in the computation is
+    reported here, once, and the value keeps the bits of the computation
+    as written."""
+    import numpy as np
+
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = value() if callable(value) else value
+        if not isinstance(value, np.ndarray):
+            value = float(value)
+    except OverflowError:  # of a power, or an int past the float range
+        value = math.inf
+    if not np.isfinite(value).all():
+        raise ConfigError(f"{what} overflows a float")
+    return value

@@ -90,7 +90,7 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from .exceptions import ConfigError, InvariantError, as_integer, as_real_array, as_real_number
+from .exceptions import ConfigError, InvariantError, as_finite, as_integer, as_real_array, as_real_number
 
 __all__ = [
     "LearnConfig",
@@ -170,8 +170,7 @@ def _code_matrix(C, N: int, J: int) -> sparse.csc_array:
     C = sparse.csc_array(C, dtype=float, copy=True)
     C.sum_duplicates()
     C.eliminate_zeros()
-    if not np.all(np.isfinite(C.data)):
-        raise ConfigError("code matrix must be finite")
+    as_real_array(C.data, "code matrix", finite=True)
     return C
 
 
@@ -196,9 +195,9 @@ def _atom_term(d: np.ndarray, vals: np.ndarray, c_at_rows: np.ndarray) -> np.nda
 
 
 def _real_inputs(Y, D, C):
-    """``Y`` and ``D`` as real 2-D arrays with as many rows, and ``C`` through :func:`_code_matrix`."""
-    Y = as_real_array(Y, "training matrix", ndim=2)
-    D = as_real_array(D, "dictionary", ndim=2)
+    """``Y`` and ``D`` as real, finite 2-D arrays with as many rows, and ``C`` through :func:`_code_matrix`."""
+    Y = as_real_array(Y, "training matrix", ndim=2, finite=True)
+    D = as_real_array(D, "dictionary", ndim=2, finite=True)
     if D.shape[0] != Y.shape[0]:
         raise ConfigError(f"dictionary rows {D.shape[0]} do not match the signal length {Y.shape[0]}")
     return Y, D, _code_matrix(C, Y.shape[1], D.shape[1])
@@ -221,15 +220,19 @@ def _new_code(new_code, N: int) -> np.ndarray:
     return c
 
 
-def _fit(Y: np.ndarray, D: np.ndarray, C: sparse.csc_array) -> float:
-    """Fit term ``||Y - D C^T||_F^2``, over ``_GATHER`` signals at a time."""
+def _fit(Y: np.ndarray, D: np.ndarray, C: sparse.csc_array):
+    """``||Y||_F^2`` and the fit term ``||Y - D C^T||_F^2``, the second over
+    ``_GATHER`` signals at a time.  A squared norm that overflows raises
+    :class:`ConfigError`, the first with :func:`learn`'s message."""
+    y = Y.ravel(order="K")  # np.linalg.norm's order and sum
+    ysq = as_finite(lambda: y.dot(y), "training matrix is too large: its squared norm")
     C = C.tocsr()
     fit = 0.0
     for lo in range(0, Y.shape[1], _GATHER):
         resid = C[lo : lo + _GATHER] @ D.T
         resid -= Y[:, lo : lo + _GATHER].T
         fit += float(np.vdot(resid, resid))
-    return fit
+    return ysq, as_finite(fit, "the fit term ||Y - D C^T||_F^2")
 
 
 def code_rhs(Y: np.ndarray, D: np.ndarray, C, j: int) -> np.ndarray:
@@ -420,20 +423,28 @@ def objective(Y: np.ndarray, D: np.ndarray, C, lam: float) -> float:
     """Value of the learning objective: fit term plus ``lam^2 * nnz(C)``, ``lam >= 0``.
 
     The nonzero count is structural/exact; no tolerance is applied when
-    deciding whether an entry is zero.
+    deciding whether an entry is zero.  The value is a finite float: a
+    ``||Y||_F^2``, a fit term or a total past the float range raises
+    :class:`ConfigError` instead, as :func:`learn` does for ``||Y||_F^2``.
     """
     Y, D, C = _real_inputs(Y, D, C)
     lam = as_real_number(lam, "lam", low=0.0)
-    return _fit(Y, D, C) + (lam * lam * C.nnz if C.nnz else 0.0)
+    fit = _fit(Y, D, C)[1]
+    return as_finite(fit + (lam * lam * C.nnz if C.nnz else 0.0), f"the objective at lam {lam}")
 
 
 def nsre(Y: np.ndarray, D: np.ndarray, C) -> float:
-    """Normalized representation error ``||Y - D C^T||_F / ||Y||_F``."""
+    """Normalized representation error ``||Y - D C^T||_F / ||Y||_F``.
+
+    The value is a finite float: a ``||Y||_F^2`` or a fit term past the
+    float range raises :class:`ConfigError` instead, as :func:`learn` does
+    for ``||Y||_F^2``, and so does an all-zero ``Y``.
+    """
     Y, D, C = _real_inputs(Y, D, C)
-    ynorm = np.linalg.norm(Y)
-    if ynorm == 0.0:
+    ysq, fit = _fit(Y, D, C)
+    if ysq == 0.0:
         raise ConfigError("nsre is undefined for an all-zero training matrix")
-    return float(np.sqrt(_fit(Y, D, C)) / ynorm)
+    return float(np.sqrt(fit) / np.sqrt(ysq))
 
 
 def sparsity_factor(C, signal_dim: int) -> float:
@@ -600,9 +611,8 @@ def learn(Y: np.ndarray, config: LearnConfig, overwrite_y: bool = False):
     # start at zero, so it starts as Y^T.  Taken over R, ||Y||_F sums in one
     # order whatever Y's memory order.
     R = Y.T if overwrite_y else np.array(Y.T, order="C")
-    prev = float(np.vdot(R, R))  # ||Y||_F^2, the objective of zero codes
-    if not math.isfinite(prev):
-        raise ConfigError("training matrix is too large: its squared norm overflows a float")
+    # ||Y||_F^2, the objective of zero codes
+    prev = as_finite(np.vdot(R, R), "training matrix is too large: its squared norm")
     ynorm = math.sqrt(prev)
     if bound is None:  # with ||Y||_F <= lam, every bound above lam gives the same run
         bound = max(ynorm, math.nextafter(lam, math.inf))

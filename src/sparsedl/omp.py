@@ -43,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .exceptions import ConfigError, as_real_array, as_real_number
+from .exceptions import ConfigError, as_finite, as_real_array, as_real_number
 
 __all__ = ["omp_code", "omp_code_matrix", "REACHED_ERROR_GOAL", "REACHED_ATOM_CAP", "DEGENERATE"]
 
@@ -155,10 +155,10 @@ def _code_band(D, G, Yb, goal, cap):
     # Signal-major: a band of extract_patches' F-ordered matrix is already
     # C-contiguous here, so only other layouts are copied.
     Yt = np.ascontiguousarray(Yb.T)
-    with np.errstate(over="ignore"):  # raised below instead
-        rsq = np.matmul(Yt[:, None, :], Yt[:, :, None])[:, 0, 0]
-    if np.isinf(rsq).any():
-        raise ConfigError("signal matrix is too large: a signal's squared norm overflows a float")
+    rsq = as_finite(
+        lambda: np.matmul(Yt[:, None, :], Yt[:, :, None])[:, 0, 0],
+        "signal matrix is too large: a signal's squared norm",
+    )
     # rsq - sum z_k^2 is good to a few ulps of |y|^2 per term, so a goal within that counts
     # as met; otherwise exactly representable signals go on to pick atoms from rounding noise.
     limit = goal + (n + cap) * np.finfo(float).eps * rsq

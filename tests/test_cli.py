@@ -326,6 +326,33 @@ class TestDenoiseCommand:
         assert len(lines) == 1 and lines[0].startswith("error: the OMP goal of sigma")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, setting",
+        [
+            (["--sigma", "1e-320"], "sigma 1e-320"),
+            (["--sigma", "20", "--prior-weight", "1e308"], "prior_weight 1e+308"),
+        ],
+        ids=["tiny-sigma", "huge-prior"],
+    )
+    def test_overflowing_prior_is_config_error(self, tmp_path, image_files, monkeypatch, capsys, flags, setting):
+        """A prior weight, default or set, that takes a pixel's weighted
+        value past the float range ends in exit 1 and one error line that
+        names the setting, before any patch is taken or learning runs, and
+        never in a NaN or infinite estimate."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the prior must be checked before any work")
+
+        for name in ("extract_patches", "learn"):
+            monkeypatch.setattr(sparsedl.denoise, name, unreachable)
+        _, noisy = image_files
+        out = tmp_path / "den.pgm"
+        assert cli.main(["denoise", "--in", str(noisy), "--out", str(out), *flags]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and setting in lines[0]
+        assert lines[0].endswith("overflows a float")
+        assert not out.exists()
+
     def test_report_row_is_the_shared_comparison(self, tmp_path, image_files, monkeypatch, capsys):
         compare = sparsedl.experiments.compare_with_dct
         seen = []

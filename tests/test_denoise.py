@@ -52,12 +52,21 @@ class TestNoise:
             add_gaussian_noise(np.zeros((2, 2)), -1.0)
         with pytest.raises(ConfigError, match="real"):
             add_gaussian_noise(np.zeros((2, 2)) + 1j, 1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="image must be finite"):
+                add_gaussian_noise(np.array([[bad, 0.0]]), 1.0)
         for sigma in (np.complex128(2 + 1j), "2", None, True):
             with pytest.raises(ConfigError, match="sigma must be a real number"):
                 add_gaussian_noise(np.zeros((2, 2)), sigma)
         for seed, match in ((-1, "seed must be at least 0"), (1.5, "seed must be an integer")):
             with pytest.raises(ConfigError, match=match):
                 add_gaussian_noise(np.zeros((2, 2)), 1.0, seed)
+
+    def test_overflowing_noise_is_config_error(self):
+        """Noise that takes a pixel past the float range is rejected by
+        sigma, with no warning, instead of returned as infinite pixels."""
+        with pytest.raises(ConfigError, match="^the image plus noise of sigma 1e[+]308 overflows a float$"):
+            add_gaussian_noise(np.zeros((4, 4)), 1e308)
 
 
 class TestPsnr:
@@ -90,6 +99,12 @@ class TestPsnr:
             psnr(clean, dirty)
         with pytest.raises(ConfigError, match="reference must be finite"):
             psnr(dirty, clean)
+
+    def test_overflowing_error_is_config_error(self):
+        """Finite inputs whose squared error overflows raise, with no
+        warning, instead of giving -inf dB."""
+        with pytest.raises(ConfigError, match="^the mean squared error of estimate and reference overflows"):
+            psnr(np.zeros((4, 4)), np.full((4, 4), 1e200))
 
 
 class TestQuantize:
@@ -218,6 +233,49 @@ class TestDenoiseImage:
             monkeypatch.setattr(sparsedl.denoise, name, unreachable)
         with pytest.raises(ConfigError, match="^" + re.escape(f"the OMP goal of sigma {sigma} and error_gain {error_gain} overflows")):
             denoise_image(np.zeros((16, 16)), _tiny_config(sigma=sigma, error_gain=error_gain))
+
+    def test_error_goal_keeps_the_bits_of_its_powers(self):
+        """At this sigma, sigma**2 and sigma*sigma round apart: the goal is
+        the powers' value."""
+        sigma, gain = 13.506677, 1.9098
+        _, result = denoise_image(np.full((16, 16), 100.0), _tiny_config(sigma=sigma, error_gain=gain, iterations=0))
+        assert result.error_goal == 16 * gain**2 * sigma**2 != 16 * (gain * gain) * (sigma * sigma)
+
+    @pytest.mark.parametrize(
+        "settings, peak, message",
+        [
+            (dict(sigma=1e-320), 100.0, "the default prior_weight 20 / sigma of sigma 1e-320 overflows a float"),
+            (dict(prior_weight=1e308), 100.0, "prior_weight 1e+308 times the image's largest pixel magnitude 100 "),
+            (
+                dict(sigma=1e-300),
+                1e10,
+                "the default prior_weight 20 / sigma of sigma 1e-300 times the image's largest pixel magnitude 1e+10 ",
+            ),
+        ],
+        ids=["tiny-sigma", "huge-prior", "default-prior-times-image"],
+    )
+    @pytest.mark.parametrize("iterations", [0, 2])
+    def test_overflowing_prior_is_checked_before_any_work(self, monkeypatch, settings, peak, message, iterations):
+        """The prior weight, default or set, times the largest pixel
+        magnitude must be a float, or the estimate holds NaN or infinite
+        pixels; it is checked before a dictionary is built or learning
+        runs, with no warning."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the prior must be checked before any work")
+
+        for name in ("overcomplete_dct_dictionary", "extract_patches", "learn"):
+            monkeypatch.setattr(sparsedl.denoise, name, unreachable)
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            denoise_image(np.full((16, 16), peak), _tiny_config(iterations=iterations, **settings))
+
+    def test_tiny_sigma_gives_a_finite_image(self):
+        """At a sigma whose default prior is half the largest float, an
+        image of small enough magnitude denoises into a finite image."""
+        sigma = 40.0 / np.finfo(float).max
+        img = add_gaussian_noise(np.full((16, 16), 100.0), 1.0, seed=1) / 1e300
+        estimate, result = denoise_image(img, _tiny_config(sigma=sigma, iterations=0))
+        assert np.isfinite(result.prior_weight) and np.all(np.isfinite(estimate))
 
     @pytest.mark.parametrize("iterations", [0, 2])
     def test_overflowing_image_is_config_error(self, iterations):

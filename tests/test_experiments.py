@@ -208,6 +208,16 @@ class TestDenoiseTable:
         with pytest.raises(ConfigError, match="seed must be at least 0"):
             denoise_table(["x.pgm"], [20.0], tmp_path / "t.csv", seed=-1)
 
+    def test_overflowing_noise_is_config_error(self, texture, tmp_path):
+        """A sigma whose noise takes a pixel past the float range is
+        rejected by name when the image is noised, and no table is written."""
+        clean = tmp_path / "yard.pgm"
+        write_pgm(clean, texture.astype(np.uint8))
+        out = tmp_path / "t.csv"
+        with pytest.raises(ConfigError, match=r"^the image plus noise of sigma 1e\+308 overflows a float$"):
+            denoise_table([clean], [1e308], out, stride=4, num_atoms=64, iterations=0)
+        assert not out.exists()
+
     @pytest.mark.parametrize("field", ["patch_size", "lam_multiplier", "prior_weight", "init", "sigma"])
     def test_protocol_fields_are_fixed(self, tmp_path, field):
         # rejected before "x.pgm" (which does not exist) is read

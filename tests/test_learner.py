@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -210,8 +211,11 @@ class TestMetrics:
             objective(I3, I3, I3 / 2, -1.0)
 
     def test_objective_of_no_codes_at_a_huge_lam(self):
-        """lam^2 overflows at 1e200, and no stored code costs exactly 0, not inf * 0."""
+        """lam^2 overflows at 1e200, and no stored code costs exactly 0, not
+        inf * 0; one stored code costs more than a float holds, which raises."""
         assert objective(np.ones((4, 6)), np.eye(4), np.zeros((6, 4)), 1e200) == 24.0
+        with pytest.raises(ConfigError, match=r"^the objective at lam 1e\+200 overflows a float$"):
+            objective(np.ones((4, 6)), np.eye(4), np.eye(6, 4), 1e200)
 
     def test_objective_counts_structural_zeros_exactly(self):
         Y = np.zeros((2, 3))
@@ -229,6 +233,22 @@ class TestMetrics:
     def test_nsre_rejects_zero_matrix(self):
         with pytest.raises(ConfigError):
             nsre(np.zeros((3, 4)), np.eye(3), np.zeros((4, 3)))
+
+    @pytest.mark.parametrize(
+        "Y, C, message",
+        [
+            (np.full((4, 6), 1e160), np.zeros((6, 4)), "training matrix is too large: its squared norm"),
+            (np.ones((4, 6)), np.full((6, 4), 1e300), "the fit term ||Y - D C^T||_F^2"),
+        ],
+        ids=["norm", "fit"],
+    )
+    @pytest.mark.parametrize("metric", [nsre, lambda Y, D, C: objective(Y, D, C, 1.0)], ids=["nsre", "objective"])
+    def test_metrics_reject_what_overflows(self, metric, Y, C, message):
+        """A finite Y whose ||Y||_F^2 overflows is rejected as learn rejects
+        it, and so is a fit term past the float range: with no warning,
+        never nan or inf."""
+        with pytest.raises(ConfigError, match="^" + re.escape(message + " overflows a float") + "$"):
+            metric(Y, np.eye(4), C)
 
     def test_sparsity_factor_uses_signal_dim(self):
         C = np.zeros((10, 6))
@@ -743,6 +763,18 @@ class TestLearn:
                     call()
         with pytest.raises(ConfigError, match="finite"):
             sparsity_factor(nan_codes, 4)
+        non_finite = ((np.where(Y > 0, np.nan, Y), D0, "training matrix"), (Y, np.full_like(D0, np.inf), "dictionary"))
+        for Yb, Db, match in non_finite:
+            for call in (
+                lambda: code_rhs(Yb, Db, C, 0),
+                lambda: sparse_code_step(Yb, Db, C, 0, 0.5, 3.0),
+                lambda: atom_rhs(Yb, Db, C, 0, np.ones(6)),
+                lambda: atom_update_step(Yb, Db, C, 0, np.ones(6)),
+                lambda: objective(Yb, Db, C, 0.5),
+                lambda: nsre(Yb, Db, C),
+            ):
+                with pytest.raises(ConfigError, match=f"^{match} must be finite$"):
+                    call()
         for signal_dim in (2.5, True):
             with pytest.raises(ConfigError, match="signal_dim"):
                 sparsity_factor(C, signal_dim)

@@ -51,3 +51,24 @@ def test_each_public_name_has_one_home():
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
         assert exported <= defined - imported, (path.stem, exported - (defined - imported))
+
+
+def test_finiteness_has_one_gate():
+    """Whether a value is finite is decided in ``exceptions`` alone: no other
+    module names ``isfinite`` or ``isinf``, of NumPy or of ``math``, or
+    catches ``OverflowError``.  The file reader is exempt, since a
+    non-finite entry in a file is a format error there."""
+    found = set()
+    for path in sorted(SOURCES.glob("*.py")):
+        if path.stem in ("exceptions", "io"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("isfinite", "isinf"):
+                found.add((path.stem, node.attr))
+            elif isinstance(node, ast.ImportFrom) and {"isfinite", "isinf"} & {a.name for a in node.names}:
+                found.add((path.stem, node.module))
+            elif isinstance(node, ast.ExceptHandler):  # a bare except, or one that covers OverflowError
+                caught = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)} if node.type else {"*"}
+                if caught & {"*", "OverflowError", "ArithmeticError", "Exception", "BaseException"}:
+                    found.add((path.stem, "except " + ",".join(sorted(caught))))
+    assert not found
