@@ -57,7 +57,7 @@ def _pin_threads() -> None:
     value = os.environ.get("SPARSEDL_THREADS")
     if not value:
         return
-    if not value.isdigit() or int(value) < 1:
+    if not (value.isascii() and value.isdigit()) or int(value) < 1:
         raise ConfigError(f"SPARSEDL_THREADS must be a positive integer, got {value!r}")
     for var in _THREAD_VARS:
         os.environ.setdefault(var, value)

@@ -101,9 +101,6 @@ __all__ = [
     "atom_rhs",
     "atom_update_step",
     "learn",
-    "objective",
-    "nsre",
-    "sparsity_factor",
 ]
 
 # Unit-norm slack accepted on input dictionaries before exact renormalization.
@@ -111,9 +108,9 @@ _NORM_TOL = 1e-8
 
 # Unparked atoms whose correlations with R one GEMM forms in learn (a
 # _BLOCK x N buffer; the parked visits among them take no row), and signals
-# that one gather takes at once (_GATHER x n buffers in learn and _fit,
-# n x _GATHER in atom_rhs).  Results depend on both, so
-# changing either changes the bits of a run.  Each GEMM reads all of R: at
+# that one gather takes at once (_GATHER x n buffers in learn, n x _GATHER
+# in atom_rhs).  Results depend on both, so changing either changes the bits
+# of a run.  Each GEMM reads all of R: at
 # N=62,001 (2 BLAS threads) those of one sweep took 177 ms in blocks of 8,
 # 104 ms in blocks of 16 and 74 ms in blocks of 32, but blocks of 32 raised
 # the peak RSS of a 256x256 denoise from 108 to 115 MB.
@@ -194,18 +191,14 @@ def _atom_term(d: np.ndarray, vals: np.ndarray, c_at_rows: np.ndarray) -> np.nda
     return d * float(vals @ c_at_rows)
 
 
-def _real_inputs(Y, D, C):
-    """``Y`` and ``D`` as real, finite 2-D arrays with as many rows, and ``C`` through :func:`_code_matrix`."""
+def _step_inputs(Y, D, C, j):
+    """``Y`` and ``D`` as real, finite 2-D arrays with as many rows, ``C``
+    through :func:`_code_matrix` and the atom index ``j`` checked against ``D``."""
     Y = as_real_array(Y, "training matrix", ndim=2, finite=True)
     D = as_real_array(D, "dictionary", ndim=2, finite=True)
     if D.shape[0] != Y.shape[0]:
         raise ConfigError(f"dictionary rows {D.shape[0]} do not match the signal length {Y.shape[0]}")
-    return Y, D, _code_matrix(C, Y.shape[1], D.shape[1])
-
-
-def _step_inputs(Y, D, C, j):
-    """:func:`_real_inputs`, and the atom index ``j`` checked against ``D``."""
-    Y, D, C = _real_inputs(Y, D, C)
+    C = _code_matrix(C, Y.shape[1], D.shape[1])
     j = as_integer(j, "atom index")
     if not 0 <= j < D.shape[1]:
         raise ConfigError(f"atom index {j} out of range for {D.shape[1]} atoms")
@@ -218,21 +211,6 @@ def _new_code(new_code, N: int) -> np.ndarray:
     if c.size != N:
         raise ConfigError(f"new code length {c.size} does not match N={N}")
     return c
-
-
-def _fit(Y: np.ndarray, D: np.ndarray, C: sparse.csc_array):
-    """``||Y||_F^2`` and the fit term ``||Y - D C^T||_F^2``, the second over
-    ``_GATHER`` signals at a time.  A squared norm that overflows raises
-    :class:`ConfigError`, the first with :func:`learn`'s message."""
-    y = Y.ravel(order="K")  # np.linalg.norm's order and sum
-    ysq = as_finite(lambda: y.dot(y), "training matrix is too large: its squared norm")
-    C = C.tocsr()
-    fit = 0.0
-    for lo in range(0, Y.shape[1], _GATHER):
-        resid = C[lo : lo + _GATHER] @ D.T
-        resid -= Y[:, lo : lo + _GATHER].T
-        fit += float(np.vdot(resid, resid))
-    return ysq, as_finite(fit, "the fit term ||Y - D C^T||_F^2")
 
 
 def code_rhs(Y: np.ndarray, D: np.ndarray, C, j: int) -> np.ndarray:
@@ -417,49 +395,6 @@ def _atom_step(R: np.ndarray, D: np.ndarray, j: int, rows: np.ndarray, w: np.nda
         if not whole:
             R[rows[s]] = part
     return d_new
-
-
-def objective(Y: np.ndarray, D: np.ndarray, C, lam: float) -> float:
-    """Value of the learning objective: fit term plus ``lam^2 * nnz(C)``, ``lam >= 0``.
-
-    The nonzero count is structural/exact; no tolerance is applied when
-    deciding whether an entry is zero.  The value is a finite float: a
-    ``||Y||_F^2``, a fit term or a total past the float range raises
-    :class:`ConfigError` instead, as :func:`learn` does for ``||Y||_F^2``.
-    """
-    Y, D, C = _real_inputs(Y, D, C)
-    lam = as_real_number(lam, "lam", low=0.0)
-    fit = _fit(Y, D, C)[1]
-    return as_finite(fit + (lam * lam * C.nnz if C.nnz else 0.0), f"the objective at lam {lam}")
-
-
-def nsre(Y: np.ndarray, D: np.ndarray, C) -> float:
-    """Normalized representation error ``||Y - D C^T||_F / ||Y||_F``.
-
-    The value is a finite float: a ``||Y||_F^2`` or a fit term past the
-    float range raises :class:`ConfigError` instead, as :func:`learn` does
-    for ``||Y||_F^2``, and so does an all-zero ``Y``.
-    """
-    Y, D, C = _real_inputs(Y, D, C)
-    ysq, fit = _fit(Y, D, C)
-    if ysq == 0.0:
-        raise ConfigError("nsre is undefined for an all-zero training matrix")
-    return float(np.sqrt(fit) / np.sqrt(ysq))
-
-
-def sparsity_factor(C, signal_dim: int) -> float:
-    """Nonzero fraction of ``C`` relative to ``signal_dim * N``.
-
-    The denominator uses the signal dimension n (not the atom count), so
-    the value reads as average nonzeros per signal over n.
-    """
-    signal_dim = as_integer(signal_dim, "signal_dim", low=1)
-    if np.ndim(C) != 2:
-        raise ConfigError(f"code matrix must be 2-D, got shape {np.shape(C)}")
-    N, J = np.shape(C)
-    if N < 1:
-        raise ConfigError("code matrix has no signals")
-    return _code_matrix(C, N, J).nnz / (signal_dim * N)
 
 
 @dataclass

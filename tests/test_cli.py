@@ -500,6 +500,14 @@ class TestThreadPinning:
         assert proc.returncode == 1
         assert "SPARSEDL_THREADS" in proc.stderr
 
+    @pytest.mark.parametrize("value", ["²", "١"], ids=["superscript-two", "arabic-indic-one"])
+    def test_non_ascii_digit_is_usage_error(self, value):
+        """``str.isdigit`` holds for these, but ``int`` rejects the first and
+        BLAS would be handed the second as is: only ASCII digits count."""
+        proc = run_cli("learn", "--help", env_extra={"SPARSEDL_THREADS": value})
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"error: SPARSEDL_THREADS must be a positive integer, got {value!r}"]
+
     def test_valid_value_passes_through(self, tmp_path, train_file):
         proc = run_cli(
             "learn", "--data", train_file, "--atoms", 4, "--lambda", 1, "--iters", 1,

@@ -72,3 +72,45 @@ def test_finiteness_has_one_gate():
                 if caught & {"*", "OverflowError", "ArithmeticError", "Exception", "BaseException"}:
                     found.add((path.stem, "except " + ",".join(sorted(caught))))
     assert not found
+
+
+def test_public_surface_is_pinned():
+    """Each module's ``__all__``, in order, or for a module without one its
+    top-level ``def``s and ``class``es not named with an underscore: a new
+    public name must be added here on purpose, and one that goes taken out."""
+    surface = {}
+    for path in sorted(SOURCES.glob("*.py")):
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        listed = [
+            ast.literal_eval(node.value)
+            for node in body
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        ]
+        surface[path.stem] = listed[0] if listed else [
+            node.name
+            for node in body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        ]
+    assert surface == {
+        "__init__": [],
+        "cli": ["main"],
+        "denoise": ["add_gaussian_noise", "psnr", "quantize_pixels", "DenoiseConfig", "DenoiseResult", "denoise_image"],
+        "dictionaries": ["INIT_KINDS", "initial_dictionary", "overcomplete_dct_dictionary", "random_dictionary"],
+        "exceptions": [
+            "ConfigError", "FormatError", "InvariantError", "as_integer", "as_real_number", "as_real_array", "as_finite",
+        ],
+        "experiments": [
+            "REFERENCE_PSNR", "DENOISE_COLUMNS", "sample_patch_columns", "compare_with_dct", "denoise_csv_row",
+            "convergence_trace", "lambda_sweep", "denoise_table", "scaling_bench",
+        ],
+        "io": [
+            "TRACE_COLUMNS", "read_matrix_text", "write_matrix_text", "read_csv_table", "write_csv_table",
+            "read_trace_csv", "write_trace_csv", "read_pgm", "write_pgm",
+        ],
+        "learner": [
+            "LearnConfig", "LearnTrace", "truncated_hard_threshold", "code_rhs", "sparse_code_step", "atom_rhs",
+            "atom_update_step", "learn",
+        ],
+        "omp": ["omp_code", "omp_code_matrix", "REACHED_ERROR_GOAL", "REACHED_ATOM_CAP", "DEGENERATE"],
+        "patches": ["patch_grid_shape", "patch_cover", "extract_patches", "aggregate_patches"],
+    }
